@@ -51,7 +51,7 @@ def main():
     res = existence_check_3(0, 0, 0, 0.3, 0.3, 0.2, symmetric=True)
     print(f"  m = (0.3, 0.3, 0.2): exists = {res.exists}")
 
-    print("\nFourth-order check for the CHSH pairs (AB, AC, DB, DC) via LP:")
+    print("\nFourth-order check for the CHSH pairs (AB, AC, DB, DC) by Fine's inequalities:")
     s = math.sqrt(2) / 2
     res = quad_feasibility(
         pair_from_cov(-s), pair_from_cov(s), pair_from_cov(-s), pair_from_cov(-s)

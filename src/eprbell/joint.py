@@ -13,9 +13,10 @@ table summing to one certifies that no valid joint exists with the given
 marginals.
 
 For four variables in the CHSH pair pattern (A,B), (A,C), (D,B), (D,C),
-existence is decided by an exact linear-feasibility search over the 16
-entries, cross-checked against the eight covariance inequalities that are
-necessary and (for sign-symmetric inputs) sufficient.
+existence is decided by the eight CHSH covariance inequalities, which are
+necessary and sufficient for consistent pair tables (Fine's theorem). When
+they hold, a linear-feasibility search over the 16 entries builds a witness
+joint; scipy is imported only for that search.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     InconsistentMarginalsError,
@@ -76,6 +76,8 @@ class TripleDist:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (2, 2, 2):
             raise InvalidInputError(f"triple table must be 2x2x2, got {q.shape}")
+        if not np.isfinite(q).all():
+            raise InvalidInputError(f"triple table entries must be finite: {q.tolist()}")
         if abs(q.sum() - 1.0) > TRIPLE_TOL:
             raise InvalidInputError(f"triple table sums to {q.sum()}, not 1")
         q.flags.writeable = False
@@ -108,6 +110,8 @@ class QuadDist:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (2, 2, 2, 2):
             raise InvalidInputError(f"quad table must be 2x2x2x2, got {q.shape}")
+        if not np.isfinite(q).all():
+            raise InvalidInputError(f"quad table entries must be finite: {q.tolist()}")
         if abs(q.sum() - 1.0) > QUAD_TOL:
             raise InvalidInputError(f"quad table sums to {q.sum()}, not 1")
         q.flags.writeable = False
@@ -340,31 +344,20 @@ def _pair_constraint_rows(first_axis: int, second_axis: int) -> np.ndarray:
     return rows
 
 
-def quad_feasibility(
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first call so that importing
+    eprbell does not load scipy."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
+def _lp_witness(
     p_ab: PairDist, p_ac: PairDist, p_db: PairDist, p_dc: PairDist
-) -> QuadFeasibility:
-    """Decide whether a valid joint over (A, B, C, D) exists with the four
-    given pair tables, via exact linear feasibility; returns a witness table
-    when feasible.
-
-    The verdict is cross-checked against the eight covariance inequalities
-    whenever the inputs are sign-symmetric (all first moments zero), where
-    those inequalities are necessary and sufficient.
-    """
-    a1, b1, c_ab = _pair_moments(p_ab)
-    a2, c1, c_ac = _pair_moments(p_ac)
-    d1, b2, c_db = _pair_moments(p_db)
-    d2, c2, c_dc = _pair_moments(p_dc)
-    mismatch = {"A": abs(a1 - a2), "B": abs(b1 - b2), "C": abs(c1 - c2), "D": abs(d1 - d2)}
-    for var, dev in mismatch.items():
-        if dev > MARGINAL_TOL:
-            raise InconsistentMarginalsError(
-                f"marginal of {var} differs across pair tables by {dev:.3g}"
-            )
-
-    verdicts = chsh_family_verdicts(c_ab, c_ac, c_db, c_dc)
-    failed = next((k for k, v in verdicts.items() if not v.satisfied), None)
-
+) -> Optional[QuadDist]:
+    """A valid joint over (A, B, C, D) with the four given pair tables, found
+    by exact linear feasibility over the 16 entries; None when the linear
+    program is infeasible."""
     # Axes in the (A, B, C, D) cell ordering for each specified pair.
     systems = [(0, 1, p_ab), (0, 2, p_ac), (3, 1, p_db), (3, 2, p_dc)]
     a_eq = np.vstack([_pair_constraint_rows(i, j) for i, j, _ in systems])
@@ -382,22 +375,51 @@ def quad_feasibility(
             "dual_feasibility_tolerance": 1e-10,
         },
     )
-    feasible = res.status == 0
-    witness = None
-    if feasible:
-        q = np.zeros((2, 2, 2, 2))
-        for cell, value in zip(_SIGN_GRID4, res.x):
-            idx = tuple((1 - s) // 2 for s in cell)
-            q[idx] = value
-        witness = QuadDist(q / q.sum())
+    if res.status != 0:
+        return None
+    q = np.zeros((2, 2, 2, 2))
+    for cell, value in zip(_SIGN_GRID4, res.x):
+        idx = tuple((1 - s) // 2 for s in cell)
+        q[idx] = value
+    return QuadDist(q / q.sum())
 
-    symmetric = max(abs(a1), abs(b1), abs(c1), abs(d1)) <= MARGINAL_TOL
-    if symmetric and feasible != (failed is None):
+
+def quad_feasibility(
+    p_ab: PairDist, p_ac: PairDist, p_db: PairDist, p_dc: PairDist
+) -> QuadFeasibility:
+    """Decide whether a valid joint over (A, B, C, D) exists with the four
+    given pair tables; returns a witness table when feasible.
+
+    The verdict is the eight CHSH covariance inequalities, which by Fine's
+    theorem are necessary and sufficient once the shared single-variable
+    marginals agree, whatever the first moments. An infeasible input is
+    returned without solving anything. A feasible one gets its witness from
+    the linear-feasibility search, and a search that finds none contradicts
+    the theorem and raises RuntimeError.
+    """
+    a1, b1, c_ab = _pair_moments(p_ab)
+    a2, c1, c_ac = _pair_moments(p_ac)
+    d1, b2, c_db = _pair_moments(p_db)
+    d2, c2, c_dc = _pair_moments(p_dc)
+    mismatch = {"A": abs(a1 - a2), "B": abs(b1 - b2), "C": abs(c1 - c2), "D": abs(d1 - d2)}
+    for var, dev in mismatch.items():
+        if dev > MARGINAL_TOL:
+            raise InconsistentMarginalsError(
+                f"marginal of {var} differs across pair tables by {dev:.3g}"
+            )
+
+    verdicts = chsh_family_verdicts(c_ab, c_ac, c_db, c_dc)
+    failed = next((k for k, v in verdicts.items() if not v.satisfied), None)
+    if failed is not None:
+        return QuadFeasibility(feasible=False, witness=None, verdicts=verdicts, failed=failed)
+
+    witness = _lp_witness(p_ab, p_ac, p_db, p_dc)
+    if witness is None:
         raise RuntimeError(
-            "feasibility solver disagrees with the covariance inequalities on "
-            f"a sign-symmetric input (solver: {feasible}, inequalities: {failed is None})"
+            "feasibility solver found no joint although the eight CHSH "
+            "inequalities hold, which by Fine's theorem guarantees one"
         )
-    return QuadFeasibility(feasible=feasible, witness=witness, verdicts=verdicts, failed=failed)
+    return QuadFeasibility(feasible=True, witness=witness, verdicts=verdicts, failed=None)
 
 
 def quad_pair_marginal(w: QuadDist, pair: str) -> PairDist:

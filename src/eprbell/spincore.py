@@ -47,6 +47,8 @@ class PairDist:
         t = np.asarray(self.table, dtype=float)
         if t.shape != (2, 2):
             raise InvalidInputError(f"pair table must be 2x2, got shape {t.shape}")
+        if not np.isfinite(t).all():
+            raise InvalidInputError(f"pair table entries must be finite: {t.tolist()}")
         if t.min() < -PROB_TOL or t.max() > 1.0 + PROB_TOL:
             raise InvalidInputError(f"pair table entries outside [0, 1]: {t.tolist()}")
         if abs(t.sum() - 1.0) > PROB_TOL:

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eprbell
 from eprbell.cli import main
 
 from conftest import CONTRA_AB, CONTRA_BC, CONTRA_CA
@@ -152,15 +157,19 @@ def cov_table(c):
     return {"pp": (1 + c) / 4, "pm": (1 - c) / 4, "mp": (1 - c) / 4, "mm": (1 + c) / 4}
 
 
+TSIRELSON_COVS = {"AB": -SQRT2 / 2, "AC": SQRT2 / 2, "DB": -SQRT2 / 2, "DC": -SQRT2 / 2}
+UNIFORM_COVS = dict.fromkeys(("AB", "AC", "DB", "DC"), 0.0)
+
+
+def quad_file(tmp_path, covs, name="quad.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps({"pairs": {k: cov_table(c) for k, c in covs.items()}}))
+    return str(path)
+
+
 class TestJoint4:
     def test_tsirelson_infeasible(self, capsys, tmp_path):
-        s = math.sqrt(2) / 2
-        doc_path = tmp_path / "quad.json"
-        doc_path.write_text(json.dumps({"pairs": {
-            "AB": cov_table(-s), "AC": cov_table(s),
-            "DB": cov_table(-s), "DC": cov_table(-s),
-        }}))
-        doc = run_json(capsys, "joint4", "--pairs", str(doc_path))
+        doc = run_json(capsys, "joint4", "--pairs", quad_file(tmp_path, TSIRELSON_COVS))
         assert doc["feasible"] is False
         assert doc["failed_inequality"] is not None
         assert doc["witness"] is None
@@ -168,15 +177,53 @@ class TestJoint4:
         assert worst == pytest.approx(2 * SQRT2, abs=1e-9)
 
     def test_uniform_feasible(self, capsys, tmp_path):
-        doc_path = tmp_path / "quad.json"
-        doc_path.write_text(json.dumps({"pairs": {
-            k: cov_table(0.0) for k in ("AB", "AC", "DB", "DC")
-        }}))
-        doc = run_json(capsys, "joint4", "--pairs", str(doc_path))
+        doc = run_json(capsys, "joint4", "--pairs", quad_file(tmp_path, UNIFORM_COVS))
         assert doc["feasible"] is True
         witness = doc["witness"]
         assert len(witness) == 16
         assert sum(witness.values()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_nan_entry(self, capsys, tmp_path):
+        pairs = {k: cov_table(c) for k, c in UNIFORM_COVS.items()}
+        pairs["AB"]["pp"] = math.nan
+        doc_path = tmp_path / "quad.json"
+        doc_path.write_text(json.dumps({"pairs": pairs}))
+        code, out, err = run(capsys, "joint4", "--pairs", str(doc_path))
+        assert code == 65 and out == ""
+        assert "finite" in err and "Traceback" not in err
+
+
+SCIPY_PROBE = """
+import json, sys
+loaded = {}
+import eprbell
+loaded["import eprbell"] = "scipy" in sys.modules
+from eprbell.cli import main
+for step, argv in (
+    ("dist", ["dist", "--theta", "30"]),
+    ("joint4 infeasible", ["joint4", "--pairs", sys.argv[1]]),
+    ("joint4 feasible", ["joint4", "--pairs", sys.argv[2]]),
+):
+    assert main(argv) == 0
+    loaded[step] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loaded_only_for_joint4_witness(tmp_path):
+    src = str(Path(eprbell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE,
+         quad_file(tmp_path, TSIRELSON_COVS, "infeasible.json"),
+         quad_file(tmp_path, UNIFORM_COVS, "feasible.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import eprbell": False, "dist": False,
+        "joint4 infeasible": False, "joint4 feasible": True,
+    }
 
 
 class TestSimulate:

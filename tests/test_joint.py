@@ -1,8 +1,10 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from eprbell import (
     Direction,
@@ -10,7 +12,9 @@ from eprbell import (
     InvalidInputError,
     MomentSet3,
     PairDist,
+    QuadDist,
     QuasiDistributionError,
+    TripleDist,
     UndefinedConditionalError,
     chsh_family_verdicts,
     chsh_split_lhs,
@@ -28,6 +32,7 @@ from eprbell import (
     triple_from_moments,
     triple_marginal_pair,
 )
+from eprbell import joint
 
 from conftest import CONTRA_AB, CONTRA_BC, CONTRA_CA, random_direction
 
@@ -57,6 +62,16 @@ def grid_oracle_exists(m_ab, m_bc, m_ca, m_a=0.0, m_b=0.0, m_c=0.0, step=1e-3):
         if ok:
             return True
     return False
+
+
+class TestTableValidation:
+    @pytest.mark.parametrize("first, second", [(math.nan, 0.0), (math.inf, -math.inf)])
+    @pytest.mark.parametrize("cls, shape", [(TripleDist, (2, 2, 2)), (QuadDist, (2, 2, 2, 2))])
+    def test_rejects_non_finite_entries(self, cls, shape, first, second):
+        q = np.zeros(shape)
+        q.flat[:3] = first, second, 1.0
+        with pytest.raises(InvalidInputError, match="finite"):
+            cls(q)
 
 
 class TestTripleFromMoments:
@@ -275,6 +290,36 @@ def pair_from_cov(c):
     return PairDist(0.25 * np.array([[1 + c, 1 - c], [1 - c, 1 + c]]))
 
 
+CHSH_PAIRS = ("AB", "AC", "DB", "DC")
+TSIRELSON_COVS = dict(zip(CHSH_PAIRS, math.sqrt(0.5) * np.array([-1, 1, -1, -1])))
+
+
+def biased_product(m_a, m_b, m_c, m_d) -> QuadDist:
+    """Independent variables with the given first moments."""
+    ps = [np.array([1 + m, 1 - m]) / 2 for m in (m_a, m_b, m_c, m_d)]
+    return QuadDist(np.einsum("i,j,k,l->ijkl", *ps))
+
+
+@st.composite
+def asymmetric_quads(draw):
+    """Consistent CHSH pair tables with generally nonzero first moments: the
+    marginals of a random 16-cell joint (always feasible), or the Tsirelson
+    singlet tables, at weight 1/2 or more, mixed with a biased product joint
+    (infeasible for about a third of these mixes)."""
+    if draw(st.booleans()):
+        cells = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16)))
+        assume(cells.sum() > 1e-3)
+        joint4 = QuadDist((cells / cells.sum()).reshape(2, 2, 2, 2))
+        return [quad_pair_marginal(joint4, k) for k in CHSH_PAIRS]
+    w = draw(st.floats(0.5, 1.0))
+    product = biased_product(*(draw(st.floats(-1.0, 1.0)) for _ in range(4)))
+    return [
+        PairDist(w * pair_from_cov(TSIRELSON_COVS[k]).table
+                 + (1 - w) * quad_pair_marginal(product, k).table)
+        for k in CHSH_PAIRS
+    ]
+
+
 class TestQuadFeasibility:
     def test_uniform_feasible(self):
         u = PairDist(np.full((2, 2), 0.25))
@@ -314,10 +359,39 @@ class TestQuadFeasibility:
         with pytest.raises(InconsistentMarginalsError):
             quad_feasibility(biased, u, u, u)
 
+    @settings(max_examples=150, deadline=None)
+    @given(asymmetric_quads())
+    def test_fine_consistency_asymmetric(self, tables):
+        # LP verdict == Fine's eight inequalities on inputs with nonzero first moments
+        verdicts = chsh_family_verdicts(*(covariance(t) for t in tables))
+        # Within 1e-9 of the bound the two routes' tolerances (1e-12 slack,
+        # 1e-10 LP feasibility) decide differently, so the verdict is not compared there.
+        assume(abs(max(v.lhs for v in verdicts.values()) - 2.0) > 1e-9)
+        fine = all(v.satisfied for v in verdicts.values())
+        res = quad_feasibility(*tables)
+        lp = res.witness if res.feasible else joint._lp_witness(*tables)
+        assert res.feasible == fine
+        assert (lp is not None) == fine
+        if lp is not None:
+            for key, table in zip(CHSH_PAIRS, tables):
+                assert np.max(np.abs(quad_pair_marginal(lp, key).table - table.table)) < 1e-9
+
+    def test_solver_disagreement_raises(self, monkeypatch):
+        # The inequalities hold on this asymmetric input, so an LP that finds
+        # no joint contradicts Fine's theorem.
+        product = biased_product(0.3, -0.5, 0.2, 0.7)
+        tables = [quad_pair_marginal(product, k) for k in CHSH_PAIRS]
+        monkeypatch.setattr(joint, "linprog", lambda *a, **k: SimpleNamespace(status=2, x=None))
+        with pytest.raises(RuntimeError, match="Fine"):
+            quad_feasibility(*tables)
+
     def test_fine_consistency(self, rng):
         # LP verdict == conjunction of the eight covariance inequalities
         for _ in range(100):
             cs = rng.uniform(-1, 1, 4)
-            res = quad_feasibility(*(pair_from_cov(c) for c in cs))
+            tables = [pair_from_cov(c) for c in cs]
+            res = quad_feasibility(*tables)
+            lp = res.witness if res.feasible else joint._lp_witness(*tables)
             all_hold = all(v.satisfied for v in chsh_family_verdicts(*cs).values())
             assert res.feasible == all_hold
+            assert (lp is not None) == all_hold

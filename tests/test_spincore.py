@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from eprbell import (
     Direction,
     InvalidDirectionError,
+    InvalidInputError,
     apply_property_I,
     covariance,
     local_conditional,
@@ -43,6 +44,13 @@ class TestDirection:
     def test_angle_to_matches_dot(self, t1, t2):
         a, b = Direction.from_angle(t1), Direction.from_angle(t2)
         assert math.cos(a.angle_to(b)) == pytest.approx(a.dot(b), abs=1e-9)
+
+
+class TestPairDist:
+    @pytest.mark.parametrize("first, second", [(math.nan, 0.25), (math.inf, -math.inf)])
+    def test_rejects_non_finite_entries(self, first, second):
+        with pytest.raises(InvalidInputError, match="finite"):
+            PairDist(np.array([[first, second], [0.25, 0.25]]))
 
 
 class TestQmPairDist:
