@@ -15,6 +15,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import verify as verify_mod
 from .errors import EprBellError, InconsistentMarginalsError, InvalidInputError
 from .geometry import Direction
@@ -57,6 +59,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for every float option: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _to_rad(value: float, radians: bool) -> float:
     return value if radians else math.radians(value)
 
@@ -81,12 +94,18 @@ def _parse_direction(text: str, what: str) -> Direction:
         raise UsageError(f"{what}: {exc}")
 
 
-def _emit(text: str, output: str | None):
-    if output:
+def _emit(text, output: str | None):
+    """Write ``text`` (a string or an iterable of strings, written as they
+    come) to the ``output`` file or stdout."""
+    chunks = (text,) if isinstance(text, str) else text
+    if not output:
+        sys.stdout.writelines(chunks)
+        return
+    try:
         with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise DataError(f"cannot write {output}: {exc}")
 
 
 def _json(obj) -> str:
@@ -184,6 +203,28 @@ def _cmd_ineq(args) -> int:
     return EXIT_OK
 
 
+# Violation rows per written chunk: the CSV is never built as one string.
+_SCAN_CHUNK_ROWS = 1 << 14
+
+
+def _scan_csv(result, angle_names: list[str]):
+    """Header, violation rows and the max row of a scan, chunk by chunk, in
+    the text csv.writer gives (floats as repr). Angles take only n values,
+    so each is formatted once and looked up."""
+    degrees = np.array([repr(math.degrees(g)) + "," for g in result.grid.tolist()], dtype=object)
+    yield ",".join(["kind"] + angle_names + ["lhs"]) + "\n"
+    for start in range(0, len(result.violation_lhs), _SCAN_CHUNK_ROWS):
+        index = result.violation_index[start:start + _SCAN_CHUNK_ROWS]
+        lhs = result.violation_lhs[start:start + _SCAN_CHUNK_ROWS]
+        rows = "violation," + degrees[index[:, 0]]  # object arrays: elementwise str +
+        for col in range(1, index.shape[1]):
+            rows += degrees[index[:, col]]
+        rows += np.array([repr(v) + "\n" for v in lhs.tolist()], dtype=object)
+        yield "".join(rows.tolist())
+    max_row = [repr(math.degrees(v)) for v in result.argmax_angles] + [repr(result.max_lhs)]
+    yield ",".join(["max"] + max_row) + "\n"
+
+
 def _cmd_scan(args) -> int:
     if args.resolution_deg is not None:
         resolution = math.radians(args.resolution_deg)
@@ -198,13 +239,7 @@ def _cmd_scan(args) -> int:
     angle_names = ["phi_b_deg", "phi_c_deg"] + (
         ["phi_d_deg"] if args.inequality == "chsh" else []
     )
-    header = ["kind"] + angle_names + ["lhs"]
-    rows = [
-        ["violation"] + [math.degrees(v) for v in angles] + [lhs]
-        for angles, lhs in result.violations
-    ]
-    rows.append(["max"] + [math.degrees(v) for v in result.argmax_angles] + [result.max_lhs])
-    _emit(_csv(header, rows), args.output)
+    _emit(_scan_csv(result, angle_names), args.output)
     return EXIT_OK
 
 
@@ -302,8 +337,6 @@ def _cmd_joint4(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"-n must be >= 1, got {args.n}")
     a = Direction.from_angle(0.0)
     b = Direction.from_angle(_to_rad(args.theta, args.radians))
     report = simulate(a, b, args.n, args.seed, mode=args.mode, threads=args.threads)
@@ -354,7 +387,7 @@ def build_parser() -> _Parser:
         p.add_argument("-o", "--output", help="write to file instead of stdout")
 
     p = sub.add_parser("dist", help="pair probability table and covariance")
-    p.add_argument("--theta", type=float, help="angle between the two orientations")
+    p.add_argument("--theta", type=_finite_float, help="angle between the two orientations")
     p.add_argument("--a", help="first direction as x,y,z")
     p.add_argument("--b", help="second direction as x,y,z")
     mode = p.add_mutually_exclusive_group()
@@ -372,8 +405,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("scan", help="grid search for violating orientations")
     p.add_argument("--inequality", choices=["bell", "chsh"], required=True)
-    p.add_argument("--resolution-deg", type=float)
-    p.add_argument("--resolution-rad", type=float)
+    p.add_argument("--resolution-deg", type=_finite_float)
+    p.add_argument("--resolution-rad", type=_finite_float)
     common(p)
     p.set_defaults(func=_cmd_scan)
 
@@ -381,7 +414,7 @@ def build_parser() -> _Parser:
     p.add_argument("--qm", action="store_true", help="build from singlet tables at --angles")
     p.add_argument("--angles", help="t_ab,t_bc for coplanar directions")
     p.add_argument("--pairs", help="JSON file with pair tables AB, BC, CA")
-    p.add_argument("--mu3", type=float, help="third moment (default: 0 or interval midpoint)")
+    p.add_argument("--mu3", type=_finite_float, help="third moment (default: 0 or interval midpoint)")
     common(p)
     p.set_defaults(func=_cmd_joint3)
 
@@ -391,7 +424,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_joint4)
 
     p = sub.add_parser("simulate", help="hidden-variable Monte Carlo run")
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_finite_float, required=True)
     p.add_argument("-n", type=int, required=True, help="sample count")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=["local", "singlet"], default="local")
@@ -400,7 +433,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("info", help="mutual-information curve as CSV")
-    p.add_argument("--step", type=float, required=True)
+    p.add_argument("--step", type=_finite_float, required=True)
     common(p)
     p.set_defaults(func=_cmd_info)
 

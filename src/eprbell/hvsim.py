@@ -17,6 +17,7 @@ over blocks, so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -140,10 +141,15 @@ def simulate(
 
     mode="local" targets the single-device table for (A(a), A(b));
     mode="singlet" maps B(b) = -A(b) and targets the two-device table for
-    (A(a), B(b)). Output is bit-identical for any ``threads`` value.
+    (A(a), B(b)). Output is bit-identical for any ``threads`` value; at most
+    min(threads, blocks, CPUs) worker threads run.
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    if threads < 1:
+        raise InvalidInputError(f"threads must be >= 1, got {threads}")
     if mode not in ("local", "singlet"):
         raise InvalidInputError(f"mode must be 'local' or 'singlet', got {mode!r}")
     part = PartitionSpec.for_directions(a, b)
@@ -151,8 +157,9 @@ def simulate(
 
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     sizes = [min(BLOCK_SIZE, n - k * BLOCK_SIZE) for k in range(n_blocks)]
-    if threads > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, n_blocks, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(
                     lambda k: _simulate_block(seed, k, sizes[k], part, singlet),

@@ -157,13 +157,29 @@ def bell_local_model_covariance(
     return float(np.mean(ma * mb))
 
 
-@dataclass(frozen=True)
+# Cells of one phi_b slab of the scan grid; a single phi_b row larger than
+# this is still scanned whole.
+SCAN_SLAB_CELLS = 1 << 20
+
+
+@dataclass(frozen=True, eq=False)
 class ScanResult:
+    """Grid-scan outcome. ``violation_index[k]`` holds the grid indices of
+    (phi_b, phi_c[, phi_d]) for violation k in C order, ``violation_lhs[k]``
+    its left-hand side; both arrays are read-only."""
+
     inequality: str
     resolution: float
     max_lhs: float
     argmax_angles: tuple[float, ...]
-    violations: list[tuple[tuple[float, ...], float]]
+    grid: np.ndarray
+    violation_index: np.ndarray  # int32, shape (k, dims)
+    violation_lhs: np.ndarray  # float64, shape (k,)
+
+    @property
+    def violations(self) -> np.ndarray:
+        """(k, dims + 1) array: the violating angles in radians, then lhs."""
+        return np.column_stack((self.grid[self.violation_index], self.violation_lhs))
 
 
 def violation_scan(inequality: str, resolution: float) -> ScanResult:
@@ -172,31 +188,42 @@ def violation_scan(inequality: str, resolution: float) -> ScanResult:
 
     Bell scans (phi_b, phi_c); CHSH scans (phi_b, phi_c, phi_d). Grids are
     multiples of ``resolution`` in [0, 2*pi), so the known extrema at pi/4
-    multiples are on-grid whenever resolution divides pi/4.
+    multiples are on-grid whenever resolution divides pi/4. The grid is
+    evaluated in phi_b slabs of at most ``SCAN_SLAB_CELLS`` cells (or one
+    phi_b row), so memory is one slab plus the compact violation arrays.
     """
     if not 0.0 < resolution <= math.pi / 8.0 + 1e-15:
         raise InvalidInputError(f"resolution must be in (0, pi/8], got {resolution}")
+    if inequality not in ("bell", "chsh"):
+        raise InvalidInputError(f"inequality must be 'bell' or 'chsh', got {inequality!r}")
     n = int(round(2.0 * math.pi / resolution))
     grid = resolution * np.arange(n)
+    dims = 2 if inequality == "bell" else 3
+    bound = 1.0 if dims == 2 else 2.0
+    rows = max(1, SCAN_SLAB_CELLS // n ** (dims - 1))
 
-    if inequality == "bell":
-        pb, pc = np.meshgrid(grid, grid, indexing="ij")
-        lhs = np.abs(-np.cos(pb) + np.cos(pc)) - (-np.cos(pc - pb))
-        bound = 1.0
-        angles = (pb, pc)
-    elif inequality == "chsh":
-        pb, pc, pd = np.meshgrid(grid, grid, grid, indexing="ij")
-        lhs = np.abs(-np.cos(pb) + np.cos(pc)) + np.abs(-np.cos(pd - pb) - np.cos(pd - pc))
-        bound = 2.0
-        angles = (pb, pc, pd)
-    else:
-        raise InvalidInputError(f"inequality must be 'bell' or 'chsh', got {inequality!r}")
+    best_lhs, best_index = -math.inf, None
+    index_parts, lhs_parts = [], []
+    for start in range(0, n, rows):
+        if dims == 2:
+            pb, pc = grid[start:start + rows, None], grid[None, :]
+            lhs = np.abs(-np.cos(pb) + np.cos(pc)) - (-np.cos(pc - pb))
+        else:
+            pb, pc, pd = grid[start:start + rows, None, None], grid[None, :, None], grid[None, None, :]
+            lhs = np.abs(-np.cos(pb) + np.cos(pc)) + np.abs(-np.cos(pd - pb) - np.cos(pd - pc))
+        # Strict > over slabs in C order keeps the first maximum, as argmax does.
+        local = np.unravel_index(int(np.argmax(lhs)), lhs.shape)
+        if lhs[local] > best_lhs:
+            best_lhs, best_index = float(lhs[local]), (start + local[0],) + local[1:]
+        hits = lhs > bound + VIOLATION_SLACK
+        index = np.argwhere(hits).astype(np.int32)
+        index[:, 0] += start
+        index_parts.append(index)
+        lhs_parts.append(lhs[hits])
 
-    flat = lhs.ravel()
-    best = int(np.argmax(flat))
-    argmax = tuple(float(a.ravel()[best]) for a in angles)
-    viol_idx = np.nonzero(flat > bound + VIOLATION_SLACK)[0]
-    violations = [
-        (tuple(float(a.ravel()[i]) for a in angles), float(flat[i])) for i in viol_idx
-    ]
-    return ScanResult(inequality, resolution, float(flat[best]), argmax, violations)
+    violation_index = np.concatenate(index_parts)
+    violation_lhs = np.concatenate(lhs_parts)
+    for a in (grid, violation_index, violation_lhs):
+        a.setflags(write=False)
+    argmax = tuple(float(grid[i]) for i in best_index)
+    return ScanResult(inequality, resolution, best_lhs, argmax, grid, violation_index, violation_lhs)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .born import singlet_pair_prob
+from .errors import InvalidInputError
 from .geometry import Direction
 from .hvsim import mixture_pair_dist
 from .spincore import SIGNS, apply_property_I, local_pair_dist, qm_pair_dist
@@ -86,6 +87,10 @@ def check_mixture_identity(trials: int, seed: int) -> CheckResult:
 
 
 def run_all(trials: int = 1000, seed: int = 0) -> list[CheckResult]:
+    if trials < 1:
+        raise InvalidInputError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     return [
         check_born_agreement(trials, seed),
         check_equivalence_round_trip(trials, seed + 1),

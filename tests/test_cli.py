@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -93,6 +95,11 @@ class TestIneq:
         assert run(capsys, "ineq", "nope", "--angles", "45,45")[0] == 64
 
 
+# Traced peak of `scan chsh 5 -o FILE`: ~61 MB with the dense kernel and
+# csv.writer, ~9 MB with the slabbed kernel and streamed rows.
+SCAN_PEAK_BOUND = 24 * 2**20
+
+
 class TestScan:
     def test_bell_scan_contains_max(self, capsys):
         code, out, _ = run(
@@ -108,6 +115,79 @@ class TestScan:
     def test_resolution_out_of_range(self, capsys):
         assert run(capsys, "scan", "--inequality", "bell", "--resolution-deg", "60")[0] == 64
         assert run(capsys, "scan", "--inequality", "bell")[0] == 64
+
+    # sha256 of stdout as the dense-meshgrid kernel and csv.writer wrote it;
+    # the slabbed kernel and streamed rows must match it byte for byte.
+    # Recorded with numpy 2.4.6 on a 2-vCPU Intel Xeon (x86-64). The lhs
+    # digits come from np.cos, whose last bits may differ with another numpy
+    # version, SIMD path or CPU; a mismatch there is a platform difference,
+    # not a reason to loosen this test. test_scan_matches_dense_oracle in
+    # test_inequalities.py is the platform-independent bit-identity check.
+    GOLDEN = [
+        (("chsh", "--resolution-deg", "11.25"),
+         "d41a385c6b6eecf7e4cffec43362a37b2201351d77da0042d823e884eebc0508"),
+        (("chsh", "--resolution-deg", "5"),
+         "f23ca0908dfb18ae94adb45f45efa0f2a69246305bc5b013d2f9586fde723c25"),
+        (("bell", "--resolution-deg", "0.5"),
+         "50cde1a5cc6790eea128eedcc3d38916003a846e6583cc65c6455884a5ead06a"),
+        (("bell", "--resolution-deg", "5"),
+         "b3fb1a535c5d6dc39c96e9ece955219be14824e76d52223d0623b0c3e82d5eb4"),
+        (("bell", "--resolution-rad", repr(math.pi / 32)),
+         "b952d2778fef7e444927e7169cdd15963fa4845f478fffb1584a9ccee294222d"),
+    ]
+
+    @pytest.mark.parametrize("args, digest", GOLDEN)
+    def test_golden_bytes(self, capsys, tmp_path, args, digest):
+        code, out, _ = run(capsys, "scan", "--inequality", *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        path = tmp_path / "scan.csv"
+        code, out, _ = run(capsys, "scan", "--inequality", *args, "-o", str(path))
+        assert code == 0 and out == ""
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_memory_bounded(self, tmp_path):
+        tracemalloc.start()
+        try:
+            code = main(["scan", "--inequality", "chsh", "--resolution-deg", "5",
+                         "-o", str(tmp_path / "scan.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < SCAN_PEAK_BOUND
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--theta", "nan"],
+    ["dist", "--theta", "inf"],
+    ["simulate", "--theta", "inf", "-n", "10", "--seed", "1"],
+    ["scan", "--inequality", "bell", "--resolution-deg", "nan"],
+    ["scan", "--inequality", "bell", "--resolution-rad=-inf"],
+    ["joint3", "--qm", "--angles", "10,10", "--mu3", "nan"],
+    ["info", "--step", "nan"],
+    ["simulate", "--theta", "60", "-n", "10", "--seed", "-1"],
+    ["simulate", "--theta", "60", "-n", "10", "--seed", "1", "--threads", "0"],
+    ["simulate", "--theta", "60", "-n", "10", "--seed", "1", "--threads", "-3"],
+    ["verify", "--trials", "0"],
+    ["verify", "--trials", "-1"],
+    ["verify", "--trials", "2", "--seed", "-1"],
+])
+def test_boundary_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--theta", "30"],
+    ["scan", "--inequality", "bell", "--resolution-deg", "5"],
+])
+def test_unwritable_output(capsys, tmp_path, argv):
+    target = str(tmp_path / "absent" / "out.txt")
+    code, out, err = run(capsys, *argv, "-o", target)
+    assert code == 65 and out == ""
+    assert err.startswith(f"error: cannot write {target}") and "Traceback" not in err
 
 
 class TestJoint3:

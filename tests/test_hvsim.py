@@ -155,6 +155,41 @@ class TestSimulate:
             simulate(a, a, 0, seed=0)
         with pytest.raises(InvalidInputError):
             simulate(a, a, 100, seed=0, mode="bogus")
+        with pytest.raises(InvalidInputError):
+            simulate(a, a, 100, seed=-1)
+        with pytest.raises(InvalidInputError):
+            simulate(a, a, 100, seed=0, threads=0)
+
+    @pytest.mark.parametrize("threads, cpus, blocks, workers", [
+        (10**6, 4, 8, 4), (10**6, 16, 3, 3), (2, 16, 8, 2), (8, 1, 8, None), (8, None, 8, None),
+    ])
+    def test_pool_capped(self, monkeypatch, threads, cpus, blocks, workers):
+        """At most min(threads, blocks, CPUs) workers; no pool when that is 1.
+        The stand-in pool runs the blocks inline, so no thread starts."""
+        import os
+        from eprbell import hvsim
+
+        seen = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(hvsim, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        a, b = Direction(1, 0, 0), Direction(0, 1, 0)
+        rep = simulate(a, b, blocks * BLOCK_SIZE, seed=5, threads=threads)
+        assert seen == ([] if workers is None else [workers])
+        assert np.array_equal(rep.empirical, simulate(a, b, blocks * BLOCK_SIZE, seed=5).empirical)
 
 
 class TestProductRuleDemo:

@@ -208,3 +208,57 @@ class TestViolationScan:
         r1 = violation_scan("chsh", math.pi / 16)
         r2 = violation_scan("chsh", math.pi / 16)
         assert r1.max_lhs == r2.max_lhs and r1.argmax_angles == r2.argmax_angles
+
+    def test_violations_array(self):
+        result = violation_scan("chsh", math.pi / 16)
+        rows = result.violations
+        assert rows.shape == (len(result.violation_lhs), 4)
+        assert result.violation_index.dtype == np.int32
+        assert np.array_equal(rows[:, :3], result.grid[result.violation_index])
+        assert np.array_equal(rows[:, 3], result.violation_lhs)
+        with pytest.raises(ValueError):
+            result.violation_lhs[0] = 0.0
+
+
+def dense_scan(inequality, resolution):
+    """The original kernel: full n^dims meshgrids, one argmax and one
+    nonzero over the flattened grid. Test-only second route for the scan."""
+    n = int(round(2.0 * math.pi / resolution))
+    grid = resolution * np.arange(n)
+    if inequality == "bell":
+        pb, pc = np.meshgrid(grid, grid, indexing="ij")
+        lhs = np.abs(-np.cos(pb) + np.cos(pc)) - (-np.cos(pc - pb))
+        bound, angles = 1.0, (pb, pc)
+    else:
+        pb, pc, pd = np.meshgrid(grid, grid, grid, indexing="ij")
+        lhs = np.abs(-np.cos(pb) + np.cos(pc)) + np.abs(-np.cos(pd - pb) - np.cos(pd - pc))
+        bound, angles = 2.0, (pb, pc, pd)
+    flat = lhs.ravel()
+    best = int(np.argmax(flat))
+    viol = np.nonzero(flat > bound + 1e-12)[0]
+    index = np.column_stack(np.unravel_index(viol, lhs.shape))
+    return float(flat[best]), tuple(float(a.ravel()[best]) for a in angles), index, flat[viol]
+
+
+@pytest.mark.parametrize("slab_cells", [None, 1000])
+@pytest.mark.parametrize("inequality", ["bell", "chsh"])
+@pytest.mark.parametrize(
+    "resolution",
+    [math.radians(7), math.radians(13), math.pi / 10, math.pi / 16, math.radians(5)],
+    ids=["7deg", "13deg", "pi/10", "pi/16", "5deg"],
+)
+def test_scan_matches_dense_oracle(monkeypatch, inequality, resolution, slab_cells):
+    """Slabbed kernel vs dense meshgrid kernel, including resolutions that do
+    not divide pi/4 and a small slab budget (partial last slabs for bell, a
+    slab of one phi_b row for chsh)."""
+    from eprbell import inequalities
+
+    if slab_cells is not None:
+        monkeypatch.setattr(inequalities, "SCAN_SLAB_CELLS", slab_cells)
+    result = violation_scan(inequality, resolution)
+    max_lhs, argmax, index, lhs = dense_scan(inequality, resolution)
+    assert len(index) > 0
+    assert np.array_equal(result.violation_index, index)
+    assert result.violation_lhs.tobytes() == lhs.tobytes()
+    assert result.max_lhs == max_lhs
+    assert result.argmax_angles == argmax
