@@ -12,6 +12,12 @@ Block k of a run with seed s uses an independent PCG64 stream seeded by
 ``numpy.random.SeedSequence((s, k))``, and each block draws, in order, its
 z coordinates, azimuths, and pair signs. Totals are integer counts summed
 over blocks, so results are bit-identical for any worker count.
+
+Each block runs as one fused kernel (``_simulate_block``) that makes those
+draws without building the (n, 3) lambda array. The staged public functions
+``block_rng``, ``sample_lambda``, ``classify`` and ``sample_pair_given_c``
+are its reference route: chained in the same order they give the same
+counts, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -119,14 +125,48 @@ class SimReport:
 
 
 def _simulate_block(seed: int, block_index: int, count: int, part: PartitionSpec, singlet: bool) -> np.ndarray:
+    """Counts (++, +-, -+, --) of one block: block_rng -> sample_lambda ->
+    classify -> sample_pair_given_c -> bincount fused into one pass that
+    makes the same draws in the same order.
+
+    lambda . cap_axis is summed from (z, phi) term by term, skipping each
+    term whose axis component is exactly zero (it would add +-0.0), so no
+    (n, 3) array is built and the CLI's x-axis cap needs np.cos alone.
+    With one nonzero component the dot equals classify's bit for bit; with
+    more, BLAS may round the matmul differently in the last bit, which moves
+    a count only for a sample within an ulp of the cap boundary.
+    """
     rng = block_rng(seed, block_index)
-    lam = sample_lambda(rng, count)
-    c = classify(lam, part)
-    first, second = sample_pair_given_c(c, rng)
-    if singlet:
-        second = -second
-    idx = (first < 0) * 2 + (second < 0)
-    return np.bincount(idx, minlength=4)
+    z = rng.uniform(-1.0, 1.0, count)
+    phi = rng.uniform(0.0, 2.0 * math.pi, count)
+    axis = part.cap_axis
+    # Fresh block-sized arrays cost page faults, so each temporary reuses a
+    # draw buffer once that draw is no longer needed.
+    terms = []
+    if axis.x or axis.y:
+        # |z| <= 1, so 1 - z*z >= 0 and sample_lambda's clip never acts.
+        r = np.multiply(z, z, out=None if axis.z else z)
+        np.subtract(1.0, r, out=r)
+        np.sqrt(r, out=r)
+        for component, trig, out in ((axis.x, np.cos, None if axis.y else phi), (axis.y, np.sin, phi)):
+            if component:
+                term = trig(phi, out=out)
+                term *= r
+                term *= component
+                terms.append(term)
+    if axis.z:
+        z *= axis.z
+        terms.append(z)
+    dot = terms[0]
+    for term in terms[1:]:
+        dot += term
+    inside = dot >= part.cos_threshold
+
+    first_neg = rng.integers(0, 2, count) == 0  # A(a) = -1
+    # A(b) = A(a) * C is -1 when exactly one of A(a) and C is -1; singlet
+    # mode reports B(b) = -A(b).
+    second_neg = first_neg ^ inside if singlet else first_neg == inside
+    return np.bincount(first_neg * np.uint8(2) + second_neg, minlength=4)
 
 
 def simulate(

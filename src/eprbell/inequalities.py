@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InvalidGeometryError, InvalidInputError, InvalidModelError
 from .geometry import Direction
+from .hvsim import sample_lambda
 
 VIOLATION_SLACK = 1e-12
 
@@ -120,20 +121,14 @@ class LocalModel:
 
     ``mean_a(lams, a)`` and ``mean_b(lams, b)`` return conditional means in
     [-1, 1] for an (n, 3) array of unit vectors lambda. ``sample_lambda``
-    optionally overrides the default uniform-sphere density; it receives
-    (rng, n) and returns an (n, 3) array.
+    optionally overrides the default uniform-sphere density
+    (``hvsim.sample_lambda``); it receives (rng, n) and returns an (n, 3)
+    array.
     """
 
     mean_a: Callable[[np.ndarray, Direction], np.ndarray]
     mean_b: Callable[[np.ndarray, Direction], np.ndarray]
     sample_lambda: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
-
-
-def _uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.uniform(-1.0, 1.0, n)
-    phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
 
 
 def bell_local_model_covariance(
@@ -147,7 +142,7 @@ def bell_local_model_covariance(
     if n_samples < 1:
         raise InvalidInputError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    sampler = model.sample_lambda or _uniform_sphere
+    sampler = model.sample_lambda or sample_lambda
     lams = np.asarray(sampler(rng, n_samples), dtype=float)
     ma = np.asarray(model.mean_a(lams, a), dtype=float)
     mb = np.asarray(model.mean_b(lams, b), dtype=float)
@@ -160,6 +155,10 @@ def bell_local_model_covariance(
 # Cells of one phi_b slab of the scan grid; a single phi_b row larger than
 # this is still scanned whole.
 SCAN_SLAB_CELLS = 1 << 20
+# Largest grid (n ** dims points) a scan accepts: chsh down to ~1.78 degrees
+# (n <= 203), bell down to ~0.125 degrees. About 31% of chsh cells violate,
+# so this also caps the violation arrays near 50 MB.
+SCAN_MAX_POINTS = 1 << 23
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,15 +189,22 @@ def violation_scan(inequality: str, resolution: float) -> ScanResult:
     multiples of ``resolution`` in [0, 2*pi), so the known extrema at pi/4
     multiples are on-grid whenever resolution divides pi/4. The grid is
     evaluated in phi_b slabs of at most ``SCAN_SLAB_CELLS`` cells (or one
-    phi_b row), so memory is one slab plus the compact violation arrays.
+    phi_b row), so memory is one slab plus the compact violation arrays. A
+    grid of more than ``SCAN_MAX_POINTS`` points is rejected before anything
+    is allocated.
     """
     if not 0.0 < resolution <= math.pi / 8.0 + 1e-15:
         raise InvalidInputError(f"resolution must be in (0, pi/8], got {resolution}")
     if inequality not in ("bell", "chsh"):
         raise InvalidInputError(f"inequality must be 'bell' or 'chsh', got {inequality!r}")
     n = int(round(2.0 * math.pi / resolution))
-    grid = resolution * np.arange(n)
     dims = 2 if inequality == "bell" else 3
+    if n ** dims > SCAN_MAX_POINTS:
+        raise InvalidInputError(
+            f"resolution {resolution} gives a {inequality} grid of {n}^{dims} = {n ** dims} points;"
+            f" at most {SCAN_MAX_POINTS} are allowed"
+        )
+    grid = resolution * np.arange(n)
     bound = 1.0 if dims == 2 else 2.0
     rows = max(1, SCAN_SLAB_CELLS // n ** (dims - 1))
 

@@ -116,6 +116,12 @@ class TestScan:
         assert run(capsys, "scan", "--inequality", "bell", "--resolution-deg", "60")[0] == 64
         assert run(capsys, "scan", "--inequality", "bell")[0] == 64
 
+    def test_grid_limit(self, capsys):
+        code, out, err = run(capsys, "scan", "--inequality", "chsh", "--resolution-deg", "1.75")
+        assert code == 64 and out == ""
+        assert err.startswith("error: resolution") and "206^3" in err
+        assert "Traceback" not in err
+
     # sha256 of stdout as the dense-meshgrid kernel and csv.writer wrote it;
     # the slabbed kernel and streamed rows must match it byte for byte.
     # Recorded with numpy 2.4.6 on a 2-vCPU Intel Xeon (x86-64). The lhs
@@ -323,6 +329,15 @@ class TestSimulate:
         _, out1, _ = run(capsys, *self.ARGS, "--threads", "1")
         _, out8, _ = run(capsys, *self.ARGS, "--threads", "8")
         assert out1 == out8
+
+    def test_golden_bytes(self, capsys):
+        # sha256 of stdout, recorded with numpy 2.4.6 on a 2-vCPU Intel Xeon
+        # (x86-64); tests/test_hvsim.py::TestGoldenCounts pins the counts.
+        code, out, _ = run(capsys, "simulate", "--theta", "60", "-n", "300000",
+                           "--seed", "12", "--mode", "singlet")
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "087f8a21a6189bb62f029921353e17460c50490dc848bbdaefc130fe075c4973")
 
     def test_usage_errors(self, capsys):
         assert run(capsys, "simulate", "--theta", "60", "-n", "0", "--seed", "1")[0] == 64

@@ -192,6 +192,72 @@ class TestSimulate:
         assert np.array_equal(rep.empirical, simulate(a, b, blocks * BLOCK_SIZE, seed=5).empirical)
 
 
+GENERAL_A = Direction(0.36, -0.48, 0.8)
+
+
+class TestGoldenCounts:
+    """Exact (++, +-, -+, --) counts of the reproducibility contract (fixed
+    blocks, per-block SeedSequence((seed, k)), draw order z, phi, signs).
+
+    Recorded with numpy 2.4.6 on a 2-vCPU Intel Xeon (x86-64). The counts
+    depend on numpy's PCG64 stream and uniform/integers transforms, and on
+    the rounding of np.cos/np.sin and of the dot product only for samples
+    within an ulp of the cap boundary; a mismatch on another platform is a
+    platform difference, not a reason to loosen this test.
+    """
+
+    GOLDEN = [
+        # CLI geometry: a = x axis, b at 60 degrees; the last block is partial.
+        (Direction.from_angle(0.0), Direction.from_angle(math.radians(60)),
+         3 * BLOCK_SIZE + 123, 11, "singlet", [24922, 73376, 73878, 24555]),
+        (GENERAL_A, Direction(0.48, 0.6, 0.64),
+         3 * BLOCK_SIZE + 123, 5, "local", [68699, 29610, 29577, 68845]),
+        # a == b: cap angle pi, every lambda is inside.
+        (GENERAL_A, GENERAL_A, 2 * BLOCK_SIZE + 77, 3, "local", [65841, 0, 0, 65308]),
+        (GENERAL_A, GENERAL_A, 2 * BLOCK_SIZE + 77, 3, "singlet", [0, 65841, 65308, 0]),
+        # a == -b: cap angle 0, every lambda is outside.
+        (GENERAL_A, -GENERAL_A, 2 * BLOCK_SIZE + 77, 3, "local", [0, 65841, 65308, 0]),
+        (GENERAL_A, -GENERAL_A, 2 * BLOCK_SIZE + 77, 3, "singlet", [65841, 0, 0, 65308]),
+    ]
+
+    @pytest.mark.parametrize("a, b, n, seed, mode, counts", GOLDEN)
+    def test_counts(self, a, b, n, seed, mode, counts):
+        rep = simulate(a, b, n, seed, mode=mode)
+        assert np.rint(rep.empirical * n).astype(np.int64).ravel().tolist() == counts
+
+
+def _staged_block(seed, k, count, part, singlet):
+    """One block through the public staged functions, the fused kernel's oracle."""
+    rng = block_rng(seed, k)
+    first, second = sample_pair_given_c(classify(sample_lambda(rng, count), part), rng)
+    if singlet:
+        second = -second
+    return np.bincount((first < 0) * 2 + (second < 0), minlength=4)
+
+
+def _sweep_axes():
+    rng = np.random.default_rng(4)
+    unit = lambda *v: Direction.from_array(np.array(v) / np.linalg.norm(v))
+    return [
+        Direction(1, 0, 0), -Direction(1, 0, 0), Direction(0, 1, 0), Direction(0, 0, -1),
+        unit(0.6, -0.8, 0.0), unit(1.0, 0.0, -1.0), unit(0.0, -2.0, 1.0),
+    ] + [random_direction(rng) for _ in range(3)]
+
+
+class TestFusedBlock:
+    @pytest.mark.parametrize("axis", _sweep_axes())
+    def test_matches_staged_route(self, axis):
+        from eprbell.hvsim import _simulate_block
+
+        other = Direction.from_angle(1.0 + axis.z)  # a cap threshold per axis
+        for b in (other, axis, -axis):
+            part = PartitionSpec.for_directions(axis, b)
+            for singlet in (False, True):
+                for k, count in ((0, BLOCK_SIZE), (1, 12_345)):
+                    expected = _staged_block(17, k, count, part, singlet)
+                    assert np.array_equal(_simulate_block(17, k, count, part, singlet), expected)
+
+
 class TestProductRuleDemo:
     def test_targets(self):
         estimates = product_rule_demo(Direction(0, 0, 1), n=200_000, seed=0)

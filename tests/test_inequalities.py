@@ -137,6 +137,16 @@ class TestLocalModel:
         c = bell_local_model_covariance(model, a, b, n_samples=1_000_000, seed=3)
         assert c == pytest.approx(-1.0 + 2.0 * theta / math.pi, abs=0.01)
 
+    def test_default_sampler_pinned(self):
+        # The default sampler is hvsim.sample_lambda; this fixed-seed value
+        # pins its draws bit for bit.
+        model = LocalModel(
+            mean_a=lambda lams, a: np.tanh(2.0 * (lams @ a.as_array())),
+            mean_b=lambda lams, b: np.tanh(-(lams @ b.as_array())),
+        )
+        a, b = Direction(0.36, -0.48, 0.8), Direction.from_angle(1.0)
+        assert bell_local_model_covariance(model, a, b, 50_000, seed=21) == 0.06981375355097116
+
     def test_constant_models(self):
         zero = LocalModel(
             mean_a=lambda lams, a: np.zeros(len(lams)),
@@ -203,6 +213,23 @@ class TestViolationScan:
             violation_scan("bell", 0.0)
         with pytest.raises(InvalidInputError):
             violation_scan("bell", math.pi / 4)
+
+    def test_grid_limit(self, monkeypatch):
+        from eprbell import inequalities
+
+        # chsh stays allowed down to n = 203 (~1.78 deg), bell to ~0.125 deg.
+        assert 203 ** 3 <= inequalities.SCAN_MAX_POINTS < 204 ** 3
+        assert 2880 ** 2 <= inequalities.SCAN_MAX_POINTS
+        with pytest.raises(InvalidInputError, match="chsh grid of 206"):
+            violation_scan("chsh", math.radians(1.75))
+        with pytest.raises(InvalidInputError, match="bell grid"):
+            violation_scan("bell", math.radians(0.124))
+        # The limit is inclusive and checked before the grid is built.
+        monkeypatch.setattr(inequalities, "SCAN_MAX_POINTS", 16 ** 3)
+        assert len(violation_scan("chsh", math.pi / 8).grid) == 16
+        monkeypatch.setattr(np, "arange", None)
+        with pytest.raises(InvalidInputError):
+            violation_scan("chsh", 2 * math.pi / 17)
 
     def test_deterministic(self):
         r1 = violation_scan("chsh", math.pi / 16)
