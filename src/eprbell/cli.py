@@ -301,7 +301,9 @@ def _cmd_joint3(args) -> int:
             moments.m_ab, moments.m_bc, moments.m_ca, symmetric=symmetric,
         )
         payload = _triple_payload(trip, interval, mu3, check.verdicts)
-        payload["exists"] = check.exists if check.exact else None
+        # The mu3 interval decides existence exactly for every input; symmetric
+        # inputs keep the inequalities' verdict, exact there as well.
+        payload["exists"] = check.exists if check.exact else not interval.empty
         payload["necessary_conditions_hold"] = check.exists
     _emit(_json(payload), args.output)
     return EXIT_OK

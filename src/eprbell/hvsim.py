@@ -166,7 +166,10 @@ def _simulate_block(seed: int, block_index: int, count: int, part: PartitionSpec
     # A(b) = A(a) * C is -1 when exactly one of A(a) and C is -1; singlet
     # mode reports B(b) = -A(b).
     second_neg = first_neg ^ inside if singlet else first_neg == inside
-    return np.bincount(first_neg * np.uint8(2) + second_neg, minlength=4)
+    f = np.count_nonzero(first_neg)
+    s = np.count_nonzero(second_neg)
+    fs = np.count_nonzero(first_neg & second_neg)
+    return np.array([count - f - s + fs, s - fs, f - fs, fs], dtype=np.int64)
 
 
 def simulate(

@@ -15,8 +15,12 @@ marginals.
 For four variables in the CHSH pair pattern (A,B), (A,C), (D,B), (D,C),
 existence is decided by the eight CHSH covariance inequalities, which are
 necessary and sufficient for consistent pair tables (Fine's theorem). When
-they hold, a linear-feasibility search over the 16 entries builds a witness
-joint; scipy is imported only for that search.
+they hold, the witness follows the theorem's constructive proof: the 4-cycle
+A-B-D-C lacks the edge B-C, so <BC> is chosen where both triangles (A, B, C)
+and (D, B, C) admit a valid joint, each triangle is built at the midpoint of
+its mu3 interval, and the two are glued on (B, C):
+
+    q(a, b, c, d) = q_ABC(a, b, c) q_DBC(d, b, c) / p(b, c)
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (
     UndefinedConditionalError,
 )
 from .geometry import Direction
-from .inequalities import InequalityVerdict
+from .inequalities import VIOLATION_SLACK, InequalityVerdict
 from .spincore import SIGNS, PairDist, local_pair_dist
 
 TRIPLE_TOL = 1e-12
@@ -136,6 +140,8 @@ class Mu3Interval:
 
 
 _SIGN_GRID = np.array(list(itertools.product((1, -1), repeat=3)))  # row order = table order
+_ABC = _SIGN_GRID.prod(axis=1)
+_BC = _SIGN_GRID[:, 1] * _SIGN_GRID[:, 2]
 
 
 def _affine_part(m_a, m_b, m_c, m_ab, m_bc, m_ca) -> np.ndarray:
@@ -150,8 +156,7 @@ def _affine_part(m_a, m_b, m_c, m_ab, m_bc, m_ca) -> np.ndarray:
 def triple_from_moments(m: MomentSet3) -> TripleDist:
     """Build the unique signed table with the given seven moments."""
     t = _affine_part(m.m_a, m.m_b, m.m_c, m.m_ab, m.m_bc, m.m_ca)
-    abc = _SIGN_GRID.prod(axis=1)
-    q = (t + abc * m.m_abc) / 8.0
+    q = (t + _ABC * m.m_abc) / 8.0
     return TripleDist(q.reshape(2, 2, 2))
 
 
@@ -219,9 +224,8 @@ def mu3_interval(m_a, m_b, m_c, m_ab, m_bc, m_ca) -> Mu3Interval:
                     ("m_ab", m_ab), ("m_bc", m_bc), ("m_ca", m_ca)):
         _check_moment(name, v)
     t = _affine_part(m_a, m_b, m_c, m_ab, m_bc, m_ca)
-    abc = _SIGN_GRID.prod(axis=1)
-    lo = max(-1.0, float(np.max(-t[abc == 1])))
-    hi = min(1.0, float(np.min(t[abc == -1])))
+    lo = max(-1.0, float(np.max(-t[_ABC == 1])))
+    hi = min(1.0, float(np.min(t[_ABC == -1])))
     return Mu3Interval(lo, hi)
 
 
@@ -305,8 +309,6 @@ def triple_conditional(t: TripleDist, given: str, value: int) -> PairDist:
 
 # --- fourth-order feasibility (CHSH pair pattern) ---
 
-_SIGN_GRID4 = np.array(list(itertools.product((1, -1), repeat=4)))  # (A, B, C, D)
-
 
 def chsh_family_verdicts(c_ab, c_ac, c_db, c_dc) -> dict[str, InequalityVerdict]:
     """The four absolute-value covariance conditions (eight one-sided
@@ -335,52 +337,58 @@ class QuadFeasibility:
     failed: Optional[str]  # name of a violated inequality, when any
 
 
-def _pair_constraint_rows(first_axis: int, second_axis: int) -> np.ndarray:
-    """Four indicator rows over the 16 cells, one per (first, second) value pair."""
-    rows = np.zeros((4, 16))
-    for r, (u, v) in enumerate(itertools.product((1, -1), repeat=2)):
-        mask = (_SIGN_GRID4[:, first_axis] == u) & (_SIGN_GRID4[:, second_axis] == v)
-        rows[r, mask] = 1.0
-    return rows
+def _bc_interval(m_a, m_b, m_c, m_ab, m_ca) -> tuple[float, float]:
+    """Range (lo, hi) of <BC> over which the triangle (A, B, C) with the
+    other five moments has a valid joint; empty when lo > hi.
+
+    Each cell value t = alpha + bc <BC> is affine in <BC>, and the mu3
+    interval is non-empty iff t_i + t_j >= 0 for every abc = +1 cell i and
+    abc = -1 cell j, and t >= -1 on every cell (its [-1, 1] clauses).
+    Eliminating mu3 this way leaves clauses const + coef <BC> >= 0. Those with
+    coef = 0 pair cells that differ in b or c alone; they say an (A, B) or
+    (A, C) pair-table entry is nonnegative, which the input tables ensure.
+    """
+    alpha = _affine_part(m_a, m_b, m_c, m_ab, 0.0, m_ca)
+    plus, minus = _ABC == 1, _ABC == -1
+    const = np.concatenate([(alpha[plus, None] + alpha[None, minus]).ravel(), alpha + 1.0])
+    coef = np.concatenate([(_BC[plus, None] + _BC[None, minus]).ravel(), _BC])
+    up, down = coef > 0, coef < 0
+    lo = max(-1.0, float(np.max(-const[up] / coef[up])))
+    hi = min(1.0, float(np.min(const[down] / -coef[down])))
+    return lo, hi
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first call so that importing
-    eprbell does not load scipy."""
-    from scipy.optimize import linprog as scipy_linprog
-
-    return scipy_linprog(*args, **kwargs)
+def _clamp(v: float) -> float:
+    return min(1.0, max(-1.0, v))
 
 
-def _lp_witness(
-    p_ab: PairDist, p_ac: PairDist, p_db: PairDist, p_dc: PairDist
-) -> Optional[QuadDist]:
-    """A valid joint over (A, B, C, D) with the four given pair tables, found
-    by exact linear feasibility over the 16 entries; None when the linear
-    program is infeasible."""
-    # Axes in the (A, B, C, D) cell ordering for each specified pair.
-    systems = [(0, 1, p_ab), (0, 2, p_ac), (3, 1, p_db), (3, 2, p_dc)]
-    a_eq = np.vstack([_pair_constraint_rows(i, j) for i, j, _ in systems])
-    b_eq = np.concatenate(
-        [[p.prob(u, v) for u, v in itertools.product((1, -1), repeat=2)] for _, _, p in systems]
-    )
-    res = linprog(
-        c=np.zeros(16),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(0.0, 1.0)] * 16,
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if res.status != 0:
+def _glued_witness(m_a, m_b, m_c, m_d, c_ab, c_ac, c_db, c_dc) -> Optional[QuadDist]:
+    """A valid joint over (A, B, C, D) with the given first moments and CHSH
+    pair moments, glued from the triangles (A, B, C) and (D, B, C) on the
+    midpoint of their common <BC> range; None when that range is empty."""
+    lo_a, hi_a = _bc_interval(m_a, m_b, m_c, c_ab, c_ac)
+    lo_d, hi_d = _bc_interval(m_d, m_b, m_c, c_db, c_dc)
+    lo, hi = max(lo_a, lo_d), min(hi_a, hi_d)
+    # lo - hi equals the largest CHSH lhs minus 2, so an input inside the
+    # verdict's slack still gets a witness; doubled to absorb the rounding
+    # by which the two routes differ.
+    if lo > hi + 2.0 * VIOLATION_SLACK:
         return None
-    q = np.zeros((2, 2, 2, 2))
-    for cell, value in zip(_SIGN_GRID4, res.x):
-        idx = tuple((1 - s) // 2 for s in cell)
-        q[idx] = value
+    m_bc = _clamp(0.5 * (lo + hi))
+    triangles = []
+    for m_x, m_xb, m_xc in ((m_a, c_ab, c_ac), (m_d, c_db, c_dc)):
+        mu3 = mu3_interval(m_x, m_b, m_c, m_xb, m_bc, m_xc)
+        moments = MomentSet3(m_x, m_b, m_c, m_xb, m_bc, m_xc, _clamp(0.5 * (mu3.lo + mu3.hi)))
+        triangles.append(triple_from_moments(moments).q)
+    q_abc, q_dbc = triangles
+    p_bc = q_abc.sum(axis=0)[:, :, None]
+    # A (B, C) cell of probability at most TRIPLE_TOL carries no mass; dividing
+    # by it would only amplify rounding.
+    q = np.divide(
+        np.einsum("abc,dbc->abcd", q_abc, q_dbc), p_bc,
+        out=np.zeros((2, 2, 2, 2)), where=p_bc > TRIPLE_TOL,
+    )
+    q[(q < 0.0) & (q >= -QUAD_TOL)] = 0.0  # rounding only; larger negatives stay visible
     return QuadDist(q / q.sum())
 
 
@@ -393,9 +401,9 @@ def quad_feasibility(
     The verdict is the eight CHSH covariance inequalities, which by Fine's
     theorem are necessary and sufficient once the shared single-variable
     marginals agree, whatever the first moments. An infeasible input is
-    returned without solving anything. A feasible one gets its witness from
-    the linear-feasibility search, and a search that finds none contradicts
-    the theorem and raises RuntimeError.
+    returned as such. A feasible one gets the glued witness of the theorem's
+    constructive proof; an empty <BC> range there contradicts the theorem
+    and raises RuntimeError.
     """
     a1, b1, c_ab = _pair_moments(p_ab)
     a2, c1, c_ac = _pair_moments(p_ac)
@@ -413,11 +421,13 @@ def quad_feasibility(
     if failed is not None:
         return QuadFeasibility(feasible=False, witness=None, verdicts=verdicts, failed=failed)
 
-    witness = _lp_witness(p_ab, p_ac, p_db, p_dc)
+    # Rounding can put a moment of a valid table an ulp outside [-1, 1].
+    m_a, m_b, m_c, m_d = (_clamp(0.5 * (u + v)) for u, v in ((a1, a2), (b1, b2), (c1, c2), (d1, d2)))
+    witness = _glued_witness(m_a, m_b, m_c, m_d, *map(_clamp, (c_ab, c_ac, c_db, c_dc)))
     if witness is None:
         raise RuntimeError(
-            "feasibility solver found no joint although the eight CHSH "
-            "inequalities hold, which by Fine's theorem guarantees one"
+            "no <BC> admits both triangles although the eight CHSH "
+            "inequalities hold, which contradicts Fine's theorem"
         )
     return QuadFeasibility(feasible=True, witness=witness, verdicts=verdicts, failed=None)
 

@@ -40,9 +40,9 @@ from eprbell import (
 )
 from eprbell.cli import main as cli_main
 from eprbell.inequalities import CovarianceQuad, CovarianceTriple
-from eprbell.joint import _lp_witness
+from eprbell.joint import QUAD_TOL
 
-from conftest import CONTRA_AB, CONTRA_BC, CONTRA_CA, random_direction
+from conftest import CONTRA_AB, CONTRA_BC, CONTRA_CA, lp_witness, random_direction
 
 SQRT2 = math.sqrt(2.0)
 
@@ -190,20 +190,23 @@ def test_criterion_09_fine_consistency():
         tables = {k: pair_from_cov(c) for k, c in zip(("AB", "AC", "DB", "DC"), cs)}
         args = (tables["AB"], tables["AC"], tables["DB"], tables["DC"])
         res = quad_feasibility(*args)
-        # A feasible verdict's witness is the LP solution, so the LP runs once per input.
-        lp = res.witness if res.feasible else _lp_witness(*args)
+        lp = lp_witness(*args)
         ineq = all(v.satisfied for v in chsh_family_verdicts(*cs).values())
         if (lp is not None) != ineq or res.feasible != ineq:
             disagreements += 1
-        if lp is not None:
+        for witness in (res.witness, lp):
+            if witness is None:
+                continue
+            if witness.q.min() < -QUAD_TOL:
+                disagreements += 1
             for key, table in tables.items():
                 dev = float(np.max(np.abs(
-                    quad_pair_marginal(lp, key).table - table.table
+                    quad_pair_marginal(witness, key).table - table.table
                 )))
                 worst_witness_dev = max(worst_witness_dev, dev)
     elapsed = time.monotonic() - start
     ok = disagreements == 0 and worst_witness_dev < 1e-9 and elapsed < 60
-    report(9, f"10^3 symmetric quadruples: LP verdict == eight inequalities "
+    report(9, f"10^3 symmetric quadruples: glued witness == LP == eight inequalities "
               f"({disagreements} disagreements); witnesses within 1e-9 "
               f"(max dev {worst_witness_dev:.2e}, {elapsed:.1f}s)", ok)
 

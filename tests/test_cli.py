@@ -221,6 +221,29 @@ class TestJoint3:
         assert doc["exists"] is True
         assert doc["entries"]["ppp"] == pytest.approx((1 + 0.5) / 8, abs=1e-12)
 
+    def test_pairs_file_asymmetric_feasible(self, capsys, tmp_path):
+        # Independent A, B, C with P(+) = 0.6, 0.3, 0.8.
+        pairs = {
+            "AB": {"pp": 0.18, "pm": 0.42, "mp": 0.12, "mm": 0.28},
+            "BC": {"pp": 0.24, "pm": 0.06, "mp": 0.56, "mm": 0.14},
+            "CA": {"pp": 0.48, "pm": 0.32, "mp": 0.12, "mm": 0.08},
+        }
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": pairs}))
+        doc = run_json(capsys, "joint3", "--pairs", str(path))
+        assert doc["exists"] is True
+        assert doc["mu3_interval"]["empty"] is False
+
+    def test_pairs_file_asymmetric_infeasible(self, capsys, tmp_path):
+        # First moments 0.2 and every pair moment -0.6: no three +-1 variables
+        # are that strongly anticorrelated pairwise, so the mu3 interval is empty.
+        table = {"pp": 0.2, "pm": 0.4, "mp": 0.4, "mm": 0.0}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": {"AB": table, "BC": table, "CA": table}}))
+        doc = run_json(capsys, "joint3", "--pairs", str(path))
+        assert doc["exists"] is False
+        assert doc["mu3_interval"]["empty"] is True
+
     def test_missing_file(self, capsys, tmp_path):
         assert run(capsys, "joint3", "--pairs", str(tmp_path / "absent.json"))[0] == 65
 
@@ -295,21 +318,38 @@ for step, argv in (
 print(json.dumps(loaded))
 """
 
+# With sys.modules["scipy"] = None every scipy import raises ImportError.
+SCIPY_BLOCKED = """
+import sys
+sys.modules["scipy"] = None
+from eprbell.cli import main
+sys.exit(main(["joint4", "--pairs", sys.argv[1]]))
+"""
 
-def test_scipy_loaded_only_for_joint4_witness(tmp_path):
+
+def run_probe(probe, *args):
     src = str(Path(eprbell.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE,
-         quad_file(tmp_path, TSIRELSON_COVS, "infeasible.json"),
-         quad_file(tmp_path, UNIFORM_COVS, "feasible.json")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return subprocess.run([sys.executable, "-c", probe, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_scipy_never_loaded(tmp_path):
+    proc = run_probe(SCIPY_PROBE, quad_file(tmp_path, TSIRELSON_COVS, "infeasible.json"),
+                     quad_file(tmp_path, UNIFORM_COVS, "feasible.json"))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "import eprbell": False, "dist": False,
-        "joint4 infeasible": False, "joint4 feasible": True,
+        "joint4 infeasible": False, "joint4 feasible": False,
     }
+
+
+def test_joint4_witness_without_scipy(tmp_path):
+    proc = run_probe(SCIPY_BLOCKED, quad_file(tmp_path, UNIFORM_COVS))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["feasible"] is True
+    assert sum(doc["witness"].values()) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSimulate:

@@ -1,6 +1,5 @@
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,8 +32,9 @@ from eprbell import (
     triple_marginal_pair,
 )
 from eprbell import joint
+from eprbell.inequalities import VIOLATION_SLACK
 
-from conftest import CONTRA_AB, CONTRA_BC, CONTRA_CA, random_direction
+from conftest import CONTRA_AB, CONTRA_BC, CONTRA_CA, lp_witness, random_direction
 
 
 def contradictory_pairs():
@@ -320,6 +320,56 @@ def asymmetric_quads(draw):
     ]
 
 
+_CHSH_SIGNS = ((-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1))
+
+
+def quad_from_cells(cells) -> list[PairDist]:
+    """The CHSH pair tables of the joint with these 16 (A, B, C, D) weights."""
+    joint4 = QuadDist((cells / cells.sum()).reshape(2, 2, 2, 2))
+    return [quad_pair_marginal(joint4, k) for k in CHSH_PAIRS]
+
+
+@st.composite
+def boundary_quads(draw):
+    """Feasible CHSH pair tables on the edge of the feasible set: one
+    deterministic assignment (three zero-probability (B, C) cells), a mixture
+    of the deterministic assignments on one CHSH facet (largest lhs exactly
+    2), a joint with B = +-A (the a == +-b limit, c_ab = +-1), or symmetric
+    tables just past the facet, within the slack the verdict allows."""
+    cells = np.zeros(16)
+    grid = list(itertools.product((1, -1), repeat=4))
+    kind = draw(st.sampled_from(["deterministic", "facet", "b_is_pm_a", "slack"]))
+    if kind == "slack":
+        cs = [draw(st.floats(0.0, 1.0)) for _ in range(3)]
+        cs.append(sum(cs) - 2.0 - VIOLATION_SLACK)  # minus_dc lhs = 2 + slack
+        assume(cs[3] >= -1.0)
+        tables = [pair_from_cov(c) for c in cs]
+        verdicts = chsh_family_verdicts(*(covariance(t) for t in tables))
+        assume(all(v.satisfied for v in verdicts.values()))  # rounding can push lhs past the slack
+        return tables
+    if kind == "deterministic":
+        cells[draw(st.integers(0, 15))] = 1.0
+        return quad_from_cells(cells)
+    if kind == "facet":
+        # Every deterministic assignment gives each CHSH expression +-2.
+        signs = draw(st.sampled_from(_CHSH_SIGNS))
+        keep = [i for i, (a, b, c, d) in enumerate(grid)
+                if np.dot(signs, (a * b, a * c, d * b, d * c)) == 2]
+    else:
+        s = draw(st.sampled_from((1, -1)))
+        keep = [i for i, (a, b, c, d) in enumerate(grid) if b == s * a]
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=len(keep), max_size=len(keep)))
+    assume(sum(weights) > 1e-3)
+    cells[keep] = weights
+    return quad_from_cells(cells)
+
+
+def assert_valid_witness(witness: QuadDist, tables) -> None:
+    assert witness.q.min() >= -joint.QUAD_TOL
+    for key, table in zip(CHSH_PAIRS, tables):
+        assert np.max(np.abs(quad_pair_marginal(witness, key).table - table.table)) < 1e-9
+
+
 class TestQuadFeasibility:
     def test_uniform_feasible(self):
         u = PairDist(np.full((2, 2), 0.25))
@@ -362,36 +412,47 @@ class TestQuadFeasibility:
     @settings(max_examples=150, deadline=None)
     @given(asymmetric_quads())
     def test_fine_consistency_asymmetric(self, tables):
-        # LP verdict == Fine's eight inequalities on inputs with nonzero first moments
+        # Glued witness == LP == Fine's eight inequalities on inputs with
+        # nonzero first moments
         verdicts = chsh_family_verdicts(*(covariance(t) for t in tables))
         # Within 1e-9 of the bound the two routes' tolerances (1e-12 slack,
         # 1e-10 LP feasibility) decide differently, so the verdict is not compared there.
         assume(abs(max(v.lhs for v in verdicts.values()) - 2.0) > 1e-9)
         fine = all(v.satisfied for v in verdicts.values())
         res = quad_feasibility(*tables)
-        lp = res.witness if res.feasible else joint._lp_witness(*tables)
+        lp = lp_witness(*tables)
         assert res.feasible == fine
         assert (lp is not None) == fine
-        if lp is not None:
-            for key, table in zip(CHSH_PAIRS, tables):
-                assert np.max(np.abs(quad_pair_marginal(lp, key).table - table.table)) < 1e-9
+        for witness in (res.witness, lp):
+            if witness is not None:
+                assert_valid_witness(witness, tables)
+
+    @settings(max_examples=150, deadline=None)
+    @given(boundary_quads())
+    def test_boundary_witness(self, tables):
+        res = quad_feasibility(*tables)
+        assert res.feasible
+        assert_valid_witness(res.witness, tables)
 
     def test_solver_disagreement_raises(self, monkeypatch):
-        # The inequalities hold on this asymmetric input, so an LP that finds
-        # no joint contradicts Fine's theorem.
+        # The inequalities hold on this asymmetric input, so an empty <BC>
+        # range for the glued witness contradicts Fine's theorem.
         product = biased_product(0.3, -0.5, 0.2, 0.7)
         tables = [quad_pair_marginal(product, k) for k in CHSH_PAIRS]
-        monkeypatch.setattr(joint, "linprog", lambda *a, **k: SimpleNamespace(status=2, x=None))
+        monkeypatch.setattr(joint, "_bc_interval", lambda *moments: (1.0, -1.0))
         with pytest.raises(RuntimeError, match="Fine"):
             quad_feasibility(*tables)
 
     def test_fine_consistency(self, rng):
-        # LP verdict == conjunction of the eight covariance inequalities
+        # Glued witness == LP == conjunction of the eight covariance inequalities
         for _ in range(100):
             cs = rng.uniform(-1, 1, 4)
             tables = [pair_from_cov(c) for c in cs]
             res = quad_feasibility(*tables)
-            lp = res.witness if res.feasible else joint._lp_witness(*tables)
+            lp = lp_witness(*tables)
             all_hold = all(v.satisfied for v in chsh_family_verdicts(*cs).values())
             assert res.feasible == all_hold
             assert (lp is not None) == all_hold
+            for witness in (res.witness, lp):
+                if witness is not None:
+                    assert_valid_witness(witness, tables)
