@@ -2,7 +2,9 @@
 
 Angles are entered in degrees by default (``--radians`` switches). Verdicts
 ("violated", "infeasible") are data, not failures: they exit 0. Exit codes:
-0 success, 64 usage error, 65 data/file error.
+0 success, 64 usage error, 65 data/file error, including output that cannot
+be written: stdout closed by its reader (``eprbell scan ... | head -1``)
+exits 65 without a message.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -122,10 +125,12 @@ def _csv(header: list[str], rows: list[list]) -> str:
 
 def _load_pair_file(path: str, keys: tuple[str, ...]) -> dict[str, PairDist]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}")
     pairs = doc.get("pairs") if isinstance(doc, dict) else None
@@ -343,6 +348,7 @@ def _cmd_simulate(args) -> int:
     b = Direction.from_angle(_to_rad(args.theta, args.radians))
     report = simulate(a, b, args.n, args.seed, mode=args.mode, threads=args.threads)
     payload = {
+        "contract": report.contract,
         "n": report.n_samples,
         "seed": report.seed,
         "theta_ab_rad": report.theta_ab_rad,
@@ -368,15 +374,15 @@ def _cmd_info(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify_mod.run_all(trials=args.trials, seed=args.seed)
-    failed = False
+    lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         line = f"{status} {r.name} (max deviation {r.max_dev:.3e})"
         if not r.passed:
             line += f": {r.detail}"
-            failed = True
-        print(line)
-    return 1 if failed else EXIT_OK
+        lines.append(line + "\n")
+    _emit(lines, args.output)
+    return EXIT_OK if all(r.passed for r in results) else 1
 
 
 def build_parser() -> _Parser:
@@ -464,6 +470,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except EprBellError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except BrokenPipeError:
+        # The reader closed stdout; send the interpreter's exit-time flush to devnull.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # stdout has no file descriptor, so nothing is left to flush
         return EXIT_DATA
 
 

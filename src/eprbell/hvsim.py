@@ -5,25 +5,29 @@ classifies it into one of two regions whose areas are 2*pi*(1 +- a.b), which
 fixes the product C = A(a)*A(b), and then draws the pair (A(a), A(b)) from
 the C-conditional half/half table. Mixing over lambda reproduces the
 single-device table exactly; mapping B(b) = -A(b) (total-spin conservation)
-reproduces the two-device singlet table.
+reproduces the two-device singlet table. Only the cap's area matters, so it
+sits on +z: by Archimedes' hat-box theorem z is uniform on [-1, 1], and a
+sample is in the cap exactly when its z reaches the cap's cosine threshold.
 
-Reproducibility contract: samples are generated in fixed blocks of 65,536.
-Block k of a run with seed s uses an independent PCG64 stream seeded by
-``numpy.random.SeedSequence((s, k))``, and each block draws, in order, its
-z coordinates, azimuths, and pair signs. Totals are integer counts summed
-over blocks, so results are bit-identical for any worker count.
+Reproducibility contract ``CONTRACT`` (2): samples come in fixed blocks of
+65,536. Block k of a run with seed s uses the PCG64 stream of
+``numpy.random.SeedSequence((s, k))`` and draws, in order, its z
+coordinates, one 64-bit word per sample in the azimuth slot, and its pair
+signs. Totals are integer counts summed over blocks, so results are
+bit-identical for any worker count.
 
-Each block runs as one fused kernel (``_simulate_block``) that makes those
-draws without building the (n, 3) lambda array. The staged public functions
-``block_rng``, ``sample_lambda``, ``classify`` and ``sample_pair_given_c``
-are its reference route: chained in the same order they give the same
-counts, and the tests compare the two.
+The fused kernel ``_simulate_block`` skips the azimuth words without
+computing them. The staged public functions ``block_rng``,
+``sample_lambda``, ``classify`` and ``sample_pair_given_c``, chained on the
+partition of ``PartitionSpec.for_directions``, are its reference route and
+give the same counts; the tests compare the two.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,6 +38,7 @@ from .geometry import Direction
 from .spincore import PairDist, local_pair_dist, qm_pair_dist
 
 BLOCK_SIZE = 65_536
+CONTRACT = 2  # version of the reproducibility contract; 2 puts the cap on +z
 
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -59,7 +64,8 @@ class PartitionSpec:
 
     The cap S+ is centered on ``cap_axis`` with angular radius ``cap_angle``
     chosen so its area is 2*pi*(1 + a.b); only the area enters the outcome
-    probabilities, so the axis choice is immaterial.
+    probabilities, so the axis choice is immaterial. ``for_directions``
+    centres it on +z, where the simulator decides it from z alone.
     """
 
     a: Direction
@@ -70,7 +76,7 @@ class PartitionSpec:
     @classmethod
     def for_directions(cls, a: Direction, b: Direction) -> "PartitionSpec":
         x = max(-1.0, min(1.0, a.dot(b)))
-        return cls(a=a, b=b, cap_axis=a, cap_angle=math.acos(-x))
+        return cls(a=a, b=b, cap_axis=Direction(0.0, 0.0, 1.0), cap_angle=math.acos(-x))
 
     @property
     def cos_threshold(self) -> float:
@@ -117,6 +123,7 @@ class SimReport:
     theoretical: PairDist
     max_abs_dev: float
     chi_square: float
+    contract: int = CONTRACT
 
     def empirical_mapping(self) -> dict[str, float]:
         e = self.empirical
@@ -124,44 +131,18 @@ class SimReport:
                 "mp": float(e[1, 0]), "mm": float(e[1, 1])}
 
 
-def _simulate_block(seed: int, block_index: int, count: int, part: PartitionSpec, singlet: bool) -> np.ndarray:
+def _simulate_block(seed: int, block_index: int, count: int, cos_threshold: float, singlet: bool) -> np.ndarray:
     """Counts (++, +-, -+, --) of one block: block_rng -> sample_lambda ->
-    classify -> sample_pair_given_c -> bincount fused into one pass that
-    makes the same draws in the same order.
+    classify -> sample_pair_given_c -> bincount on a +z cap fused into one
+    pass that makes the same draws in the same order.
 
-    lambda . cap_axis is summed from (z, phi) term by term, skipping each
-    term whose axis component is exactly zero (it would add +-0.0), so no
-    (n, 3) array is built and the CLI's x-axis cap needs np.cos alone.
-    With one nonzero component the dot equals classify's bit for bit; with
-    more, BLAS may round the matmul differently in the last bit, which moves
-    a count only for a sample within an ulp of the cap boundary.
+    The cap test needs z alone, so the azimuths are never computed: each
+    uniform double consumes exactly one 64-bit PCG64 word, and advancing the
+    stream by ``count`` words leaves it where sample_lambda leaves it.
     """
     rng = block_rng(seed, block_index)
-    z = rng.uniform(-1.0, 1.0, count)
-    phi = rng.uniform(0.0, 2.0 * math.pi, count)
-    axis = part.cap_axis
-    # Fresh block-sized arrays cost page faults, so each temporary reuses a
-    # draw buffer once that draw is no longer needed.
-    terms = []
-    if axis.x or axis.y:
-        # |z| <= 1, so 1 - z*z >= 0 and sample_lambda's clip never acts.
-        r = np.multiply(z, z, out=None if axis.z else z)
-        np.subtract(1.0, r, out=r)
-        np.sqrt(r, out=r)
-        for component, trig, out in ((axis.x, np.cos, None if axis.y else phi), (axis.y, np.sin, phi)):
-            if component:
-                term = trig(phi, out=out)
-                term *= r
-                term *= component
-                terms.append(term)
-    if axis.z:
-        z *= axis.z
-        terms.append(z)
-    dot = terms[0]
-    for term in terms[1:]:
-        dot += term
-    inside = dot >= part.cos_threshold
-
+    inside = rng.uniform(-1.0, 1.0, count) >= cos_threshold
+    rng.bit_generator.advance(count)
     first_neg = rng.integers(0, 2, count) == 0  # A(a) = -1
     # A(b) = A(a) * C is -1 when exactly one of A(a) and C is -1; singlet
     # mode reports B(b) = -A(b).
@@ -195,23 +176,30 @@ def simulate(
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
     if mode not in ("local", "singlet"):
         raise InvalidInputError(f"mode must be 'local' or 'singlet', got {mode!r}")
-    part = PartitionSpec.for_directions(a, b)
+    cos_threshold = PartitionSpec.for_directions(a, b).cos_threshold
     singlet = mode == "singlet"
 
+    def block(k: int) -> np.ndarray:
+        return _simulate_block(seed, k, min(BLOCK_SIZE, n - k * BLOCK_SIZE), cos_threshold, singlet)
+
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    sizes = [min(BLOCK_SIZE, n - k * BLOCK_SIZE) for k in range(n_blocks)]
     workers = min(threads, n_blocks, os.cpu_count() or 1)
+    counts = np.zeros(4, dtype=np.int64)
     if workers > 1:
+        # At most 2 * workers blocks are queued or held at once, so memory
+        # does not grow with n; integer sums do not depend on the order.
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda k: _simulate_block(seed, k, sizes[k], part, singlet),
-                    range(n_blocks),
-                )
-            )
+            pending = deque()
+            for k in range(n_blocks):
+                if len(pending) == 2 * workers:
+                    counts += pending.popleft().result()
+                pending.append(pool.submit(block, k))
+            while pending:
+                counts += pending.popleft().result()
     else:
-        parts = [_simulate_block(seed, k, sizes[k], part, singlet) for k in range(n_blocks)]
-    counts = np.sum(parts, axis=0).reshape(2, 2)
+        for k in range(n_blocks):
+            counts += block(k)
+    counts = counts.reshape(2, 2)
 
     theoretical = qm_pair_dist(a, b) if singlet else local_pair_dist(a, b)
     empirical = counts / n

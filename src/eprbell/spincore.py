@@ -13,6 +13,7 @@ The two are related by flipping the sign of one variable
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,10 +73,13 @@ class PairDist:
     @classmethod
     def from_mapping(cls, m: dict, labels=("A", "B")) -> "PairDist":
         try:
-            t = np.array([[m["pp"], m["pm"]], [m["mp"], m["mm"]]], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            cells = [[m["pp"], m["pm"]], [m["mp"], m["mm"]]]
+        except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"pair table mapping needs keys pp/pm/mp/mm: {exc}")
-        return cls(t, labels)
+        # numpy would parse "0.25", read True as 1.0 and None as NaN.
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for row in cells for v in row):
+            raise InvalidInputError(f"pair table cells must be numbers, got {cells}")
+        return cls(np.array(cells, dtype=float), labels)
 
 
 def qm_pair_dist(a: Direction, b: Direction) -> PairDist:

@@ -188,6 +188,7 @@ def test_boundary_usage_errors(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["dist", "--theta", "30"],
     ["scan", "--inequality", "bell", "--resolution-deg", "5"],
+    ["verify", "--trials", "2"],
 ])
 def test_unwritable_output(capsys, tmp_path, argv):
     target = str(tmp_path / "absent" / "out.txt")
@@ -253,6 +254,21 @@ class TestJoint3:
         assert run(capsys, "joint3", "--pairs", str(path))[0] == 65
         path.write_text(json.dumps({"pairs": {"AB": {"pp": 1.0}}}))
         assert run(capsys, "joint3", "--pairs", str(path))[0] == 65
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "pairs.json"
+        path.write_bytes(b'\xff\xfe{"pairs": {}}')
+        code, out, err = run(capsys, "joint3", "--pairs", str(path))
+        assert code == 65 and out == ""
+        assert err.startswith("error:") and "UTF-8" in err
+
+    def test_string_cell(self, capsys, tmp_path):
+        table = {"pp": "0.25", "pm": 0.25, "mp": 0.25, "mm": 0.25}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": {"AB": table, "BC": table, "CA": table}}))
+        code, out, err = run(capsys, "joint3", "--pairs", str(path))
+        assert code == 65 and out == ""
+        assert err.startswith("error:") and "numbers" in err
 
     def test_inconsistent_marginals(self, capsys, tmp_path):
         biased = {"pp": 0.4, "pm": 0.2, "mp": 0.2, "mm": 0.2}
@@ -358,9 +374,10 @@ class TestSimulate:
     def test_payload(self, capsys):
         doc = run_json(capsys, *self.ARGS)
         assert list(doc) == [
-            "n", "seed", "theta_ab_rad", "mode", "empirical",
+            "contract", "n", "seed", "theta_ab_rad", "mode", "empirical",
             "theoretical", "max_abs_dev", "chi_square",
         ]
+        assert doc["contract"] == 2
         assert doc["theta_ab_rad"] == pytest.approx(math.pi / 3, abs=1e-12)
         assert doc["theoretical"]["pm"] == pytest.approx(0.375, abs=1e-12)
         assert doc["max_abs_dev"] < 0.01
@@ -377,7 +394,7 @@ class TestSimulate:
                            "--seed", "12", "--mode", "singlet")
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
-                == "087f8a21a6189bb62f029921353e17460c50490dc848bbdaefc130fe075c4973")
+                == "3cb955c5d5c3eb5b0e8ae45ab8e631d658d1473d61025a2c2ed2df805077730b")
 
     def test_usage_errors(self, capsys):
         assert run(capsys, "simulate", "--theta", "60", "-n", "0", "--seed", "1")[0] == 64
@@ -410,6 +427,43 @@ class TestVerify:
         lines = out.strip().split("\n")
         assert len(lines) == 3
         assert all(line.startswith("PASS") for line in lines)
+
+    def test_output_file(self, capsys, tmp_path):
+        _, expected, _ = run(capsys, "verify", "--trials", "50", "--seed", "1")
+        path = tmp_path / "verify.txt"
+        code, out, _ = run(capsys, "verify", "--trials", "50", "--seed", "1", "-o", str(path))
+        assert code == 0 and out == ""
+        assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    (["scan", "--inequality", "chsh", "--resolution-deg", "5"], 1),
+    (["verify", "--trials", "50"], 0),
+])
+def test_closed_stdout_exits_quietly(argv, lines_read):
+    """Like ``eprbell ... | head``: the reader closes the pipe early."""
+    src = str(Path(eprbell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen([sys.executable, "-m", "eprbell.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 65
+    assert err == b""
+
+
+def test_broken_pipe_without_file_descriptor(monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        writelines = write
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["dist", "--theta", "30"]) == 65
 
 
 class TestTopLevel:

@@ -46,6 +46,7 @@ class TestPartition:
         a = Direction.from_angle(0.0)
         b = Direction.from_angle(math.pi / 3)
         part = PartitionSpec.for_directions(a, b)
+        assert part.cap_axis == Direction(0, 0, 1)
         assert part.cap_angle == pytest.approx(math.acos(-0.5), abs=1e-12)
         assert part.cos_threshold == pytest.approx(-0.5, abs=1e-12)
 
@@ -125,7 +126,7 @@ class TestSimulate:
     def test_deterministic_across_threads(self):
         a = Direction.from_angle(0.0)
         b = Direction.from_angle(0.7)
-        n = 3 * BLOCK_SIZE + 123
+        n = 11 * BLOCK_SIZE + 123  # more blocks than the 2 * workers kept in flight
         reports = [
             simulate(a, b, n, seed=11, mode="singlet", threads=t) for t in (1, 2, 8)
         ]
@@ -160,6 +161,40 @@ class TestSimulate:
         with pytest.raises(InvalidInputError):
             simulate(a, a, 100, seed=0, threads=0)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_memory_independent_of_n(self, monkeypatch, threads):
+        """No per-block list: with a stub kernel, a run of 2^30 samples (16,384
+        blocks) holds at most 2 * workers block results at once, and its
+        traced peak stays far below one object per block."""
+        import os
+        import tracemalloc
+        import weakref
+        from eprbell import hvsim
+
+        held, peak_held = [0], [0]
+
+        def release():
+            held[0] -= 1
+
+        def stub(seed, k, count, cos_threshold, singlet):
+            out = np.array([count, 0, 0, 0], dtype=np.int64)
+            held[0] += 1
+            peak_held[0] = max(peak_held[0], held[0])
+            weakref.finalize(out, release)
+            return out
+
+        monkeypatch.setattr(hvsim, "_simulate_block", stub)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            rep = simulate(Direction(1, 0, 0), Direction(0, 1, 0), 1 << 30, seed=1, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.empirical.ravel().tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert peak_held[0] <= 2 * threads
+        assert peak < 256 * 1024
+
     @pytest.mark.parametrize("threads, cpus, blocks, workers", [
         (10**6, 4, 8, 4), (10**6, 16, 3, 3), (2, 16, 8, 2), (8, 1, 8, None), (8, None, 8, None),
     ])
@@ -167,6 +202,7 @@ class TestSimulate:
         """At most min(threads, blocks, CPUs) workers; no pool when that is 1.
         The stand-in pool runs the blocks inline, so no thread starts."""
         import os
+        from concurrent.futures import Future
         from eprbell import hvsim
 
         seen = []
@@ -181,8 +217,10 @@ class TestSimulate:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(hvsim, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -196,22 +234,23 @@ GENERAL_A = Direction(0.36, -0.48, 0.8)
 
 
 class TestGoldenCounts:
-    """Exact (++, +-, -+, --) counts of the reproducibility contract (fixed
-    blocks, per-block SeedSequence((seed, k)), draw order z, phi, signs).
+    """Exact (++, +-, -+, --) counts of reproducibility contract 2: fixed
+    blocks, per-block SeedSequence((seed, k)), a cap on +z decided by z
+    alone, and per block the draws z, one skipped 64-bit word per sample in
+    the azimuth slot, then the pair signs.
 
     Recorded with numpy 2.4.6 on a 2-vCPU Intel Xeon (x86-64). The counts
-    depend on numpy's PCG64 stream and uniform/integers transforms, and on
-    the rounding of np.cos/np.sin and of the dot product only for samples
-    within an ulp of the cap boundary; a mismatch on another platform is a
+    depend only on numpy's PCG64 stream and its uniform/integers transforms,
+    and on math.cos of the cap angle; a mismatch on another platform is a
     platform difference, not a reason to loosen this test.
     """
 
     GOLDEN = [
         # CLI geometry: a = x axis, b at 60 degrees; the last block is partial.
         (Direction.from_angle(0.0), Direction.from_angle(math.radians(60)),
-         3 * BLOCK_SIZE + 123, 11, "singlet", [24922, 73376, 73878, 24555]),
+         3 * BLOCK_SIZE + 123, 11, "singlet", [24430, 73868, 73614, 24819]),
         (GENERAL_A, Direction(0.48, 0.6, 0.64),
-         3 * BLOCK_SIZE + 123, 5, "local", [68699, 29610, 29577, 68845]),
+         3 * BLOCK_SIZE + 123, 5, "local", [68637, 29672, 29628, 68794]),
         # a == b: cap angle pi, every lambda is inside.
         (GENERAL_A, GENERAL_A, 2 * BLOCK_SIZE + 77, 3, "local", [65841, 0, 0, 65308]),
         (GENERAL_A, GENERAL_A, 2 * BLOCK_SIZE + 77, 3, "singlet", [0, 65841, 65308, 0]),
@@ -244,18 +283,76 @@ def _sweep_axes():
     ] + [random_direction(rng) for _ in range(3)]
 
 
+# Values of a.b, and so cap thresholds: both extremes (whole sphere, empty
+# cap), 120 and 90 degrees, an acute angle and two random values.
+SWEEP_DOTS = [-1.0, -0.5, 0.0, 0.3, 1.0] + np.random.default_rng(5).uniform(-1.0, 1.0, 2).tolist()
+
+
+def _direction_at_dot(a, x):
+    """A direction b with a.b = x (to rounding)."""
+    v = a.as_array()
+    w = np.cross(v, [0.0, 0.0, 1.0] if abs(v[2]) < 0.9 else [1.0, 0.0, 0.0])
+    return Direction.from_array(x * v + math.sqrt(1.0 - x * x) * w / np.linalg.norm(w))
+
+
 class TestFusedBlock:
     @pytest.mark.parametrize("axis", _sweep_axes())
     def test_matches_staged_route(self, axis):
+        """For device direction a = ``axis`` and b at each swept a.b, the fused
+        kernel, given only the cap threshold, equals the staged route on
+        for_directions' partition bit for bit."""
         from eprbell.hvsim import _simulate_block
 
-        other = Direction.from_angle(1.0 + axis.z)  # a cap threshold per axis
-        for b in (other, axis, -axis):
-            part = PartitionSpec.for_directions(axis, b)
+        for x in SWEEP_DOTS:
+            part = PartitionSpec.for_directions(axis, _direction_at_dot(axis, x))
             for singlet in (False, True):
-                for k, count in ((0, BLOCK_SIZE), (1, 12_345)):
-                    expected = _staged_block(17, k, count, part, singlet)
-                    assert np.array_equal(_simulate_block(17, k, count, part, singlet), expected)
+                for seed, k, count in ((17, 0, BLOCK_SIZE), (0, 3, 1_000), (12345, 1, 1)):
+                    expected = _staged_block(seed, k, count, part, singlet)
+                    got = _simulate_block(seed, k, count, part.cos_threshold, singlet)
+                    assert np.array_equal(got, expected)
+
+
+# (++, +-, -+, --) cell probabilities of the exact tables, row-major as in PairDist.
+def _exact_cells(theta_deg, mode):
+    a, b = Direction.from_angle(0.0), Direction.from_angle(math.radians(theta_deg))
+    return (qm_pair_dist(a, b) if mode == "singlet" else local_pair_dist(a, b)).table.ravel()
+
+
+class TestContractV2Law:
+    """Contract 2 changes which samples land in the cap, not the law of the
+    counts: they fit the exact tables and the contract-1 law (cap on a)."""
+
+    @pytest.mark.parametrize("mode", ["local", "singlet"])
+    @pytest.mark.parametrize("theta_deg", [0, 30, 60, 90, 120, 180])
+    def test_goodness_of_fit(self, theta_deg, mode):
+        n = 1_000_000
+        a, b = Direction.from_angle(0.0), Direction.from_angle(math.radians(theta_deg))
+        rep = simulate(a, b, n, seed=theta_deg, mode=mode)
+        counts = np.rint(rep.empirical * n).ravel()
+        p = _exact_cells(theta_deg, mode)
+        empty = p < 1e-12  # theta 0 and 180 leave two cells with probability ~0
+        assert np.all(counts[empty] == 0)
+        chi2 = float(np.sum((counts[~empty] - n * p[~empty]) ** 2 / (n * p[~empty])))
+        assert stats.chi2.sf(chi2, int(np.sum(~empty)) - 1) > 0.001
+
+    @pytest.mark.parametrize("a, b", [
+        (Direction.from_angle(0.0), Direction.from_angle(math.radians(60))),
+        (GENERAL_A, Direction(0.48, 0.6, 0.64)),
+        (GENERAL_A, Direction(0.0, 0.6, -0.8)),
+    ])
+    @pytest.mark.parametrize("singlet", [False, True])
+    def test_matches_contract_v1_law(self, a, b, singlet):
+        """simulate() against the staged route with the cap centred on a, on
+        independent seeds: a chi-square test of homogeneity on the 2x4 table."""
+        blocks = 8
+        n = blocks * BLOCK_SIZE
+        rep = simulate(a, b, n, seed=3, mode="singlet" if singlet else "local")
+        v2 = np.rint(rep.empirical * n).ravel()
+        v2_part = PartitionSpec.for_directions(a, b)
+        v1_part = PartitionSpec(a, b, cap_axis=a, cap_angle=v2_part.cap_angle)
+        v1 = sum(_staged_block(1000, k, BLOCK_SIZE, v1_part, singlet) for k in range(blocks))
+        table = np.array([v1, v2])
+        assert stats.chi2_contingency(table[:, table.sum(axis=0) > 0])[1] > 0.001
 
 
 class TestProductRuleDemo:

@@ -52,6 +52,15 @@ class TestPairDist:
         with pytest.raises(InvalidInputError, match="finite"):
             PairDist(np.array([[first, second], [0.25, 0.25]]))
 
+    @pytest.mark.parametrize("cell", ["0.25", b"0.25", True, np.bool_(False), None, [0.25]])
+    def test_from_mapping_rejects_non_numbers(self, cell):
+        with pytest.raises(InvalidInputError, match="numbers"):
+            PairDist.from_mapping({"pp": cell, "pm": 0.25, "mp": 0.25, "mm": 0.25})
+
+    def test_from_mapping_accepts_numbers(self):
+        m = {"pp": 1, "pm": 0.0, "mp": np.float64(0.0), "mm": 0}
+        assert PairDist.from_mapping(m).to_mapping() == {"pp": 1.0, "pm": 0.0, "mp": 0.0, "mm": 0.0}
+
 
 class TestQmPairDist:
     def test_aligned_equal_outcomes_impossible(self):
