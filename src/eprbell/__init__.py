@@ -1,7 +1,13 @@
 """Singlet-state spin statistics, Bell/CHSH inequalities, joint-distribution
-feasibility analysis, and a stochastic hidden-variable simulator."""
+feasibility analysis, and a stochastic hidden-variable simulator.
 
-from .born import SingletState, singlet_pair_prob, spin_projector
+The exact tables and verdicts are plain Python floats, so importing the
+package does not load numpy. The Born-rule route and the simulator need it;
+their names below are imported on first access.
+"""
+
+import importlib
+
 from .errors import (
     EprBellError,
     InconsistentMarginalsError,
@@ -13,19 +19,6 @@ from .errors import (
     UndefinedConditionalError,
 )
 from .geometry import Direction
-from .hvsim import (
-    BLOCK_SIZE,
-    PartitionSpec,
-    SimReport,
-    block_rng,
-    classify,
-    mixture_pair_dist,
-    p_c_analytic,
-    product_rule_demo,
-    sample_lambda,
-    sample_pair_given_c,
-    simulate,
-)
 from .information import (
     InfoCurvePoint,
     binary_entropy,
@@ -80,3 +73,25 @@ from .spincore import (
 )
 
 __version__ = "0.1.0"
+
+_NUMPY_BACKED = {
+    "born": ("SingletState", "singlet_pair_prob", "spin_projector"),
+    "hvsim": (
+        "BLOCK_SIZE", "PartitionSpec", "SimReport", "block_rng", "classify",
+        "mixture_pair_dist", "p_c_analytic", "product_rule_demo", "sample_lambda",
+        "sample_pair_given_c", "simulate",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _NUMPY_BACKED.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))

@@ -1,10 +1,15 @@
 """Command-line front end.
 
-Angles are entered in degrees by default (``--radians`` switches). Verdicts
-("violated", "infeasible") are data, not failures: they exit 0. Exit codes:
-0 success, 64 usage error, 65 data/file error, including output that cannot
-be written: stdout closed by its reader (``eprbell scan ... | head -1``)
-exits 65 without a message.
+Angles are entered in degrees by default; ``--radians`` switches on the
+subcommands that take angles (dist, ineq, joint3, simulate). Only ``dist``
+has ``--format`` (json or csv); a flag a subcommand does not take exits 64.
+Verdicts ("violated", "infeasible") are data, not failures: they exit 0.
+Exit codes: 0 success, 1 a ``verify`` self-check failed, 64 usage error,
+65 data/file error, including output that cannot be written: stdout closed
+by its reader (``eprbell scan ... | head -1``) exits 65 without a message.
+
+Only ``scan``, ``simulate`` and ``verify`` load numpy; the other subcommands
+compute with Python floats.
 """
 
 from __future__ import annotations
@@ -18,12 +23,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import verify as verify_mod
 from .errors import EprBellError, InconsistentMarginalsError, InvalidInputError
 from .geometry import Direction
-from .hvsim import simulate
 from .inequalities import (
     CovarianceQuad,
     CovarianceTriple,
@@ -47,6 +48,16 @@ from .spincore import PairDist, covariance, local_pair_dist, qm_pair_dist
 EXIT_OK = 0
 EXIT_USAGE = 64
 EXIT_DATA = 65
+
+
+def __getattr__(name):
+    # ``cli.simulate`` stays a module attribute (perfbench's tracer patches
+    # it), but the numpy-backed simulator loads only on first use.
+    if name == "simulate":
+        from .hvsim import simulate
+
+        return simulate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -121,6 +132,10 @@ def _csv(header: list[str], rows: list[list]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _verdict(v) -> dict:
+    return {"lhs": v.lhs, "bound": v.bound, "satisfied": v.satisfied}
 
 
 def _load_pair_file(path: str, keys: tuple[str, ...]) -> dict[str, PairDist]:
@@ -198,12 +213,7 @@ def _cmd_ineq(args) -> int:
         else:
             quad = CovarianceQuad(*_parse_floats(args.cov, 4, "--cov"))
         verdict = chsh(quad)
-    payload = {
-        "inequality": args.which,
-        "lhs": verdict.lhs,
-        "bound": verdict.bound,
-        "satisfied": verdict.satisfied,
-    }
+    payload = {"inequality": args.which, **_verdict(verdict)}
     _emit(_json(payload), args.output)
     return EXIT_OK
 
@@ -216,6 +226,8 @@ def _scan_csv(result, angle_names: list[str]):
     """Header, violation rows and the max row of a scan, chunk by chunk, in
     the text csv.writer gives (floats as repr). Angles take only n values,
     so each is formatted once and looked up."""
+    import numpy as np
+
     degrees = np.array([repr(math.degrees(g)) + "," for g in result.grid.tolist()], dtype=object)
     yield ",".join(["kind"] + angle_names + ["lhs"]) + "\n"
     for start in range(0, len(result.violation_lhs), _SCAN_CHUNK_ROWS):
@@ -255,9 +267,8 @@ _TRIPLE_KEYS = [
 
 
 def _triple_payload(t, interval, mu3, verdicts) -> dict:
-    entries = {k: float(v) for k, v in zip(_TRIPLE_KEYS, t.q.ravel())}
     return {
-        "entries": entries,
+        "entries": dict(zip(_TRIPLE_KEYS, t.cells)),
         "valid": t.valid,
         "negative_cells": [
             {"cell": "".join("p" if s == 1 else "m" for s in cell), "value": v}
@@ -265,10 +276,7 @@ def _triple_payload(t, interval, mu3, verdicts) -> dict:
         ],
         "mu3": mu3,
         "mu3_interval": {"lo": interval.lo, "hi": interval.hi, "empty": interval.empty},
-        "inequalities": {
-            name: {"lhs": v.lhs, "bound": v.bound, "satisfied": v.satisfied}
-            for name, v in verdicts.items()
-        },
+        "inequalities": {name: _verdict(v) for name, v in verdicts.items()},
     }
 
 
@@ -329,21 +337,16 @@ def _cmd_joint4(args) -> int:
     payload = {
         "feasible": result.feasible,
         "failed_inequality": result.failed,
-        "inequalities": {
-            name: {"lhs": v.lhs, "bound": v.bound, "satisfied": v.satisfied}
-            for name, v in result.verdicts.items()
-        },
-        "witness": (
-            {k: float(v) for k, v in zip(_QUAD_KEYS, result.witness.q.ravel())}
-            if result.witness is not None
-            else None
-        ),
+        "inequalities": {name: _verdict(v) for name, v in result.verdicts.items()},
+        "witness": dict(zip(_QUAD_KEYS, result.witness.cells)) if result.witness is not None else None,
     }
     _emit(_json(payload), args.output)
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
+    from .hvsim import simulate
+
     a = Direction.from_angle(0.0)
     b = Direction.from_angle(_to_rad(args.theta, args.radians))
     report = simulate(a, b, args.n, args.seed, mode=args.mode, threads=args.threads)
@@ -373,7 +376,9 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_mod.run_all(trials=args.trials, seed=args.seed)
+    from . import verify
+
+    results = verify.run_all(trials=args.trials, seed=args.seed)
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -389,67 +394,57 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="eprbell", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--radians", action="store_true", help="angle inputs are radians")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+    def command(name, func, help, radians=False, formats=False):
+        """A subparser with -o, and --radians / --format only where honoured."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if radians:
+            p.add_argument("--radians", action="store_true", help="angle inputs are radians")
+        if formats:
+            p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("-o", "--output", help="write to file instead of stdout")
+        return p
 
-    p = sub.add_parser("dist", help="pair probability table and covariance")
+    p = command("dist", _cmd_dist, "pair probability table and covariance", radians=True, formats=True)
     p.add_argument("--theta", type=_finite_float, help="angle between the two orientations")
     p.add_argument("--a", help="first direction as x,y,z")
     p.add_argument("--b", help="second direction as x,y,z")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--pair", action="store_true", help="two-device (A, B) table (default)")
     mode.add_argument("--local", action="store_true", help="single-device (A(a), A(b)) table")
-    common(p)
-    p.set_defaults(func=_cmd_dist)
 
-    p = sub.add_parser("ineq", help="evaluate a Bell or CHSH inequality")
+    p = command("ineq", _cmd_ineq, "evaluate a Bell or CHSH inequality", radians=True)
     p.add_argument("which", choices=["bell", "chsh"])
     p.add_argument("--angles", help="bell: t_ab,t_bc; chsh: t_ab,t_db,t_dc (coplanar)")
     p.add_argument("--cov", help="raw covariances: 3 values (bell) or 4 (chsh)")
-    common(p)
-    p.set_defaults(func=_cmd_ineq)
 
-    p = sub.add_parser("scan", help="grid search for violating orientations")
+    p = command("scan", _cmd_scan, "grid search for violating orientations")
     p.add_argument("--inequality", choices=["bell", "chsh"], required=True)
     p.add_argument("--resolution-deg", type=_finite_float)
     p.add_argument("--resolution-rad", type=_finite_float)
-    common(p)
-    p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("joint3", help="third-order joint from pairs or QM angles")
+    p = command("joint3", _cmd_joint3, "third-order joint from pairs or QM angles", radians=True)
     p.add_argument("--qm", action="store_true", help="build from singlet tables at --angles")
     p.add_argument("--angles", help="t_ab,t_bc for coplanar directions")
     p.add_argument("--pairs", help="JSON file with pair tables AB, BC, CA")
     p.add_argument("--mu3", type=_finite_float, help="third moment (default: 0 or interval midpoint)")
-    common(p)
-    p.set_defaults(func=_cmd_joint3)
 
-    p = sub.add_parser("joint4", help="fourth-order feasibility from pair tables")
+    p = command("joint4", _cmd_joint4, "fourth-order feasibility from pair tables")
     p.add_argument("--pairs", required=True, help="JSON file with pair tables AB, AC, DB, DC")
-    common(p)
-    p.set_defaults(func=_cmd_joint4)
 
-    p = sub.add_parser("simulate", help="hidden-variable Monte Carlo run")
+    p = command("simulate", _cmd_simulate, "hidden-variable Monte Carlo run", radians=True)
     p.add_argument("--theta", type=_finite_float, required=True)
     p.add_argument("-n", type=int, required=True, help="sample count")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=["local", "singlet"], default="local")
     p.add_argument("--threads", type=int, default=1)
-    common(p)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("info", help="mutual-information curve as CSV")
+    p = command("info", _cmd_info, "mutual-information curve as CSV")
     p.add_argument("--step", type=_finite_float, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_info)
 
-    p = sub.add_parser("verify", help="run cross-validation checks")
+    p = command("verify", _cmd_verify, "run cross-validation checks")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidDirectionError
 
 # Inputs with norm this far from 1 are normalized; anything worse is rejected.
@@ -38,12 +36,16 @@ class Direction:
 
     @classmethod
     def from_array(cls, v) -> "Direction":
+        import numpy as np
+
         v = np.asarray(v, dtype=float)
         if v.shape != (3,):
             raise InvalidDirectionError(f"expected a 3-vector, got shape {v.shape}")
         return cls(float(v[0]), float(v[1]), float(v[2]))
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        import numpy as np
+
         return np.array([self.x, self.y, self.z])
 
     def dot(self, other: "Direction") -> float:

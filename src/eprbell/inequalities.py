@@ -13,11 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from .errors import InvalidGeometryError, InvalidInputError, InvalidModelError
 from .geometry import Direction
-from .hvsim import sample_lambda
 
 VIOLATION_SLACK = 1e-12
 
@@ -141,6 +138,10 @@ def bell_local_model_covariance(
     """Monte Carlo estimate of <A(a)B(b)> = E_lambda[ <A|lambda,a> <B|lambda,b> ]."""
     if n_samples < 1:
         raise InvalidInputError(f"n_samples must be >= 1, got {n_samples}")
+    import numpy as np
+
+    from .hvsim import sample_lambda
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     sampler = model.sample_lambda or sample_lambda
     lams = np.asarray(sampler(rng, n_samples), dtype=float)
@@ -178,6 +179,8 @@ class ScanResult:
     @property
     def violations(self) -> np.ndarray:
         """(k, dims + 1) array: the violating angles in radians, then lhs."""
+        import numpy as np
+
         return np.column_stack((self.grid[self.violation_index], self.violation_lhs))
 
 
@@ -193,6 +196,8 @@ def violation_scan(inequality: str, resolution: float) -> ScanResult:
     grid of more than ``SCAN_MAX_POINTS`` points is rejected before anything
     is allocated.
     """
+    import numpy as np
+
     if not 0.0 < resolution <= math.pi / 8.0 + 1e-15:
         raise InvalidInputError(f"resolution must be in (0, pi/8], got {resolution}")
     if inequality not in ("bell", "chsh"):

@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidInputError
 from .geometry import Direction
-from .spincore import PairDist
+from .spincore import PairDist, pair_dist_from_dot
+
+# Largest curve info_curve tabulates: step 2**-15 gives 2**16 + 1 points.
+INFO_MAX_POINTS = 2**16 + 1
 
 
 @dataclass(frozen=True)
@@ -34,15 +35,12 @@ def _xlog2x(p: float) -> float:
 
 def mutual_information(d: PairDist) -> float:
     """Mutual information of a pair table, in bits."""
-    t = d.table
-    pa = t.sum(axis=1)
-    pb = t.sum(axis=0)
+    pp, pm, mp, mm = d.cells
+    first, second = (pp + pm, mp + mm), (pp + mp, pm + mm)
     total = 0.0
-    for i in range(2):
-        for j in range(2):
-            p = t[i, j]
-            if p > 0.0:
-                total += p * math.log2(p / (pa[i] * pb[j]))
+    for p, i, j in zip(d.cells, (0, 0, 1, 1), (0, 1, 0, 1)):
+        if p > 0.0:
+            total += p * math.log2(p / (first[i] * second[j]))
     # Clamp -0.0 / rounding residue: I >= 0 always.
     return max(total, 0.0)
 
@@ -60,21 +58,19 @@ def conditional_entropy(a: Direction, b: Direction) -> float:
     return binary_entropy(0.5 * (1.0 + x))
 
 
-def _local_table(x: float) -> PairDist:
-    t = 0.25 * np.array([[1.0 + x, 1.0 - x], [1.0 - x, 1.0 + x]])
-    return PairDist(t, ("A", "A'"))
-
-
 def info_curve(step: float) -> list[InfoCurvePoint]:
-    """Tabulate mutual information and conditional entropy over x in [-1, 1]."""
+    """Tabulate mutual information and conditional entropy over x in [-1, 1],
+    at most ``INFO_MAX_POINTS`` points; a finer step is rejected up front."""
     if not 0.0 < step <= 1.0:
         raise InvalidInputError(f"step must be in (0, 1], got {step}")
-    n = int(round(2.0 / step))
+    n = int(round(min(2.0 / step, INFO_MAX_POINTS)))
+    if n + 1 > INFO_MAX_POINTS:
+        raise InvalidInputError(f"step {step} gives more than {INFO_MAX_POINTS} points, the most allowed")
     xs = [-1.0 + k * step for k in range(n)] + [1.0]
     points = []
     for x in xs:
         x = max(-1.0, min(1.0, x))
-        mi = mutual_information(_local_table(x))
+        mi = mutual_information(pair_dist_from_dot(x, 1))
         ce = binary_entropy(0.5 * (1.0 + x))
         points.append(InfoCurvePoint(x, mi, ce))
     return points

@@ -26,10 +26,9 @@ its mu3 interval, and the two are glued on (B, C):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
-
-import numpy as np
 
 from .errors import (
     InconsistentMarginalsError,
@@ -39,7 +38,7 @@ from .errors import (
 )
 from .geometry import Direction
 from .inequalities import VIOLATION_SLACK, InequalityVerdict
-from .spincore import SIGNS, PairDist, local_pair_dist
+from .spincore import SIGNS, PairDist, cells_of, covariance, read_only_array, table_sum
 
 TRIPLE_TOL = 1e-12
 QUAD_TOL = 1e-9
@@ -69,61 +68,72 @@ class MomentSet3:
             _check_moment(name, getattr(self, name))
 
 
+# Cells of the (A, B, C) tables in C order, index 0 = +1.
+_SIGN_GRID = tuple(itertools.product(SIGNS, repeat=3))
+_ABC = tuple(a * b * c for a, b, c in _SIGN_GRID)
+_BC = tuple(b * c for _, b, c in _SIGN_GRID)
+
+
 @dataclass(frozen=True)
 class TripleDist:
-    """Signed table over {-1,+1}^3; q[i,j,k] for (SIGNS[i], SIGNS[j], SIGNS[k])."""
+    """Signed table over {-1,+1}^3. ``cells`` holds the eight entries in C
+    order of (A, B, C), index 0 = +1, built like ``PairDist.cells``;
+    ``q[i, j, k]`` is the entry for (SIGNS[i], SIGNS[j], SIGNS[k]), as a
+    read-only ndarray."""
 
-    q: np.ndarray
+    cells: tuple[float, ...]
     labels: tuple[str, str, str] = ("A", "B", "C")
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.shape != (2, 2, 2):
-            raise InvalidInputError(f"triple table must be 2x2x2, got {q.shape}")
-        if not np.isfinite(q).all():
-            raise InvalidInputError(f"triple table entries must be finite: {q.tolist()}")
-        if abs(q.sum() - 1.0) > TRIPLE_TOL:
-            raise InvalidInputError(f"triple table sums to {q.sum()}, not 1")
-        q.flags.writeable = False
-        object.__setattr__(self, "q", q)
+        q = cells_of(self.cells, 3, "triple table")
+        if abs(table_sum(q) - 1.0) > TRIPLE_TOL:
+            raise InvalidInputError(f"triple table sums to {table_sum(q)}, not 1")
+        object.__setattr__(self, "cells", q)
+
+    @cached_property
+    def q(self):
+        return read_only_array(self.cells, 3)
 
     @property
     def valid(self) -> bool:
-        return bool(self.q.min() >= -TRIPLE_TOL)
+        return min(self.cells) >= -TRIPLE_TOL
 
     def prob(self, a: int, b: int, c: int) -> float:
-        return float(self.q[(1 - a) // 2, (1 - b) // 2, (1 - c) // 2])
+        return self.cells[4 * ((1 - a) // 2) + 2 * ((1 - b) // 2) + (1 - c) // 2]
 
     def negative_cells(self) -> list[tuple[tuple[int, int, int], float]]:
-        out = []
-        for i, j, k in itertools.product(range(2), repeat=3):
-            v = float(self.q[i, j, k])
-            if v < -TRIPLE_TOL:
-                out.append(((SIGNS[i], SIGNS[j], SIGNS[k]), v))
-        return out
+        return [(cell, v) for cell, v in zip(_SIGN_GRID, self.cells) if v < -TRIPLE_TOL]
 
 
 @dataclass(frozen=True)
 class QuadDist:
-    """Signed table over {-1,+1}^4; order (A, B, C, D)."""
+    """Signed table over {-1,+1}^4 in (A, B, C, D) order; ``cells`` and
+    ``q`` as in ``TripleDist``."""
 
-    q: np.ndarray
+    cells: tuple[float, ...]
     labels: tuple[str, str, str, str] = ("A", "B", "C", "D")
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.shape != (2, 2, 2, 2):
-            raise InvalidInputError(f"quad table must be 2x2x2x2, got {q.shape}")
-        if not np.isfinite(q).all():
-            raise InvalidInputError(f"quad table entries must be finite: {q.tolist()}")
-        if abs(q.sum() - 1.0) > QUAD_TOL:
-            raise InvalidInputError(f"quad table sums to {q.sum()}, not 1")
-        q.flags.writeable = False
-        object.__setattr__(self, "q", q)
+        q = cells_of(self.cells, 4, "quad table")
+        if abs(table_sum(q) - 1.0) > QUAD_TOL:
+            raise InvalidInputError(f"quad table sums to {table_sum(q)}, not 1")
+        object.__setattr__(self, "cells", q)
+
+    @cached_property
+    def q(self):
+        return read_only_array(self.cells, 4)
 
     @property
     def valid(self) -> bool:
-        return bool(self.q.min() >= -QUAD_TOL)
+        return min(self.cells) >= -QUAD_TOL
+
+
+def _pair_marginal(cells, dims: int, first: int, second: int) -> list[float]:
+    """Cells of the (first, second) pair table of a C-order table."""
+    m = [0.0] * 4
+    for index, v in zip(itertools.product((0, 1), repeat=dims), cells):
+        m[2 * index[first] + index[second]] += v
+    return m
 
 
 @dataclass(frozen=True)
@@ -139,34 +149,24 @@ class Mu3Interval:
         return self.lo <= v <= self.hi
 
 
-_SIGN_GRID = np.array(list(itertools.product((1, -1), repeat=3)))  # row order = table order
-_ABC = _SIGN_GRID.prod(axis=1)
-_BC = _SIGN_GRID[:, 1] * _SIGN_GRID[:, 2]
-
-
-def _affine_part(m_a, m_b, m_c, m_ab, m_bc, m_ca) -> np.ndarray:
+def _affine_part(m_a, m_b, m_c, m_ab, m_bc, m_ca) -> list[float]:
     """t(a,b,c) = 1 + a<A> + b<B> + c<C> + ab<AB> + bc<BC> + ca<CA>, per cell."""
-    s = _SIGN_GRID
-    a, b, c = s[:, 0], s[:, 1], s[:, 2]
-    return (
+    return [
         1.0 + a * m_a + b * m_b + c * m_c + a * b * m_ab + b * c * m_bc + c * a * m_ca
-    )
+        for a, b, c in _SIGN_GRID
+    ]
 
 
 def triple_from_moments(m: MomentSet3) -> TripleDist:
     """Build the unique signed table with the given seven moments."""
     t = _affine_part(m.m_a, m.m_b, m.m_c, m.m_ab, m.m_bc, m.m_ca)
-    q = (t + _ABC * m.m_abc) / 8.0
-    return TripleDist(q.reshape(2, 2, 2))
+    return TripleDist([(v + abc * m.m_abc) / 8.0 for v, abc in zip(t, _ABC)])
 
 
 def _pair_moments(p: PairDist) -> tuple[float, float, float]:
     """(first moment, second moment, pair moment) of a 2x2 table."""
-    t = p.table
-    m1 = float(t[0, :].sum() - t[1, :].sum())
-    m2 = float(t[:, 0].sum() - t[:, 1].sum())
-    m12 = float(t[0, 0] - t[0, 1] - t[1, 0] + t[1, 1])
-    return m1, m2, m12
+    pp, pm, mp, mm = p.cells
+    return (pp + pm) - (mp + mm), (pp + mp) - (pm + mm), covariance(p)
 
 
 @dataclass(frozen=True)
@@ -224,8 +224,8 @@ def mu3_interval(m_a, m_b, m_c, m_ab, m_bc, m_ca) -> Mu3Interval:
                     ("m_ab", m_ab), ("m_bc", m_bc), ("m_ca", m_ca)):
         _check_moment(name, v)
     t = _affine_part(m_a, m_b, m_c, m_ab, m_bc, m_ca)
-    lo = max(-1.0, float(np.max(-t[_ABC == 1])))
-    hi = min(1.0, float(np.min(t[_ABC == -1])))
+    lo = max(-1.0, *(-v for v, abc in zip(t, _ABC) if abc == 1))
+    hi = min(1.0, *(v for v, abc in zip(t, _ABC) if abc == -1))
     return Mu3Interval(lo, hi)
 
 
@@ -271,8 +271,7 @@ def qm_triple(a: Direction, b: Direction, c: Direction) -> TripleDist:
     """The unique sign-symmetric signed table whose pair marginals are the
     single-device tables for (a, b), (b, c), (c, a)."""
     m = MomentSet3(m_ab=a.dot(b), m_bc=b.dot(c), m_ca=c.dot(a))
-    t = triple_from_moments(m)
-    return TripleDist(t.q.copy(), ("A(a)", "A(b)", "A(c)"))
+    return TripleDist(triple_from_moments(m).cells, ("A(a)", "A(b)", "A(c)"))
 
 
 def triple_marginal_pair(t: TripleDist, drop: str) -> PairDist:
@@ -282,7 +281,7 @@ def triple_marginal_pair(t: TripleDist, drop: str) -> PairDist:
     axis = {"A": 0, "B": 1, "C": 2}.get(drop)
     if axis is None:
         raise InvalidInputError(f"drop must be 'A', 'B' or 'C', got {drop!r}")
-    return PairDist(t.q.sum(axis=axis))
+    return PairDist(_pair_marginal(t.cells, 3, *(k for k in range(3) if k != axis)))
 
 
 def triple_conditional(t: TripleDist, given: str, value: int) -> PairDist:
@@ -300,11 +299,12 @@ def triple_conditional(t: TripleDist, given: str, value: int) -> PairDist:
         raise InvalidInputError(f"given must be 'A', 'B' or 'C', got {given!r}")
     if value not in (1, -1):
         raise InvalidInputError(f"value must be +1 or -1, got {value}")
-    slab = np.take(t.q, (1 - value) // 2, axis=axis)
-    norm = float(slab.sum())
+    k = (1 - value) // 2
+    slab = [v for index, v in zip(itertools.product((0, 1), repeat=3), t.cells) if index[axis] == k]
+    norm = table_sum(slab)
     if norm <= TRIPLE_TOL:
         raise UndefinedConditionalError(f"P[{given}={value}] = {norm} is not positive")
-    return PairDist(slab / norm)
+    return PairDist([v / norm for v in slab])
 
 
 # --- fourth-order feasibility (CHSH pair pattern) ---
@@ -349,12 +349,11 @@ def _bc_interval(m_a, m_b, m_c, m_ab, m_ca) -> tuple[float, float]:
     (A, C) pair-table entry is nonnegative, which the input tables ensure.
     """
     alpha = _affine_part(m_a, m_b, m_c, m_ab, 0.0, m_ca)
-    plus, minus = _ABC == 1, _ABC == -1
-    const = np.concatenate([(alpha[plus, None] + alpha[None, minus]).ravel(), alpha + 1.0])
-    coef = np.concatenate([(_BC[plus, None] + _BC[None, minus]).ravel(), _BC])
-    up, down = coef > 0, coef < 0
-    lo = max(-1.0, float(np.max(-const[up] / coef[up])))
-    hi = min(1.0, float(np.min(const[down] / -coef[down])))
+    cells = list(zip(alpha, _BC, _ABC))
+    clauses = [(u + v, bu + bv) for u, bu, su in cells if su == 1 for v, bv, sv in cells if sv == -1]
+    clauses += [(u + 1.0, bu) for u, bu, _ in cells]
+    lo = max(-1.0, *(-const / coef for const, coef in clauses if coef > 0))
+    hi = min(1.0, *(const / -coef for const, coef in clauses if coef < 0))
     return lo, hi
 
 
@@ -379,17 +378,19 @@ def _glued_witness(m_a, m_b, m_c, m_d, c_ab, c_ac, c_db, c_dc) -> Optional[QuadD
     for m_x, m_xb, m_xc in ((m_a, c_ab, c_ac), (m_d, c_db, c_dc)):
         mu3 = mu3_interval(m_x, m_b, m_c, m_xb, m_bc, m_xc)
         moments = MomentSet3(m_x, m_b, m_c, m_xb, m_bc, m_xc, _clamp(0.5 * (mu3.lo + mu3.hi)))
-        triangles.append(triple_from_moments(moments).q)
+        triangles.append(triple_from_moments(moments).cells)
     q_abc, q_dbc = triangles
-    p_bc = q_abc.sum(axis=0)[:, :, None]
-    # A (B, C) cell of probability at most TRIPLE_TOL carries no mass; dividing
-    # by it would only amplify rounding.
-    q = np.divide(
-        np.einsum("abc,dbc->abcd", q_abc, q_dbc), p_bc,
-        out=np.zeros((2, 2, 2, 2)), where=p_bc > TRIPLE_TOL,
-    )
-    q[(q < 0.0) & (q >= -QUAD_TOL)] = 0.0  # rounding only; larger negatives stay visible
-    return QuadDist(q / q.sum())
+    p_bc = [q_abc[bc] + q_abc[4 + bc] for bc in range(4)]
+    q = []
+    for a, b, c, d in itertools.product((0, 1), repeat=4):
+        bc = 2 * b + c
+        # A (B, C) cell of probability at most TRIPLE_TOL carries no mass;
+        # dividing by it would only amplify rounding. The product is added to
+        # 0.0, as numpy's einsum does, so a -0.0 product is written as 0.0.
+        v = (0.0 + q_abc[4 * a + bc] * q_dbc[4 * d + bc]) / p_bc[bc] if p_bc[bc] > TRIPLE_TOL else 0.0
+        q.append(0.0 if -QUAD_TOL <= v < 0.0 else v)  # rounding only; larger negatives stay visible
+    total = table_sum(q)
+    return QuadDist([v / total for v in q])
 
 
 def quad_feasibility(
@@ -438,10 +439,4 @@ def quad_pair_marginal(w: QuadDist, pair: str) -> PairDist:
     axes = {"AB": (0, 1), "AC": (0, 2), "DB": (3, 1), "DC": (3, 2)}.get(pair)
     if axes is None:
         raise InvalidInputError(f"pair must be one of AB/AC/DB/DC, got {pair!r}")
-    first, second = axes
-    keep = sorted({first, second})
-    drop = tuple(i for i in range(4) if i not in keep)
-    m = w.q.sum(axis=drop)
-    if keep != [first, second]:
-        m = m.T
-    return PairDist(m)
+    return PairDist(_pair_marginal(w.cells, 4, *axes))

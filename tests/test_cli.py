@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import eprbell
+from eprbell import verify
 from eprbell.cli import main
+from eprbell.information import INFO_MAX_POINTS
 
 from conftest import CONTRA_AB, CONTRA_BC, CONTRA_CA
 
@@ -172,6 +174,7 @@ class TestScan:
     ["scan", "--inequality", "bell", "--resolution-rad=-inf"],
     ["joint3", "--qm", "--angles", "10,10", "--mu3", "nan"],
     ["info", "--step", "nan"],
+    ["info", "--step", "5e-324"],
     ["simulate", "--theta", "60", "-n", "10", "--seed", "-1"],
     ["simulate", "--theta", "60", "-n", "10", "--seed", "1", "--threads", "0"],
     ["simulate", "--theta", "60", "-n", "10", "--seed", "1", "--threads", "-3"],
@@ -318,28 +321,145 @@ class TestJoint4:
         assert "finite" in err and "Traceback" not in err
 
 
-SCIPY_PROBE = """
+def independent_table(p, q):
+    """Pair table of two independent signs with P(+) = p and q."""
+    return {"pp": p * q, "pm": p * (1 - q), "mp": (1 - p) * q, "mm": (1 - p) * (1 - q)}
+
+
+# Pair files of the golden-bytes test. DIRICHLET4 holds the CHSH-pattern
+# marginals of one 16-cell joint drawn from a flat Dirichlet, as literals.
+GOLDEN_PAIRS = {
+    "sym3": {"AB": cov_table(math.cos(0.7)), "BC": cov_table(math.cos(2.1)),
+             "CA": cov_table(math.cos(2.8))},
+    "asym3": {"AB": independent_table(0.6, 0.3), "BC": independent_table(0.3, 0.8),
+              "CA": independent_table(0.8, 0.6)},
+    "dirichlet4": {
+        "AB": {"pp": 0.16842711735236598, "pm": 0.36974333507656165,
+               "mp": 0.41595718455652814, "mm": 0.04587236301454417},
+        "AC": {"pp": 0.31651218996514874, "pm": 0.2216582624637789,
+               "mp": 0.3132794700220164, "mm": 0.14855007754905594},
+        "DB": {"pp": 0.046193841389017186, "pm": 0.1873413313071302,
+               "mp": 0.538190460519877, "mm": 0.2282743667839756},
+        "DC": {"pp": 0.08034738241745085, "pm": 0.1531877902786965,
+               "mp": 0.5494442775697143, "mm": 0.2170205497341383},
+    },
+    "tsirelson4": {k: cov_table(c) for k, c in TSIRELSON_COVS.items()},
+    # Marginals of a joint on four cells, with a CHSH lhs on the bound: the
+    # witness has (B, C) cells without mass and products that round to -0.0.
+    "sparse4": {
+        "AB": {"pp": 0.04013727766298369, "pm": 0.8858994317219209,
+               "mp": 0.07396329061509557, "mm": 0.0},
+        "AC": {"pp": 0.8217987312823399, "pm": 0.10423797810256465,
+               "mp": 0.07396329061509557, "mm": 0.0},
+        "DB": {"pp": 0.0, "pm": 0.10423797810256465,
+               "mp": 0.11410056827807927, "mm": 0.7816614536193562},
+        "DC": {"pp": 0.0, "pm": 0.10423797810256465,
+               "mp": 0.8957620218974355, "mm": 0.0},
+    },
+}
+
+
+class TestShortGolden:
+    # sha256 of stdout of the short subcommands, recorded before their tables
+    # moved from numpy arrays to Python floats; the port must match them byte
+    # for byte. Every value is IEEE-754 double arithmetic written out by repr.
+    GOLDEN = [
+        (("dist", "--theta", "60"),
+         "dfc783e5f5290cc6cf9accf4373ef264452c03877e5356579b254dd70edaaf7f"),
+        (("dist", "--theta", "37.5", "--local"),
+         "aea5b6c8a3fe9b6c08bc345ae13e2ea79f2491db3e05adbb4b0b0f35e544021a"),
+        (("dist", "--theta", "1.1", "--radians"),
+         "4a646c6d53074e2b4c617d189b31fb8c159b625b4e79cd1613374c24fb561a34"),
+        (("dist", "--a", "0,0.6,0.8", "--b", "0.48,0.6,-0.64"),
+         "2588e368a34fbdc4cc76ec82ecd43c64d87d27fe85060bb65090eba65c166d99"),
+        (("dist", "--theta", "123.4", "--format", "csv"),
+         "704f7adf11c766ef91ba9b2bf8d05e3b6fd0370d05cb94afb9373a7a264b547e"),
+        (("ineq", "bell", "--angles", "45,45"),
+         "6da6a8c4d496bdd8f1f42d62a875ccae740fc609ee5ba978ee40cea02afa0c94"),
+        (("ineq", "bell", "--cov", "0.5,-0.5,0.1"),
+         "4b27dba5e83a377b457f41371c80f1c4c8917ba981dc4ceb5e2a6640cb6eb7c5"),
+        (("ineq", "chsh", "--angles", "45,45,45"),
+         "d141ffaf45a874a9ade593a5086e3f2c9db17bc75049dd3db004a8d9df04be9e"),
+        (("ineq", "chsh", "--cov=-0.7,0.7,-0.7,-0.7"),
+         "28bcd78cd68b7b053ce54644e291338d133855bcedb5f2d75ee60f582cc3fa39"),
+        (("joint3", "--qm", "--angles", "22.5,22.5"),
+         "2f82abc44b6c95b09de9cc0218414d6bb23883e66bf4b5210650078b015c67e0"),
+        (("joint3", "--qm", "--angles", "71.3,40.2"),
+         "e3841ac214e243fe7e4b397493b5d2a24539433cb2ebe48a7e832aa49005dd0e"),
+        (("joint3", "--pairs", "sym3"),
+         "4185e91ddeb9f5cf9d5e5f509459d1b274f867926e6373e7cb2e36ce0a425d4b"),
+        (("joint3", "--pairs", "asym3"),
+         "c2a95376558e00d4e3777c02fe031912575798948cbd0a4514f1a3392589c65c"),
+        (("joint3", "--pairs", "asym3", "--mu3", "0.05"),
+         "54e73a761ff2e4a488759fd5c8dd7d483b3ec53d812cb9d0264c209d3da51f53"),
+        (("joint4", "--pairs", "dirichlet4"),
+         "eb2d37b4d94690e6f2081ab62a87bea032608eba6e8310e3c725aec3a24896ae"),
+        (("joint4", "--pairs", "sparse4"),
+         "db10a054825dc256d64a9cc8cb7d0adb997f0a071891a149c149978f95a52c4e"),
+        (("joint4", "--pairs", "tsirelson4"),
+         "21bacdc50666abaf1704fd6c28217c12194719ea92b731c32ea3e9342bd11822"),
+        (("info", "--step", "0.001"),
+         "b9d8ba408063cbd6e72522429f48e8664d0ddcfebc9c5228a28f8f335c5eefce"),
+    ]
+
+    @pytest.mark.parametrize("args, digest", GOLDEN)
+    def test_golden_bytes(self, capsys, tmp_path, args, digest):
+        code, out, err = run(capsys, *with_golden_files(tmp_path, args))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def with_golden_files(tmp_path, args) -> list[str]:
+    """``args`` with a ``--pairs`` name from GOLDEN_PAIRS written to a file."""
+    argv = list(args)
+    if "--pairs" in argv:
+        k = argv.index("--pairs") + 1
+        path = tmp_path / f"{argv[k]}.json"
+        path.write_text(json.dumps({"pairs": GOLDEN_PAIRS[argv[k]]}))
+        argv[k] = str(path)
+    return argv
+
+
+# The short subcommands: every route of dist, ineq, joint3, joint4 and info.
+SHORT_COMMANDS = {
+    "dist": ("dist", "--theta", "30"),
+    "dist local csv": ("dist", "--theta", "30", "--local", "--format", "csv"),
+    "dist a/b": ("dist", "--a", "0,0,1", "--b", "1,0,0"),
+    "ineq bell": ("ineq", "bell", "--angles", "45,45"),
+    "ineq chsh": ("ineq", "chsh", "--cov", "0.5,0.5,0.5,-0.5"),
+    "joint3 qm": ("joint3", "--qm", "--angles", "22.5,22.5"),
+    "joint3 pairs": ("joint3", "--pairs", "asym3", "--mu3", "0.05"),
+    "joint4 feasible": ("joint4", "--pairs", "dirichlet4"),
+    "joint4 infeasible": ("joint4", "--pairs", "tsirelson4"),
+    "info": ("info", "--step", "0.01"),
+}
+
+# Runs each [step, argv] of the JSON list in sys.argv[1] in one process and
+# prints, after import and after each step, which of numpy and scipy are loaded.
+MODULE_PROBE = """
 import json, sys
-loaded = {}
+def loaded():
+    return [name for name in ("numpy", "scipy") if name in sys.modules]
+seen = {}
 import eprbell
-loaded["import eprbell"] = "scipy" in sys.modules
+seen["import eprbell"] = loaded()
 from eprbell.cli import main
-for step, argv in (
-    ("dist", ["dist", "--theta", "30"]),
-    ("joint4 infeasible", ["joint4", "--pairs", sys.argv[1]]),
-    ("joint4 feasible", ["joint4", "--pairs", sys.argv[2]]),
-):
-    assert main(argv) == 0
-    loaded[step] = "scipy" in sys.modules
-print(json.dumps(loaded))
+for step, argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    seen[step] = loaded()
+print(json.dumps(seen))
 """
 
-# With sys.modules["scipy"] = None every scipy import raises ImportError.
-SCIPY_BLOCKED = """
-import sys
-sys.modules["scipy"] = None
+# With sys.modules[name] = None every import of that module raises
+# ImportError. Runs each argv of the JSON list in sys.argv[2].
+BLOCKED_PROBE = """
+import json, sys
+sys.modules[sys.argv[1]] = None
 from eprbell.cli import main
-sys.exit(main(["joint4", "--pairs", sys.argv[1]]))
+for argv in json.loads(sys.argv[2]):
+    code = main(argv)
+    if code:
+        sys.exit(code)
 """
 
 
@@ -351,17 +471,40 @@ def run_probe(probe, *args):
 
 
 def test_scipy_never_loaded(tmp_path):
-    proc = run_probe(SCIPY_PROBE, quad_file(tmp_path, TSIRELSON_COVS, "infeasible.json"),
-                     quad_file(tmp_path, UNIFORM_COVS, "feasible.json"))
+    steps = [
+        ["dist", ["dist", "--theta", "30"]],
+        ["joint4 infeasible", ["joint4", "--pairs", quad_file(tmp_path, TSIRELSON_COVS, "infeasible.json")]],
+        ["joint4 feasible", ["joint4", "--pairs", quad_file(tmp_path, UNIFORM_COVS, "feasible.json")]],
+        ["simulate", ["simulate", "--theta", "60", "-n", "1000", "--seed", "1"]],
+    ]
+    proc = run_probe(MODULE_PROBE, json.dumps(steps))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "import eprbell": False, "dist": False,
-        "joint4 infeasible": False, "joint4 feasible": False,
-    }
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert list(seen) == ["import eprbell", "dist", "joint4 infeasible", "joint4 feasible", "simulate"]
+    assert not any("scipy" in loaded for loaded in seen.values())
+
+
+def test_numpy_never_loaded(tmp_path):
+    steps = [[name, with_golden_files(tmp_path, args)] for name, args in SHORT_COMMANDS.items()]
+    steps.append(["scan", ["scan", "--inequality", "bell", "--resolution-deg", "11.25"]])
+    proc = run_probe(MODULE_PROBE, json.dumps(steps))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen.pop("scan") == ["numpy"]  # the probe sees a lazy import
+    assert seen == dict.fromkeys(["import eprbell", *SHORT_COMMANDS], [])
+
+
+def test_short_commands_without_numpy(capsys, tmp_path):
+    argvs = [with_golden_files(tmp_path, args) for args in SHORT_COMMANDS.values()]
+    expected = "".join(run(capsys, *argv)[1] for argv in argvs)
+    proc = run_probe(BLOCKED_PROBE, "numpy", json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "" and proc.stdout == expected
 
 
 def test_joint4_witness_without_scipy(tmp_path):
-    proc = run_probe(SCIPY_BLOCKED, quad_file(tmp_path, UNIFORM_COVS))
+    argv = ["joint4", "--pairs", quad_file(tmp_path, UNIFORM_COVS)]
+    proc = run_probe(BLOCKED_PROBE, "scipy", json.dumps([argv]))
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["feasible"] is True
@@ -419,8 +562,28 @@ class TestInfo:
         assert run(capsys, "info", "--step", "0")[0] == 64
         assert run(capsys, "info", "--step", "2")[0] == 64
 
+    # 2 / step rounds to the interval count; the curve has one point more.
+    @pytest.mark.parametrize("intervals, code", [
+        (INFO_MAX_POINTS - 1, 0), (INFO_MAX_POINTS - 0.6, 0),
+        (INFO_MAX_POINTS - 0.4, 64), (1e6, 64),
+    ])
+    def test_point_cap(self, capsys, intervals, code):
+        got, out, err = run(capsys, "info", "--step", repr(2.0 / intervals))
+        assert got == code
+        if code:
+            assert out == "" and err.startswith("error: step") and str(INFO_MAX_POINTS) in err
+        else:
+            assert out.count("\n") == 1 + INFO_MAX_POINTS
+
 
 class TestVerify:
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "TOL", -1.0)  # every deviation now fails
+        code, out, _ = run(capsys, "verify", "--trials", "5")
+        assert code == 1
+        lines = out.strip().split("\n")
+        assert len(lines) == 3 and all(line.startswith("FAIL") for line in lines)
+
     def test_runs_clean(self, capsys):
         code, out, _ = run(capsys, "verify", "--trials", "50", "--seed", "1")
         assert code == 0
@@ -464,6 +627,26 @@ def test_broken_pipe_without_file_descriptor(monkeypatch):
 
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert main(["dist", "--theta", "30"]) == 65
+
+
+# Flags a subcommand used to accept and ignore; each now exits 64.
+@pytest.mark.parametrize("argv", [
+    ["ineq", "bell", "--angles", "45,45", "--format", "csv"],
+    ["scan", "--inequality", "bell", "--resolution-deg", "11.25", "--radians"],
+    ["scan", "--inequality", "bell", "--resolution-deg", "11.25", "--format", "json"],
+    ["joint3", "--qm", "--angles", "10,10", "--format", "csv"],
+    ["joint4", "--pairs", "quad.json", "--radians"],
+    ["joint4", "--pairs", "quad.json", "--format", "json"],
+    ["simulate", "--theta", "60", "-n", "10", "--seed", "1", "--format", "csv"],
+    ["info", "--step", "1", "--radians"],
+    ["info", "--step", "1", "--format", "csv"],
+    ["verify", "--trials", "1", "--radians"],
+    ["verify", "--trials", "1", "--format", "json"],
+])
+def test_flag_not_taken(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err.startswith("error: unrecognized arguments: --")
 
 
 class TestTopLevel:

@@ -65,6 +65,25 @@ def grid_oracle_exists(m_ab, m_bc, m_ca, m_a=0.0, m_b=0.0, m_c=0.0, step=1e-3):
 
 
 class TestTableValidation:
+    @pytest.mark.parametrize("cls, dims", [(TripleDist, 3), (QuadDist, 4)])
+    def test_cells_and_read_only_array(self, cls, dims):
+        q = np.arange(1.0, 2 ** dims + 1) / (2 ** (dims - 1) * (2 ** dims + 1))
+        t = cls(q.reshape((2,) * dims))
+        assert t.cells == tuple(q.tolist()) and cls(tuple(q.tolist())) == t
+        assert t.q is t.q and not t.q.flags.writeable
+        assert t.q.shape == (2,) * dims and t.q.ravel().tolist() == list(t.cells)
+
+    def test_triple_prob_and_negative_cells(self):
+        t = triple_from_moments(MomentSet3(m_ab=-1.0, m_bc=-1.0, m_ca=-1.0))
+        for cell in itertools.product((1, -1), repeat=3):
+            assert t.prob(*cell) == t.q[tuple((1 - s) // 2 for s in cell)]
+        assert t.negative_cells() == [((1, 1, 1), -0.25), ((-1, -1, -1), -0.25)]
+
+    @pytest.mark.parametrize("cls", [TripleDist, QuadDist])
+    def test_rejects_wrong_shape(self, cls):
+        with pytest.raises(InvalidInputError, match="2x2x2"):
+            cls(np.full((2, 2), 0.25))
+
     @pytest.mark.parametrize("first, second", [(math.nan, 0.0), (math.inf, -math.inf)])
     @pytest.mark.parametrize("cls, shape", [(TripleDist, (2, 2, 2)), (QuadDist, (2, 2, 2, 2))])
     def test_rejects_non_finite_entries(self, cls, shape, first, second):

@@ -16,7 +16,7 @@ from eprbell import (
     qm_marginal,
     qm_pair_dist,
 )
-from eprbell.spincore import PairDist
+from eprbell.spincore import PairDist, table_sum
 
 from conftest import random_direction, random_rotation
 
@@ -56,6 +56,24 @@ class TestPairDist:
     def test_from_mapping_rejects_non_numbers(self, cell):
         with pytest.raises(InvalidInputError, match="numbers"):
             PairDist.from_mapping({"pp": cell, "pm": 0.25, "mp": 0.25, "mm": 0.25})
+
+    def test_cells_and_read_only_table(self):
+        d = PairDist(np.array([[0.1, 0.2], [0.3, 0.4]]))
+        assert d.cells == (0.1, 0.2, 0.3, 0.4)
+        assert PairDist([0.1, 0.2, 0.3, 0.4]) == d
+        assert d.table is d.table and not d.table.flags.writeable
+        assert d.table.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+
+    @pytest.mark.parametrize("values", [[0.25] * 3, [[0.5, 0.5]], [[0.25, 0.25], [0.25]], 0.25, "abcd"])
+    def test_rejects_wrong_shape(self, values):
+        with pytest.raises(InvalidInputError, match="2x2"):
+            PairDist(values)
+
+    def test_clip_matches_numpy(self):
+        raw = [-0.0, -1e-13, 0.0, 1.0 + 1e-13]
+        cells = PairDist(raw).cells
+        assert cells == (0.0, 0.0, 0.0, 1.0)
+        assert [math.copysign(1.0, v) for v in cells] == np.copysign(1.0, np.clip(raw, 0.0, 1.0)).tolist()
 
     def test_from_mapping_accepts_numbers(self):
         m = {"pp": 1, "pm": 0.0, "mp": np.float64(0.0), "mm": 0}
@@ -182,3 +200,12 @@ class TestPropertyI:
     def test_uniform_fixed_point(self):
         u = PairDist(np.full((2, 2), 0.25))
         assert np.array_equal(apply_property_I(u).table, u.table)
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+def test_table_sum_matches_numpy(dims):
+    """Normalized tables keep numpy's bits only if the sum order is numpy's."""
+    rng = np.random.default_rng(dims)
+    for _ in range(3000):
+        t = rng.dirichlet(np.full(2 ** dims, rng.choice([0.1, 1.0]))) * rng.uniform(0.5, 2.0)
+        assert table_sum(t.tolist()) == float(t.reshape((2,) * dims).sum())
