@@ -75,7 +75,7 @@ from .spincore import (
 __version__ = "0.1.0"
 
 _NUMPY_BACKED = {
-    "born": ("SingletState", "singlet_pair_prob", "spin_projector"),
+    "born": ("SingletState", "singlet_pair_prob", "singlet_pair_probs", "spin_projector"),
     "hvsim": (
         "BLOCK_SIZE", "PartitionSpec", "SimReport", "block_rng", "classify",
         "mixture_pair_dist", "p_c_analytic", "product_rule_demo", "sample_lambda",

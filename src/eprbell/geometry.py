@@ -51,9 +51,14 @@ class Direction:
     def dot(self, other: "Direction") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
+    def cos_to(self, other: "Direction") -> float:
+        """Cosine of the angle between the two directions: the dot product
+        clamped to [-1, 1], which rounding can leave by an ulp."""
+        return max(-1.0, min(1.0, self.dot(other)))
+
     def angle_to(self, other: "Direction") -> float:
         """Angle between the two directions, in [0, pi]."""
-        return math.acos(max(-1.0, min(1.0, self.dot(other))))
+        return math.acos(self.cos_to(other))
 
     def __neg__(self) -> "Direction":
         return Direction(-self.x, -self.y, -self.z)

@@ -75,7 +75,7 @@ class PartitionSpec:
 
     @classmethod
     def for_directions(cls, a: Direction, b: Direction) -> "PartitionSpec":
-        x = max(-1.0, min(1.0, a.dot(b)))
+        x = a.cos_to(b)
         return cls(a=a, b=b, cap_axis=Direction(0.0, 0.0, 1.0), cap_angle=math.acos(-x))
 
     @property
@@ -110,7 +110,7 @@ def mixture_pair_dist(a: Direction, b: Direction) -> PairDist:
     pc = p_c_analytic(a, b)
     equal = 0.5 * pc[1]
     unequal = 0.5 * pc[-1]
-    return PairDist(np.array([[equal, unequal], [unequal, equal]]))
+    return PairDist((equal, unequal, unequal, equal))
 
 
 @dataclass(frozen=True)

@@ -270,7 +270,7 @@ def existence_check_3(m_a, m_b, m_c, m_ab, m_bc, m_ca, symmetric: bool = False) 
 def qm_triple(a: Direction, b: Direction, c: Direction) -> TripleDist:
     """The unique sign-symmetric signed table whose pair marginals are the
     single-device tables for (a, b), (b, c), (c, a)."""
-    m = MomentSet3(m_ab=a.dot(b), m_bc=b.dot(c), m_ca=c.dot(a))
+    m = MomentSet3(m_ab=a.cos_to(b), m_bc=b.cos_to(c), m_ca=c.cos_to(a))
     return TripleDist(triple_from_moments(m).cells, ("A(a)", "A(b)", "A(c)"))
 
 

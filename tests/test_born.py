@@ -8,6 +8,7 @@ from eprbell import (
     SingletState,
     qm_pair_dist,
     singlet_pair_prob,
+    singlet_pair_probs,
     spin_projector,
 )
 from eprbell.errors import InvalidInputError
@@ -89,3 +90,48 @@ class TestSingletPairProb:
         assert singlet_pair_prob(a, b, 1, -1, state=state) == pytest.approx(
             base, abs=1e-12
         )
+
+
+def direction_arrays(rng, k):
+    """k random direction pairs, as Directions and as (k, 3) arrays."""
+    pairs = [(random_direction(rng), random_direction(rng)) for _ in range(k)]
+    a = np.array([(u.x, u.y, u.z) for u, _ in pairs])
+    b = np.array([(v.x, v.y, v.z) for _, v in pairs])
+    return pairs, a, b
+
+
+class TestSingletPairProbs:
+    def test_matches_closed_form_all_cells(self, rng):
+        pairs, a, b = direction_arrays(rng, 500)
+        probs = singlet_pair_probs(a, b)
+        assert probs.shape == (500, 2, 2)
+        closed = np.array([qm_pair_dist(u, v).cells for u, v in pairs])
+        assert np.max(np.abs(probs.reshape(-1, 4) - closed)) < 1e-12
+
+    def test_matches_one_trial_route(self, rng):
+        pairs, a, b = direction_arrays(rng, 50)
+        probs = singlet_pair_probs(a, b)
+        for i, (u, v) in enumerate(pairs):
+            for j, alpha in enumerate((1, -1)):
+                for k, beta in enumerate((1, -1)):
+                    assert singlet_pair_prob(u, v, alpha, beta) == pytest.approx(
+                        probs[i, j, k], abs=1e-15
+                    )
+
+    def test_phase_invariance(self, rng):
+        _, a, b = direction_arrays(rng, 20)
+        state = SingletState().with_phase(0.7)
+        assert np.allclose(singlet_pair_probs(a, b, state), singlet_pair_probs(a, b),
+                           rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((3,), (3,)), ((4, 3), (5, 3)), ((4, 2), (4, 2))])
+    def test_rejects_bad_shapes(self, a_shape, b_shape):
+        with pytest.raises(InvalidInputError):
+            singlet_pair_probs(np.zeros(a_shape), np.zeros(b_shape))
+
+    def test_rejects_bad_sign(self):
+        a = Direction(0, 0, 1)
+        with pytest.raises(InvalidInputError):
+            singlet_pair_prob(a, a, 0, 1)
+        with pytest.raises(InvalidInputError):
+            spin_projector(a, 2)

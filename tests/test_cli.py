@@ -208,6 +208,13 @@ class TestJoint3:
         expected = (1 - 2 * math.cos(math.pi / 8) + math.cos(math.pi / 4)) / 8
         assert doc["entries"]["pmp"] == pytest.approx(expected, abs=1e-12)
 
+    def test_qm_coplanar_rounding(self, capsys):
+        # b = c: the computed b.c is 1 + 2^-52, which used to exit 64 with
+        # "moment m_bc = 1.0000000000000002 outside [-1, 1]".
+        doc = run_json(capsys, "joint3", "--qm", "--angles", "120,0")
+        assert doc["valid"] is True and doc["negative_cells"] == []
+        assert doc["entries"]["pmm"] == pytest.approx(0.375, abs=1e-12)
+
     def test_pairs_file_infeasible(self, capsys, tmp_path):
         path = tmp_path / "pairs.json"
         path.write_text(json.dumps({"pairs": {"AB": CONTRA_AB, "BC": CONTRA_BC, "CA": CONTRA_CA}}))
@@ -598,6 +605,18 @@ class TestVerify:
         assert code == 0 and out == ""
         assert path.read_text() == expected
 
+    # sha256 of stdout, recorded with numpy 2.4.6 on a 2-vCPU Intel Xeon
+    # (the sphere draws go through numpy's cos and sin).
+    @pytest.mark.parametrize("args, digest", [
+        ((), "614500b884db27792eb49fb7104ba7c87c9bf1732a2ad99dbd51eb71791130d5"),
+        (("--trials", "50", "--seed", "1"),
+         "9cb9352f6ea46deb8ff36fa38c2c7647bfcc54cda8675f0ae59633c58ad986ba"),
+    ])
+    def test_golden_bytes(self, capsys, args, digest):
+        code, out, _ = run(capsys, "verify", *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 @pytest.mark.parametrize("argv, lines_read", [
     (["scan", "--inequality", "chsh", "--resolution-deg", "5"], 1),
@@ -631,6 +650,7 @@ def test_broken_pipe_without_file_descriptor(monkeypatch):
 
 # Flags a subcommand used to accept and ignore; each now exits 64.
 @pytest.mark.parametrize("argv", [
+    ["dist", "--theta", "30", "--pair"],
     ["ineq", "bell", "--angles", "45,45", "--format", "csv"],
     ["scan", "--inequality", "bell", "--resolution-deg", "11.25", "--radians"],
     ["scan", "--inequality", "bell", "--resolution-deg", "11.25", "--format", "json"],

@@ -45,6 +45,13 @@ class TestDirection:
         a, b = Direction.from_angle(t1), Direction.from_angle(t2)
         assert math.cos(a.angle_to(b)) == pytest.approx(a.dot(b), abs=1e-9)
 
+    def test_cos_to_clamps_rounding(self):
+        b = Direction.from_angle(math.radians(120.0))
+        assert b.dot(b) > 1.0  # 1 + 2^-52 from rounding
+        assert b.cos_to(b) == 1.0 and (-b).cos_to(b) == -1.0
+        a = Direction(0.0, 0.6, 0.8)
+        assert a.cos_to(Direction(0.48, 0.6, -0.64)) == a.dot(Direction(0.48, 0.6, -0.64))
+
 
 class TestPairDist:
     @pytest.mark.parametrize("first, second", [(math.nan, 0.25), (math.inf, -math.inf)])
