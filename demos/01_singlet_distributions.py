@@ -39,7 +39,7 @@ def main():
 
     print("\nBut conditionals are not - at theta = 0 the remote outcome is forced:")
     b = Direction.from_angle(0.0)
-    print("  P[A | B=+1] =", qm_conditional(a, b, given=1, side="B"))
+    print("  P[A | B=+1] =", qm_conditional(a, b, given=1))
 
     print("\nSingle-device table at 60 deg (same device measured twice):")
     b = Direction.from_angle(math.radians(60))

@@ -49,7 +49,6 @@ from .joint import (
     QuadFeasibility,
     TripleDist,
     chsh_family_verdicts,
-    chsh_split_lhs,
     default_mu3,
     existence_check_3,
     moments_from_pairs,

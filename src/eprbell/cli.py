@@ -3,10 +3,13 @@
 Angles are entered in degrees by default; ``--radians`` switches on the
 subcommands that take angles (dist, ineq, joint3, simulate). Only ``dist``
 has ``--format`` (json or csv); a flag a subcommand does not take exits 64.
-Verdicts ("violated", "infeasible") are data, not failures: they exit 0.
-Exit codes: 0 success, 1 a ``verify`` self-check failed, 64 usage error,
-65 data/file error, including output that cannot be written: stdout closed
-by its reader (``eprbell scan ... | head -1``) exits 65 without a message.
+
+The exit code follows from the type of the error alone: 64 for an
+``InvalidInputError`` (usage), 65 for any other ``EprBellError`` (data,
+including output that cannot be written), 1 for a ``verify`` check that
+failed, else 0. Verdicts ("violated", "infeasible") are data, not failures:
+they exit 0. Stdout closed by its reader (``eprbell scan ... | head -1``)
+exits 65 without a message.
 
 Only ``scan``, ``simulate`` and ``verify`` load numpy; the other subcommands
 compute with Python floats.
@@ -17,13 +20,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import os
 import sys
 
-from .errors import EprBellError, InconsistentMarginalsError, InvalidInputError
+from .errors import EprBellError, InvalidInputError
 from .geometry import Direction
 from .inequalities import (
     CovarianceQuad,
@@ -43,7 +45,7 @@ from .joint import (
     triple_from_moments,
     MomentSet3,
 )
-from .spincore import PairDist, covariance, local_pair_dist, qm_pair_dist
+from .spincore import PairDist, cell_key, cell_keys, covariance, local_pair_dist, qm_pair_dist
 
 EXIT_OK = 0
 EXIT_USAGE = 64
@@ -60,12 +62,12 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class UsageError(Exception):
-    pass
+class UsageError(InvalidInputError):
+    """A bad command line: exit 64."""
 
 
-class DataError(Exception):
-    pass
+class DataError(EprBellError):
+    """A file that cannot be read or used, or output that cannot be written: exit 65."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,22 +110,24 @@ def _parse_direction(text: str, what: str) -> Direction:
         raise UsageError(f"{what}: {exc}")
 
 
-def _emit(text, output: str | None):
-    """Write ``text`` (a string or an iterable of strings, written as they
-    come) to the ``output`` file or stdout."""
-    chunks = (text,) if isinstance(text, str) else text
-    if not output:
+def _emit(out, args):
+    """Write a handler's output to the ``-o`` file or stdout: a dict as JSON,
+    or as one CSV row under ``--format csv``; text (a string or an iterable
+    of strings) as it comes."""
+    if isinstance(out, dict):
+        if getattr(args, "format", "json") == "csv":
+            out = _csv(list(out), [list(out.values())])
+        else:
+            out = json.dumps(out, indent=2) + "\n"
+    chunks = (out,) if isinstance(out, str) else out
+    if not args.output:
         sys.stdout.writelines(chunks)
         return
     try:
-        with open(output, "w") as fh:
+        with open(args.output, "w") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        raise DataError(f"cannot write {output}: {exc}")
-
-
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+        raise DataError(f"cannot write {args.output}: {exc}")
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
@@ -146,7 +150,7 @@ def _load_pair_file(path: str, keys: tuple[str, ...]) -> dict[str, PairDist]:
         raise DataError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep or too long a number
         raise DataError(f"{path} is not valid JSON: {exc}")
     pairs = doc.get("pairs") if isinstance(doc, dict) else None
     if not isinstance(pairs, dict):
@@ -165,7 +169,7 @@ def _load_pair_file(path: str, keys: tuple[str, ...]) -> dict[str, PairDist]:
 # --- subcommands ---
 
 
-def _cmd_dist(args) -> int:
+def _cmd_dist(args) -> dict:
     if (args.theta is None) == (args.a is None):
         raise UsageError("give exactly one of --theta or --a/--b")
     if args.a is not None:
@@ -177,16 +181,10 @@ def _cmd_dist(args) -> int:
         a = Direction.from_angle(0.0)
         b = Direction.from_angle(_to_rad(args.theta, args.radians))
     dist = local_pair_dist(a, b) if args.local else qm_pair_dist(a, b)
-    payload = dict(dist.to_mapping())
-    payload["covariance"] = covariance(dist)
-    if args.format == "csv":
-        _emit(_csv(list(payload), [list(payload.values())]), args.output)
-    else:
-        _emit(_json(payload), args.output)
-    return EXIT_OK
+    return {**dist.to_mapping(), "covariance": covariance(dist)}
 
 
-def _cmd_ineq(args) -> int:
+def _cmd_ineq(args) -> dict:
     radians = args.radians
     if (args.angles is None) == (args.cov is None):
         raise UsageError("give exactly one of --angles or --cov")
@@ -213,9 +211,7 @@ def _cmd_ineq(args) -> int:
         else:
             quad = CovarianceQuad(*_parse_floats(args.cov, 4, "--cov"))
         verdict = chsh(quad)
-    payload = {"inequality": args.which, **_verdict(verdict)}
-    _emit(_json(payload), args.output)
-    return EXIT_OK
+    return {"inequality": args.which, **_verdict(verdict)}
 
 
 # Violation rows per written chunk: the CSV is never built as one string.
@@ -242,45 +238,32 @@ def _scan_csv(result, angle_names: list[str]):
     yield ",".join(["max"] + max_row) + "\n"
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     if args.resolution_deg is not None:
         resolution = math.radians(args.resolution_deg)
     elif args.resolution_rad is not None:
         resolution = args.resolution_rad
     else:
         raise UsageError("give --resolution-deg or --resolution-rad")
-    try:
-        result = violation_scan(args.inequality, resolution)
-    except InvalidInputError as exc:
-        raise UsageError(str(exc))
+    result = violation_scan(args.inequality, resolution)
     angle_names = ["phi_b_deg", "phi_c_deg"] + (
         ["phi_d_deg"] if args.inequality == "chsh" else []
     )
-    _emit(_scan_csv(result, angle_names), args.output)
-    return EXIT_OK
-
-
-_TRIPLE_KEYS = [
-    "".join("p" if s == 1 else "m" for s in cell)
-    for cell in itertools.product((1, -1), repeat=3)
-]
+    return _scan_csv(result, angle_names)
 
 
 def _triple_payload(t, interval, mu3, verdicts) -> dict:
     return {
-        "entries": dict(zip(_TRIPLE_KEYS, t.cells)),
+        "entries": dict(zip(cell_keys(3), t.cells)),
         "valid": t.valid,
-        "negative_cells": [
-            {"cell": "".join("p" if s == 1 else "m" for s in cell), "value": v}
-            for cell, v in t.negative_cells()
-        ],
+        "negative_cells": [{"cell": cell_key(cell), "value": v} for cell, v in t.negative_cells()],
         "mu3": mu3,
         "mu3_interval": {"lo": interval.lo, "hi": interval.hi, "empty": interval.empty},
         "inequalities": {name: _verdict(v) for name, v in verdicts.items()},
     }
 
 
-def _cmd_joint3(args) -> int:
+def _cmd_joint3(args) -> dict:
     if args.qm == (args.pairs is not None):
         raise UsageError("give exactly one of --qm --angles or --pairs FILE")
     if args.qm:
@@ -297,10 +280,7 @@ def _cmd_joint3(args) -> int:
         payload = _triple_payload(trip, interval, 0.0, check.verdicts)
     else:
         tables = _load_pair_file(args.pairs, ("AB", "BC", "CA"))
-        try:
-            moments = moments_from_pairs(tables["AB"], tables["BC"], tables["CA"])
-        except InconsistentMarginalsError as exc:
-            raise DataError(str(exc))
+        moments = moments_from_pairs(tables["AB"], tables["BC"], tables["CA"])
         interval = mu3_interval(
             moments.m_a, moments.m_b, moments.m_c, moments.m_ab, moments.m_bc, moments.m_ca
         )
@@ -319,39 +299,27 @@ def _cmd_joint3(args) -> int:
         # inputs keep the inequalities' verdict, exact there as well.
         payload["exists"] = check.exists if check.exact else not interval.empty
         payload["necessary_conditions_hold"] = check.exists
-    _emit(_json(payload), args.output)
-    return EXIT_OK
+    return payload
 
 
-_QUAD_KEYS = [
-    "".join("p" if s == 1 else "m" for s in cell)
-    for cell in itertools.product((1, -1), repeat=4)
-]
-
-
-def _cmd_joint4(args) -> int:
+def _cmd_joint4(args) -> dict:
     tables = _load_pair_file(args.pairs, ("AB", "AC", "DB", "DC"))
-    try:
-        result = quad_feasibility(tables["AB"], tables["AC"], tables["DB"], tables["DC"])
-    except InconsistentMarginalsError as exc:
-        raise DataError(str(exc))
-    payload = {
+    result = quad_feasibility(tables["AB"], tables["AC"], tables["DB"], tables["DC"])
+    return {
         "feasible": result.feasible,
         "failed_inequality": result.failed,
         "inequalities": {name: _verdict(v) for name, v in result.verdicts.items()},
-        "witness": dict(zip(_QUAD_KEYS, result.witness.cells)) if result.witness is not None else None,
+        "witness": dict(zip(cell_keys(4), result.witness.cells)) if result.witness is not None else None,
     }
-    _emit(_json(payload), args.output)
-    return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     from .hvsim import simulate
 
     a = Direction.from_angle(0.0)
     b = Direction.from_angle(_to_rad(args.theta, args.radians))
     report = simulate(a, b, args.n, args.seed, mode=args.mode, threads=args.threads)
-    payload = {
+    return {
         "contract": report.contract,
         "n": report.n_samples,
         "seed": report.seed,
@@ -362,21 +330,15 @@ def _cmd_simulate(args) -> int:
         "max_abs_dev": report.max_abs_dev,
         "chi_square": report.chi_square,
     }
-    _emit(_json(payload), args.output)
-    return EXIT_OK
 
 
-def _cmd_info(args) -> int:
-    try:
-        points = info_curve(args.step)
-    except InvalidInputError as exc:
-        raise UsageError(str(exc))
-    rows = [[p.x, p.mutual_information_bits, p.conditional_entropy_bits] for p in points]
-    _emit(_csv(["x", "mi_bits", "cond_entropy_bits"], rows), args.output)
-    return EXIT_OK
+def _cmd_info(args) -> str:
+    rows = [[p.x, p.mutual_information_bits, p.conditional_entropy_bits] for p in info_curve(args.step)]
+    return _csv(["x", "mi_bits", "cond_entropy_bits"], rows)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[list[str], int]:
+    """The report lines and the exit status: 1 when a check failed."""
     from . import verify
 
     results = verify.run_all(trials=args.trials, seed=args.seed)
@@ -387,8 +349,7 @@ def _cmd_verify(args) -> int:
         if not r.passed:
             line += f": {r.detail}"
         lines.append(line + "\n")
-    _emit(lines, args.output)
-    return EXIT_OK if all(r.passed for r in results) else 1
+    return lines, EXIT_OK if all(r.passed for r in results) else 1
 
 
 def build_parser() -> _Parser:
@@ -455,13 +416,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        out = args.func(args)  # handlers return their output; verify also its status
+        out, status = out if isinstance(out, tuple) else (out, EXIT_OK)
+        _emit(out, args)
+        return status
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import Direction
-from .spincore import PairDist, local_pair_dist, qm_pair_dist
+from .spincore import PairDist, cell_keys, local_pair_dist, qm_pair_dist
 
 BLOCK_SIZE = 65_536
 CONTRACT = 2  # version of the reproducibility contract; 2 puts the cap on +z
@@ -126,9 +126,7 @@ class SimReport:
     contract: int = CONTRACT
 
     def empirical_mapping(self) -> dict[str, float]:
-        e = self.empirical
-        return {"pp": float(e[0, 0]), "pm": float(e[0, 1]),
-                "mp": float(e[1, 0]), "mm": float(e[1, 1])}
+        return dict(zip(cell_keys(2), self.empirical.ravel().tolist()))
 
 
 def _simulate_block(seed: int, block_index: int, count: int, cos_threshold: float, singlet: bool) -> np.ndarray:

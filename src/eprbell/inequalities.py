@@ -108,7 +108,7 @@ def chsh_to_bell_reduction(t: CovarianceTriple) -> tuple[float, float]:
 
     Returns (chsh_lhs_with_d_eq_b, bell_lhs).
     """
-    bell_lhs = abs(t.c_ab - t.c_ac) - t.c_bc
+    bell_lhs = bell_1964(t).lhs
     return bell_lhs + 1.0, bell_lhs
 
 
@@ -202,8 +202,12 @@ def violation_scan(inequality: str, resolution: float) -> ScanResult:
         raise InvalidInputError(f"resolution must be in (0, pi/8], got {resolution}")
     if inequality not in ("bell", "chsh"):
         raise InvalidInputError(f"inequality must be 'bell' or 'chsh', got {inequality!r}")
-    n = int(round(2.0 * math.pi / resolution))
     dims = 2 if inequality == "bell" else 3
+    try:
+        n = int(round(2.0 * math.pi / resolution))
+    except OverflowError:  # 2 * pi / resolution is inf
+        raise InvalidInputError(f"resolution {resolution} gives a {inequality} grid of more than"
+                                f" {SCAN_MAX_POINTS} points, the most allowed")
     if n ** dims > SCAN_MAX_POINTS:
         raise InvalidInputError(
             f"resolution {resolution} gives a {inequality} grid of {n}^{dims} = {n ** dims} points;"

@@ -37,7 +37,7 @@ from .errors import (
     UndefinedConditionalError,
 )
 from .geometry import Direction
-from .inequalities import VIOLATION_SLACK, InequalityVerdict
+from .inequalities import VIOLATION_SLACK, InequalityVerdict, bell_pair_inequalities
 from .spincore import SIGNS, PairDist, cells_of, covariance, read_only_array, table_sum
 
 TRIPLE_TOL = 1e-12
@@ -143,10 +143,21 @@ class Mu3Interval:
 
     @property
     def empty(self) -> bool:
-        return self.lo > self.hi
+        # Rounding can put lo a few ulps above hi on the boundary. Within
+        # TRIPLE_TOL, the table at the midpoint has no cell below
+        # -TRIPLE_TOL / 16, so TripleDist.valid accepts it.
+        return self.lo > self.hi + TRIPLE_TOL
 
     def contains(self, v: float) -> bool:
-        return self.lo <= v <= self.hi
+        # Half the slack of empty on each side: some v is contained iff the
+        # interval is not empty.
+        return self.lo - 0.5 * TRIPLE_TOL <= v <= self.hi + 0.5 * TRIPLE_TOL
+
+    @property
+    def midpoint(self) -> float:
+        """The middle, clamped to [-1, 1]: rounding can put a bound an ulp
+        outside."""
+        return _clamp(0.5 * (self.lo + self.hi))
 
 
 def _affine_part(m_a, m_b, m_c, m_ab, m_bc, m_ca) -> list[float]:
@@ -169,10 +180,21 @@ def _pair_moments(p: PairDist) -> tuple[float, float, float]:
     return (pp + pm) - (mp + mm), (pp + mp) - (pm + mm), covariance(p)
 
 
+def _agreed_moments(**pairs: tuple[float, float]) -> list[float]:
+    """The mean of each variable's two first moments, read from two pair
+    tables, clamped to [-1, 1]. Raises InconsistentMarginalsError when they
+    differ by more than MARGINAL_TOL."""
+    for var, (u, v) in pairs.items():
+        if abs(u - v) > MARGINAL_TOL:
+            raise InconsistentMarginalsError(
+                f"marginal of {var} differs across pair tables by {abs(u - v):.3g}"
+            )
+    return [_clamp(0.5 * (u + v)) for u, v in pairs.values()]
+
+
 @dataclass(frozen=True)
 class PairMoments:
-    """Six moments extracted from the pair tables (A,B), (B,C), (C,A), plus a
-    report of how well the shared single-variable marginals agree."""
+    """Six moments extracted from the pair tables (A,B), (B,C), (C,A)."""
 
     m_a: float
     m_b: float
@@ -180,37 +202,20 @@ class PairMoments:
     m_ab: float
     m_bc: float
     m_ca: float
-    mismatch: dict[str, float]
-
-    @property
-    def consistent(self) -> bool:
-        return max(self.mismatch.values()) <= MARGINAL_TOL
 
 
 def moments_from_pairs(p_ab: PairDist, p_bc: PairDist, p_ca: PairDist) -> PairMoments:
     """Extract the first six moments from the three pair tables.
 
     Raises InconsistentMarginalsError when a shared single-variable marginal
-    differs by more than 1e-9 across tables.
+    differs by more than MARGINAL_TOL across tables.
     """
     a1, b2, m_ab = _pair_moments(p_ab)
     b1, c2, m_bc = _pair_moments(p_bc)
     c1, a2, m_ca = _pair_moments(p_ca)
-    mismatch = {"A": abs(a1 - a2), "B": abs(b2 - b1), "C": abs(c2 - c1)}
-    for var, dev in mismatch.items():
-        if dev > MARGINAL_TOL:
-            raise InconsistentMarginalsError(
-                f"marginal of {var} differs across pair tables by {dev:.3g}"
-            )
-    return PairMoments(
-        m_a=0.5 * (a1 + a2),
-        m_b=0.5 * (b1 + b2),
-        m_c=0.5 * (c1 + c2),
-        m_ab=m_ab,
-        m_bc=m_bc,
-        m_ca=m_ca,
-        mismatch=mismatch,
-    )
+    # Rounding can put a moment of a valid table an ulp outside [-1, 1].
+    return PairMoments(*_agreed_moments(A=(a1, a2), B=(b2, b1), C=(c2, c1)),
+                       _clamp(m_ab), _clamp(m_bc), _clamp(m_ca))
 
 
 def mu3_interval(m_a, m_b, m_c, m_ab, m_bc, m_ca) -> Mu3Interval:
@@ -234,7 +239,7 @@ def default_mu3(interval: Mu3Interval, symmetric: bool) -> float:
     of the feasible interval when non-empty, else 0."""
     if symmetric or interval.empty:
         return 0.0
-    return 0.5 * (interval.lo + interval.hi)
+    return interval.midpoint
 
 
 @dataclass(frozen=True)
@@ -255,13 +260,14 @@ def existence_check_3(m_a, m_b, m_c, m_ab, m_bc, m_ca, symmetric: bool = False) 
         raise InvalidInputError("symmetric flag set but first moments are non-zero")
     for name, v in (("m_ab", m_ab), ("m_bc", m_bc), ("m_ca", m_ca)):
         _check_moment(name, v)
+    abs_plus, abs_minus = bell_pair_inequalities(m_ab, m_ca, m_bc)
     verdicts = {
         "sum": InequalityVerdict(-(m_ab + m_bc + m_ca), 1.0),
         "flip_a": InequalityVerdict(-(m_ab - m_bc - m_ca), 1.0),
         "flip_b": InequalityVerdict(-(-m_ab + m_bc - m_ca), 1.0),
         "flip_c": InequalityVerdict(-(-m_ab - m_bc + m_ca), 1.0),
-        "abs_plus": InequalityVerdict(abs(m_ab + m_ca) - m_bc, 1.0),
-        "abs_minus": InequalityVerdict(abs(m_ab - m_ca) + m_bc, 1.0),
+        "abs_plus": abs_plus,
+        "abs_minus": abs_minus,
     }
     exists = all(v.satisfied for v in verdicts.values())
     return ExistenceResult(exists=exists, exact=bool(symmetric), verdicts=verdicts)
@@ -323,12 +329,6 @@ def chsh_family_verdicts(c_ab, c_ac, c_db, c_dc) -> dict[str, InequalityVerdict]
     }
 
 
-def chsh_split_lhs(c_ab, c_ac, c_db, c_dc) -> float:
-    """The split-absolute form |c_ab - c_ac| + |c_db + c_dc|; its value is the
-    larger of the "minus_ab" / "minus_ac" expressions."""
-    return abs(c_ab - c_ac) + abs(c_db + c_dc)
-
-
 @dataclass(frozen=True)
 class QuadFeasibility:
     feasible: bool
@@ -376,8 +376,8 @@ def _glued_witness(m_a, m_b, m_c, m_d, c_ab, c_ac, c_db, c_dc) -> Optional[QuadD
     m_bc = _clamp(0.5 * (lo + hi))
     triangles = []
     for m_x, m_xb, m_xc in ((m_a, c_ab, c_ac), (m_d, c_db, c_dc)):
-        mu3 = mu3_interval(m_x, m_b, m_c, m_xb, m_bc, m_xc)
-        moments = MomentSet3(m_x, m_b, m_c, m_xb, m_bc, m_xc, _clamp(0.5 * (mu3.lo + mu3.hi)))
+        mu3 = mu3_interval(m_x, m_b, m_c, m_xb, m_bc, m_xc).midpoint
+        moments = MomentSet3(m_x, m_b, m_c, m_xb, m_bc, m_xc, mu3)
         triangles.append(triple_from_moments(moments).cells)
     q_abc, q_dbc = triangles
     p_bc = [q_abc[bc] + q_abc[4 + bc] for bc in range(4)]
@@ -410,20 +410,13 @@ def quad_feasibility(
     a2, c1, c_ac = _pair_moments(p_ac)
     d1, b2, c_db = _pair_moments(p_db)
     d2, c2, c_dc = _pair_moments(p_dc)
-    mismatch = {"A": abs(a1 - a2), "B": abs(b1 - b2), "C": abs(c1 - c2), "D": abs(d1 - d2)}
-    for var, dev in mismatch.items():
-        if dev > MARGINAL_TOL:
-            raise InconsistentMarginalsError(
-                f"marginal of {var} differs across pair tables by {dev:.3g}"
-            )
+    m_a, m_b, m_c, m_d = _agreed_moments(A=(a1, a2), B=(b1, b2), C=(c1, c2), D=(d1, d2))
 
     verdicts = chsh_family_verdicts(c_ab, c_ac, c_db, c_dc)
     failed = next((k for k, v in verdicts.items() if not v.satisfied), None)
     if failed is not None:
         return QuadFeasibility(feasible=False, witness=None, verdicts=verdicts, failed=failed)
 
-    # Rounding can put a moment of a valid table an ulp outside [-1, 1].
-    m_a, m_b, m_c, m_d = (_clamp(0.5 * (u + v)) for u, v in ((a1, a2), (b1, b2), (c1, c2), (d1, d2)))
     witness = _glued_witness(m_a, m_b, m_c, m_d, *map(_clamp, (c_ab, c_ac, c_db, c_dc)))
     if witness is None:
         raise RuntimeError(

@@ -13,6 +13,7 @@ The two are related by flipping the sign of one variable
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -34,6 +35,17 @@ def _idx(s: int) -> int:
     raise InvalidInputError(f"spin value must be +1 or -1, got {s}")
 
 
+def cell_key(signs) -> str:
+    """Name of one table cell: a letter per variable, p for +1 and m for -1."""
+    return "".join("p" if s == 1 else "m" for s in signs)
+
+
+def cell_keys(dims: int) -> tuple[str, ...]:
+    """Names of the cells of a 2 x ... x 2 table with ``dims`` axes in C
+    order, index 0 = +1: ("pp", "pm", "mp", "mm") for a pair."""
+    return tuple(map(cell_key, itertools.product(SIGNS, repeat=dims)))
+
+
 def _nested(v, depth: int) -> list:
     if depth == 0:
         return [v]
@@ -49,7 +61,7 @@ def cells_of(values, dims: int, what: str) -> tuple[float, ...]:
     v = values.tolist() if hasattr(values, "tolist") else values
     try:
         cells = tuple(map(float, v if len(v) == 1 << dims else _nested(v, dims)))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidInputError(f"{what} must be {'x'.join('2' * dims)} numbers, got {values!r}")
     if not all(map(math.isfinite, cells)):
         raise InvalidInputError(f"{what} entries must be finite: {cells}")
@@ -111,15 +123,15 @@ class PairDist:
         return self.cells[2 * _idx(first) + _idx(second)]
 
     def to_mapping(self) -> dict[str, float]:
-        """Serialize as {"pp", "pm", "mp", "mm"} with p = +1, first symbol first."""
-        return dict(zip(("pp", "pm", "mp", "mm"), self.cells))
+        """Serialize as {"pp", "pm", "mp", "mm"} (``cell_keys(2)``)."""
+        return dict(zip(cell_keys(2), self.cells))
 
     @classmethod
     def from_mapping(cls, m: dict, labels=("A", "B")) -> "PairDist":
         try:
-            cells = [m["pp"], m["pm"], m["mp"], m["mm"]]
+            cells = [m[key] for key in cell_keys(2)]
         except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"pair table mapping needs keys pp/pm/mp/mm: {exc}")
+            raise InvalidInputError(f"pair table mapping needs keys {'/'.join(cell_keys(2))}: {exc}")
         # float() would parse "0.25" and read True as 1.0.
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in cells):
             raise InvalidInputError(f"pair table cells must be numbers, got {cells}")
@@ -154,15 +166,10 @@ def qm_marginal(d: PairDist, which: str = "first") -> dict[int, float]:
     raise InvalidInputError(f"which must be 'first' or 'second', got {which!r}")
 
 
-def qm_conditional(a: Direction, b: Direction, given: int, side: str = "B") -> dict[int, float]:
-    """Conditional table for one device's outcome given the other's.
-
-    side="B" conditions on B(b)=given and returns the table for A(a);
-    side="A" the converse. By symmetry both equal
-    P[s] = (1 - s*given * a.b) / 2.
-    """
-    if side not in ("A", "B"):
-        raise InvalidInputError(f"side must be 'A' or 'B', got {side!r}")
+def qm_conditional(a: Direction, b: Direction, given: int) -> dict[int, float]:
+    """Conditional table for one device's outcome given the other's reading
+    ``given``; by symmetry it does not matter which device conditions:
+    P[s] = (1 - s*given * a.b) / 2."""
     _idx(given)
     x = a.dot(b)
     return {s: 0.5 * (1.0 - s * given * x) for s in SIGNS}

@@ -6,13 +6,11 @@ import pytest
 from scipy.optimize import linprog
 
 from eprbell import Direction, PairDist, QuadDist
+from eprbell.hvsim import sample_lambda
 
 
 def random_direction(rng: np.random.Generator) -> Direction:
-    z = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    r = np.sqrt(max(0.0, 1.0 - z * z))
-    return Direction(r * np.cos(phi), r * np.sin(phi), z)
+    return Direction(*sample_lambda(rng, 1)[0].tolist())
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -118,6 +118,13 @@ class TestScan:
         assert run(capsys, "scan", "--inequality", "bell", "--resolution-deg", "60")[0] == 64
         assert run(capsys, "scan", "--inequality", "bell")[0] == 64
 
+    @pytest.mark.parametrize("resolution", ["1e-320", "5e-324"])
+    def test_grid_limit_subnormal(self, capsys, resolution):
+        # 2 pi / resolution is inf: this used to end in an OverflowError traceback.
+        code, out, err = run(capsys, "scan", "--inequality", "bell", "--resolution-rad", resolution)
+        assert code == 64 and out == ""
+        assert err.startswith(f"error: resolution {resolution} gives a bell grid of more than")
+
     def test_grid_limit(self, capsys):
         code, out, err = run(capsys, "scan", "--inequality", "chsh", "--resolution-deg", "1.75")
         assert code == 64 and out == ""
@@ -214,6 +221,56 @@ class TestJoint3:
         doc = run_json(capsys, "joint3", "--qm", "--angles", "120,0")
         assert doc["valid"] is True and doc["negative_cells"] == []
         assert doc["entries"]["pmm"] == pytest.approx(0.375, abs=1e-12)
+
+    def test_qm_boundary_interval_not_empty(self, capsys):
+        # lo and hi cross by rounding alone (5.6e-17 > -5.6e-17); the
+        # interval used to read empty although the table is valid.
+        doc = run_json(capsys, "joint3", "--qm", "--angles", "120,0")
+        assert doc["mu3_interval"]["lo"] > doc["mu3_interval"]["hi"]
+        assert doc["mu3_interval"]["empty"] is False
+
+    def test_pairs_file_asymmetric_boundary(self, capsys, tmp_path):
+        # Marginals of the joint ppp = 0.2, ppm = 0.3, pmp = 0.5: the mu3
+        # interval is one point, which rounding puts one ulp out of order.
+        pairs = {
+            "AB": {"pp": 0.5, "pm": 0.5, "mp": 0.0, "mm": 0.0},
+            "BC": {"pp": 0.2, "pm": 0.3, "mp": 0.5, "mm": 0.0},
+            "CA": {"pp": 0.7, "pm": 0.0, "mp": 0.3, "mm": 0.0},
+        }
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": pairs}))
+        doc = run_json(capsys, "joint3", "--pairs", str(path))
+        assert doc["exists"] is True and doc["mu3_interval"]["empty"] is False
+        assert doc["valid"] is True and doc["negative_cells"] == []
+        assert doc["entries"]["pmp"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_pairs_file_moment_rounded_past_one(self, capsys, tmp_path):
+        # Marginals of the joint ppm = 0.2044..., pmp = 0.2651..., mpm =
+        # 0.5303... (B = -C): their <BC> is -1 - 2^-52, which used to exit 64
+        # with "moment m_bc = -1.0000000000000002 outside [-1, 1]".
+        pairs = {
+            "AB": {"pp": 0.20442119186048707, "pm": 0.26519293604650435, "mp": 0.5303858720930087, "mm": 0.0},
+            "BC": {"pp": 0.0, "pm": 0.7348070639534958, "mp": 0.26519293604650435, "mm": 0.0},
+            "CA": {"pp": 0.26519293604650435, "pm": 0.0, "mp": 0.20442119186048707, "mm": 0.5303858720930087},
+        }
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": pairs}))
+        doc = run_json(capsys, "joint3", "--pairs", str(path))
+        assert doc["exists"] is True and doc["valid"] is True
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"[" * 5000, "maximum recursion depth"),
+        (b"1" * 5000, "4300 digits"),
+        (b'{"pairs": {"AB": {"pp": 1' + b"0" * 400 + b', "pm": 0, "mp": 0, "mm": 0}}}', "numbers"),
+    ], ids=["deep", "long-number", "huge-cell"])
+    def test_pairs_file_edge_content(self, capsys, tmp_path, content, reason):
+        # Each used to end in a traceback (RecursionError, ValueError,
+        # OverflowError) with exit 1.
+        path = tmp_path / "pairs.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "joint3", "--pairs", str(path))
+        assert code == 65 and out == ""
+        assert err.startswith("error:") and reason in err and "Traceback" not in err
 
     def test_pairs_file_infeasible(self, capsys, tmp_path):
         path = tmp_path / "pairs.json"

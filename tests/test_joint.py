@@ -16,7 +16,6 @@ from eprbell import (
     TripleDist,
     UndefinedConditionalError,
     chsh_family_verdicts,
-    chsh_split_lhs,
     covariance,
     default_mu3,
     existence_check_3,
@@ -122,7 +121,6 @@ class TestMomentsFromPairs:
         u = PairDist(np.full((2, 2), 0.25))
         m = moments_from_pairs(u, u, u)
         assert m.m_ab == m.m_bc == m.m_ca == 0.0
-        assert m.consistent
 
     def test_contradictory_moments(self):
         m = moments_from_pairs(*contradictory_pairs())
@@ -174,6 +172,21 @@ class TestMu3Interval:
 
     def test_contradictory_empty(self):
         assert mu3_interval(0, 0, 0, 1, -1, 1).empty
+
+    def test_rounding_on_the_boundary_is_not_empty(self):
+        # Pair tables of the joint ppp = 0.2, ppm = 0.3, pmp = 0.5: their
+        # moments put lo one ulp above hi, and the midpoint table is valid.
+        m = moments_from_pairs(
+            PairDist.from_mapping({"pp": 0.5, "pm": 0.5, "mp": 0.0, "mm": 0.0}),
+            PairDist.from_mapping({"pp": 0.2, "pm": 0.3, "mp": 0.5, "mm": 0.0}),
+            PairDist.from_mapping({"pp": 0.7, "pm": 0.0, "mp": 0.3, "mm": 0.0}),
+        )
+        moments = (m.m_a, m.m_b, m.m_c, m.m_ab, m.m_bc, m.m_ca)
+        iv = mu3_interval(*moments)
+        assert iv.lo > iv.hi and not iv.empty and iv.contains(iv.midpoint)
+        assert triple_from_moments(MomentSet3(*moments, 0.5 * (iv.lo + iv.hi))).valid
+        assert joint.Mu3Interval(joint.TRIPLE_TOL, 0.0).empty is False
+        assert joint.Mu3Interval(2.0 * joint.TRIPLE_TOL, 0.0).empty is True
 
     def test_half_correlations(self):
         iv = mu3_interval(0, 0, 0, 0.5, 0.5, 0.5)
@@ -405,7 +418,6 @@ class TestQuadFeasibility:
         )
         assert not res.feasible
         assert res.failed is not None
-        assert chsh_split_lhs(-s, s, -s, -s) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
         assert max(v.lhs for v in res.verdicts.values()) == pytest.approx(
             2 * math.sqrt(2), abs=1e-12
         )

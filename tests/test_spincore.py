@@ -131,13 +131,13 @@ class TestMarginalsConditionals:
 
     def test_aligned_forces_opposite(self):
         a, b = from_angles(0.0)
-        cond = qm_conditional(a, b, given=1, side="B")
+        cond = qm_conditional(a, b, given=1)
         assert cond[-1] == pytest.approx(1.0, abs=1e-12)
         assert cond[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_antialigned_forces_equal(self):
         a, b = from_angles(math.pi)
-        cond = qm_conditional(a, b, given=1, side="B")
+        cond = qm_conditional(a, b, given=1)
         assert cond[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_uninformative(self):
@@ -152,7 +152,7 @@ class TestMarginalsConditionals:
             a, b = random_direction(rng), random_direction(rng)
             d = qm_pair_dist(a, b)
             for beta in (1, -1):
-                cond = qm_conditional(a, b, given=beta, side="B")
+                cond = qm_conditional(a, b, given=beta)
                 for alpha in (1, -1):
                     assert cond[alpha] * 0.5 == pytest.approx(
                         d.prob(alpha, beta), abs=1e-12
