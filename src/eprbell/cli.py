@@ -1,18 +1,13 @@
 """Command-line front end.
 
-Angles are entered in degrees by default; ``--radians`` switches on the
-subcommands that take angles (dist, ineq, joint3, simulate). Only ``dist``
-has ``--format`` (json or csv); a flag a subcommand does not take exits 64.
+``build_parser`` declares what a command line means; ``_resolve`` checks
+companion options and converts degrees to radians, once. Each ``_cmd_*``
+handler takes the parsed values, computes, and returns its output; ``main``
+alone writes it and maps errors to exit codes by type: 64 for an
+``InvalidInputError`` (usage), 65 for any other ``EprBellError`` or a stdout
+closed by its reader, 1 for a failed ``verify`` check.
 
-The exit code follows from the type of the error alone: 64 for an
-``InvalidInputError`` (usage), 65 for any other ``EprBellError`` (data,
-including output that cannot be written), 1 for a ``verify`` check that
-failed, else 0. Verdicts ("violated", "infeasible") are data, not failures:
-they exit 0. Stdout closed by its reader (``eprbell scan ... | head -1``)
-exits 65 without a message.
-
-Only ``scan``, ``simulate`` and ``verify`` load numpy; the other subcommands
-compute with Python floats.
+Only ``scan``, ``simulate`` and ``verify`` load numpy.
 """
 
 from __future__ import annotations
@@ -20,10 +15,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 from .errors import EprBellError, InvalidInputError
 from .geometry import Direction
@@ -40,7 +37,6 @@ from .joint import (
     existence_check_3,
     moments_from_pairs,
     mu3_interval,
-    qm_triple,
     quad_feasibility,
     triple_from_moments,
     MomentSet3,
@@ -86,24 +82,25 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _to_rad(value: float, radians: bool) -> float:
-    return value if radians else math.radians(value)
+def _floats(text: str) -> tuple[float, ...]:
+    """argparse type for a comma-separated list: each value as ``_finite_float``."""
+    return tuple(_finite_float(v) for v in text.split(","))
 
 
-def _parse_floats(text: str, n: int, what: str) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise UsageError(f"{what}: expected comma-separated numbers, got {text!r}")
+def _finite_degrees(text: str) -> float:
+    """argparse type for an angle given in degrees only (``--resolution-deg``):
+    the angle in radians."""
+    return math.radians(_finite_float(text))
+
+
+def _count(values: tuple[float, ...], n: int, what: str) -> tuple[float, ...]:
     if len(values) != n:
         raise UsageError(f"{what}: expected {n} values, got {len(values)}")
-    if not all(math.isfinite(v) for v in values):
-        raise UsageError(f"{what}: values must be finite")
     return values
 
 
-def _parse_direction(text: str, what: str) -> Direction:
-    x, y, z = _parse_floats(text, 3, what)
+def _direction(values: tuple[float, ...], what: str) -> Direction:
+    x, y, z = _count(values, 3, what)
     try:
         return Direction(x, y, z)
     except EprBellError as exc:
@@ -170,48 +167,32 @@ def _load_pair_file(path: str, keys: tuple[str, ...]) -> dict[str, PairDist]:
 
 
 def _cmd_dist(args) -> dict:
-    if (args.theta is None) == (args.a is None):
-        raise UsageError("give exactly one of --theta or --a/--b")
     if args.a is not None:
-        if args.b is None:
-            raise UsageError("--a requires --b")
-        a = _parse_direction(args.a, "--a")
-        b = _parse_direction(args.b, "--b")
+        a, b = _direction(args.a, "--a"), _direction(args.b, "--b")
     else:
-        a = Direction.from_angle(0.0)
-        b = Direction.from_angle(_to_rad(args.theta, args.radians))
+        a, b = Direction.from_angle(0.0), Direction.from_angle(args.theta)
     dist = local_pair_dist(a, b) if args.local else qm_pair_dist(a, b)
     return {**dist.to_mapping(), "covariance": covariance(dist)}
 
 
+# Each inequality's covariance type (its fields in argument order) and verdict.
+_INEQUALITIES = {"bell": (CovarianceTriple, bell_1964), "chsh": (CovarianceQuad, chsh)}
+
+
 def _cmd_ineq(args) -> dict:
-    radians = args.radians
-    if (args.angles is None) == (args.cov is None):
-        raise UsageError("give exactly one of --angles or --cov")
-    if args.which == "bell":
-        if args.angles is not None:
-            t_ab, t_bc = (_to_rad(v, radians) for v in _parse_floats(args.angles, 2, "--angles"))
-            # Coplanar: phi_a = 0, phi_b = t_ab, phi_c = t_ab + t_bc.
-            t_ac = t_ab + t_bc
-            triple = CovarianceTriple(-math.cos(t_ab), -math.cos(t_ac), -math.cos(t_bc))
-        else:
-            triple = CovarianceTriple(*_parse_floats(args.cov, 3, "--cov"))
-        verdict = bell_1964(triple)
+    covariances, verdict = _INEQUALITIES[args.which]
+    n = len(fields(covariances))
+    if args.angles is not None:
+        # Coplanar increments: phi_a = 0 and each next direction turns by the
+        # next increment (bell: b, c; chsh: b, d, c), so the a-c angle is
+        # their sum and the rest are the increments themselves. The sum runs
+        # left to right; sum() would compensate on Python >= 3.12.
+        t = _count(args.angles, n - 1, "--angles")
+        *_, t_ac = itertools.accumulate(t)
+        values = [-math.cos(v) for v in (t[0], t_ac, *t[1:])]
     else:
-        if args.angles is not None:
-            t_ab, t_db, t_dc = (
-                _to_rad(v, radians) for v in _parse_floats(args.angles, 3, "--angles")
-            )
-            # Coplanar: phi_a = 0, phi_b = t_ab, phi_d = phi_b + t_db,
-            # phi_c = phi_d + t_dc, so t_ac = t_ab + t_db + t_dc.
-            t_ac = t_ab + t_db + t_dc
-            quad = CovarianceQuad(
-                -math.cos(t_ab), -math.cos(t_ac), -math.cos(t_db), -math.cos(t_dc)
-            )
-        else:
-            quad = CovarianceQuad(*_parse_floats(args.cov, 4, "--cov"))
-        verdict = chsh(quad)
-    return {"inequality": args.which, **_verdict(verdict)}
+        values = _count(args.cov, n, "--cov")
+    return {"inequality": args.which, **_verdict(verdict(covariances(*values)))}
 
 
 # Violation rows per written chunk: the CSV is never built as one string.
@@ -239,62 +220,36 @@ def _scan_csv(result, angle_names: list[str]):
 
 
 def _cmd_scan(args):
-    if args.resolution_deg is not None:
-        resolution = math.radians(args.resolution_deg)
-    elif args.resolution_rad is not None:
-        resolution = args.resolution_rad
-    else:
-        raise UsageError("give --resolution-deg or --resolution-rad")
-    result = violation_scan(args.inequality, resolution)
+    result = violation_scan(args.inequality, args.resolution)
     angle_names = ["phi_b_deg", "phi_c_deg"] + (
         ["phi_d_deg"] if args.inequality == "chsh" else []
     )
     return _scan_csv(result, angle_names)
 
 
-def _triple_payload(t, interval, mu3, verdicts) -> dict:
-    return {
-        "entries": dict(zip(cell_keys(3), t.cells)),
-        "valid": t.valid,
-        "negative_cells": [{"cell": cell_key(cell), "value": v} for cell, v in t.negative_cells()],
-        "mu3": mu3,
-        "mu3_interval": {"lo": interval.lo, "hi": interval.hi, "empty": interval.empty},
-        "inequalities": {name: _verdict(v) for name, v in verdicts.items()},
-    }
-
-
 def _cmd_joint3(args) -> dict:
-    if args.qm == (args.pairs is not None):
-        raise UsageError("give exactly one of --qm --angles or --pairs FILE")
     if args.qm:
-        if args.angles is None:
-            raise UsageError("--qm requires --angles t_ab,t_bc")
-        t_ab, t_bc = (_to_rad(v, args.radians) for v in _parse_floats(args.angles, 2, "--angles"))
-        a = Direction.from_angle(0.0)
-        b = Direction.from_angle(t_ab)
-        c = Direction.from_angle(t_ab + t_bc)
-        trip = qm_triple(a, b, c)
-        moments = (a.cos_to(b), b.cos_to(c), c.cos_to(a))
-        interval = mu3_interval(0, 0, 0, *moments)
-        check = existence_check_3(0, 0, 0, *moments, symmetric=True)
-        payload = _triple_payload(trip, interval, 0.0, check.verdicts)
+        t_ab, t_bc = _count(args.angles, 2, "--angles")
+        a, b, c = (Direction.from_angle(phi) for phi in (0.0, t_ab, t_ab + t_bc))
+        moments = (0.0, 0.0, 0.0, a.cos_to(b), b.cos_to(c), c.cos_to(a))
     else:
         tables = _load_pair_file(args.pairs, ("AB", "BC", "CA"))
-        moments = moments_from_pairs(tables["AB"], tables["BC"], tables["CA"])
-        interval = mu3_interval(
-            moments.m_a, moments.m_b, moments.m_c, moments.m_ab, moments.m_bc, moments.m_ca
-        )
-        symmetric = max(abs(moments.m_a), abs(moments.m_b), abs(moments.m_c)) <= 1e-9
-        mu3 = args.mu3 if args.mu3 is not None else default_mu3(interval, symmetric)
-        trip = triple_from_moments(
-            MomentSet3(moments.m_a, moments.m_b, moments.m_c,
-                       moments.m_ab, moments.m_bc, moments.m_ca, mu3)
-        )
-        check = existence_check_3(
-            moments.m_a, moments.m_b, moments.m_c,
-            moments.m_ab, moments.m_bc, moments.m_ca, symmetric=symmetric,
-        )
-        payload = _triple_payload(trip, interval, mu3, check.verdicts)
+        m = moments_from_pairs(tables["AB"], tables["BC"], tables["CA"])
+        moments = (m.m_a, m.m_b, m.m_c, m.m_ab, m.m_bc, m.m_ca)
+    interval = mu3_interval(*moments)
+    symmetric = max(map(abs, moments[:3])) <= 1e-9
+    mu3 = args.mu3 if args.mu3 is not None else default_mu3(interval, symmetric)
+    trip = triple_from_moments(MomentSet3(*moments, mu3))
+    check = existence_check_3(*moments, symmetric=symmetric)
+    payload = {
+        "entries": dict(zip(cell_keys(3), trip.cells)),
+        "valid": trip.valid,
+        "negative_cells": [{"cell": cell_key(cell), "value": v} for cell, v in trip.negative_cells()],
+        "mu3": mu3,
+        "mu3_interval": {"lo": interval.lo, "hi": interval.hi, "empty": interval.empty},
+        "inequalities": {name: _verdict(v) for name, v in check.verdicts.items()},
+    }
+    if args.pairs is not None:
         # The mu3 interval decides existence exactly for every input; symmetric
         # inputs keep the inequalities' verdict, exact there as well.
         payload["exists"] = check.exists if check.exact else not interval.empty
@@ -317,7 +272,7 @@ def _cmd_simulate(args) -> dict:
     from .hvsim import simulate
 
     a = Direction.from_angle(0.0)
-    b = Direction.from_angle(_to_rad(args.theta, args.radians))
+    b = Direction.from_angle(args.theta)
     report = simulate(a, b, args.n, args.seed, mode=args.mode, threads=args.threads)
     return {
         "contract": report.contract,
@@ -353,47 +308,59 @@ def _cmd_verify(args) -> tuple[list[str], int]:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="eprbell", description=__doc__)
+    """Every rule about what a command line means: the options of each
+    subcommand, the alternatives of which exactly one is given, the
+    companions an option needs (``requires``) and the options that hold
+    angles in degrees (``degrees``); ``_resolve`` applies the last two."""
+    parser = _Parser(prog="eprbell", description=(
+        "Singlet-state spin statistics, Bell and CHSH inequalities, joint-distribution feasibility "
+        "and a hidden-variable simulator. Angles are degrees unless --radians is given. Exit codes: "
+        "0 success, 64 usage error, 65 data error, 1 a failed verify check."))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, radians=False, formats=False):
-        """A subparser with -o, and --radians / --format only where honoured."""
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        if radians:
+    def command(name, func, help, degrees=(), requires=()):
+        """A subparser with -o, and --radians only where it has angles."""
+        p = sub.add_parser(name, help=help, description=help)
+        p.set_defaults(func=func, degrees=degrees, requires=requires)
+        if degrees:
             p.add_argument("--radians", action="store_true", help="angle inputs are radians")
-        if formats:
-            p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("-o", "--output", help="write to file instead of stdout")
         return p
 
-    p = command("dist", _cmd_dist, "pair probability table and covariance", radians=True, formats=True)
-    p.add_argument("--theta", type=_finite_float, help="angle between the two orientations")
-    p.add_argument("--a", help="first direction as x,y,z")
-    p.add_argument("--b", help="second direction as x,y,z")
+    p = command("dist", _cmd_dist, "pair probability table and covariance", degrees=("theta",),
+                requires=(("a", "b"), ("b", "a")))
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--theta", type=_finite_float, help="angle between the two orientations")
+    one.add_argument("--a", type=_floats, help="first direction as x,y,z")
+    p.add_argument("--b", type=_floats, help="second direction as x,y,z (with --a)")
     p.add_argument("--local", action="store_true",
                    help="single-device (A(a), A(b)) table instead of the two-device (A, B) one")
 
-    p = command("ineq", _cmd_ineq, "evaluate a Bell or CHSH inequality", radians=True)
+    p = command("ineq", _cmd_ineq, "evaluate a Bell or CHSH inequality", degrees=("angles",))
     p.add_argument("which", choices=["bell", "chsh"])
-    p.add_argument("--angles", help="bell: t_ab,t_bc; chsh: t_ab,t_db,t_dc (coplanar)")
-    p.add_argument("--cov", help="raw covariances: 3 values (bell) or 4 (chsh)")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--angles", type=_floats, help="bell: t_ab,t_bc; chsh: t_ab,t_db,t_dc (coplanar)")
+    one.add_argument("--cov", type=_floats, help="raw covariances: 3 values (bell) or 4 (chsh)")
 
     p = command("scan", _cmd_scan, "grid search for violating orientations")
     p.add_argument("--inequality", choices=["bell", "chsh"], required=True)
-    p.add_argument("--resolution-deg", type=_finite_float)
-    p.add_argument("--resolution-rad", type=_finite_float)
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--resolution-deg", dest="resolution", metavar="DEG", type=_finite_degrees)
+    one.add_argument("--resolution-rad", dest="resolution", metavar="RAD", type=_finite_float)
 
-    p = command("joint3", _cmd_joint3, "third-order joint from pairs or QM angles", radians=True)
-    p.add_argument("--qm", action="store_true", help="build from singlet tables at --angles")
-    p.add_argument("--angles", help="t_ab,t_bc for coplanar directions")
-    p.add_argument("--pairs", help="JSON file with pair tables AB, BC, CA")
-    p.add_argument("--mu3", type=_finite_float, help="third moment (default: 0 or interval midpoint)")
+    p = command("joint3", _cmd_joint3, "third-order joint from pairs or QM angles", degrees=("angles",),
+                requires=(("qm", "angles"), ("angles", "qm"), ("mu3", "pairs")))
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--qm", action="store_true", help="build from singlet tables at --angles")
+    one.add_argument("--pairs", help="JSON file with pair tables AB, BC, CA")
+    p.add_argument("--angles", type=_floats, help="t_ab,t_bc for coplanar directions (with --qm)")
+    p.add_argument("--mu3", type=_finite_float, help="third moment for --pairs (default: 0 or interval midpoint)")
 
     p = command("joint4", _cmd_joint4, "fourth-order feasibility from pair tables")
     p.add_argument("--pairs", required=True, help="JSON file with pair tables AB, AC, DB, DC")
 
-    p = command("simulate", _cmd_simulate, "hidden-variable Monte Carlo run", radians=True)
+    p = command("simulate", _cmd_simulate, "hidden-variable Monte Carlo run", degrees=("theta",))
     p.add_argument("--theta", type=_finite_float, required=True)
     p.add_argument("-n", type=int, required=True,
                    help="sample count; run time grows linearly with it, about 0.9 ms "
@@ -412,10 +379,28 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _resolve(args):
+    """Check the subcommand's companion options, then turn its degree
+    options into radians unless --radians is given: the one place either
+    happens."""
+    given = {dest for dest, value in vars(args).items() if value is not None and value is not False}
+    for option, companion in args.requires:
+        if option in given and companion not in given:
+            raise UsageError(f"--{option} requires --{companion}")
+    if args.degrees and not args.radians:
+        for dest in args.degrees:
+            value = getattr(args, dest)
+            if isinstance(value, tuple):
+                setattr(args, dest, tuple(map(math.radians, value)))
+            elif value is not None:
+                setattr(args, dest, math.radians(value))
+    return args
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _resolve(parser.parse_args(argv))
         out = args.func(args)  # handlers return their output; verify also its status
         out, status = out if isinstance(out, tuple) else (out, EXIT_OK)
         _emit(out, args)

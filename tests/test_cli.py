@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import eprbell
-from eprbell import verify
+from eprbell import cli, verify
 from eprbell.cli import main
 from eprbell.information import INFO_MAX_POINTS
 
@@ -188,9 +188,14 @@ class TestScan:
     ["verify", "--trials", "0"],
     ["verify", "--trials", "-1"],
     ["verify", "--trials", "2", "--seed", "-1"],
+    # Combinations that used to run and ignore one option.
+    ["scan", "--inequality", "bell", "--resolution-deg", "22.5", "--resolution-rad", "0.1"],
+    ["dist", "--theta", "30", "--b", "1,0,0"],
+    ["joint3", "--qm", "--angles", "30,40", "--mu3", "0.5"],
+    ["joint3", "--pairs", "sym3", "--angles", "1,2"],
 ])
-def test_boundary_usage_errors(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_boundary_usage_errors(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *with_golden_files(tmp_path, argv))
     assert code == 64 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
 
@@ -724,6 +729,36 @@ def test_flag_not_taken(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 64 and out == ""
     assert err.startswith("error: unrecognized arguments: --")
+
+
+@pytest.mark.parametrize("argv, degrees", [
+    (["dist", "--local", "--theta"], [37.5]),
+    (["ineq", "bell", "--angles"], [45.0, 30.25]),
+    (["ineq", "chsh", "--angles"], [45.0, 45.0, 45.0]),
+    (["joint3", "--qm", "--angles"], [71.3, 40.2]),
+    (["simulate", "-n", "1000", "--seed", "3", "--theta"], [60.0]),
+])
+def test_radians_give_the_same_bytes(capsys, argv, degrees):
+    deg = run(capsys, *argv, ",".join(map(repr, degrees)))
+    rad = run(capsys, *argv, ",".join(repr(math.radians(d)) for d in degrees), "--radians")
+    assert deg[0] == 0 and deg == rad
+
+
+def help_text(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-h"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["dist", "ineq", "scan", "joint3", "joint4", "simulate", "info", "verify"])
+def test_help(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapped lines
+    top = help_text(capsys)
+    assert cli.__doc__.split("\n")[0] not in top and "numpy" not in top
+    # The subcommand's -h describes it with its line in the top-level list.
+    description = help_text(capsys, command).split("\n\n")[1]
+    assert f" {command} " in top and description in top
 
 
 class TestTopLevel:
