@@ -51,14 +51,13 @@ from .joint import (
     chsh_family_verdicts,
     default_mu3,
     existence_check_3,
+    marginal,
     moments_from_pairs,
     mu3_interval,
     qm_triple,
     quad_feasibility,
-    quad_pair_marginal,
     triple_conditional,
     triple_from_moments,
-    triple_marginal_pair,
 )
 from .spincore import (
     PairDist,

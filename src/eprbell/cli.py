@@ -66,7 +66,25 @@ class DataError(EprBellError):
     """A file that cannot be read or used, or output that cannot be written: exit 65."""
 
 
+class _StoreOnce(argparse.Action):
+    """``store`` for every option that takes a value: a second value is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.dest in parser._stored:
+            raise argparse.ArgumentError(self, "given more than once")
+        parser._stored.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)  # the default action, argparse's "store"
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._stored = set()  # dests given so far in this parse
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):  # argparse would exit(2); we want 64
         raise UsageError(message)
 

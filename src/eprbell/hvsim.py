@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -177,26 +176,24 @@ def simulate(
     cos_threshold = PartitionSpec.for_directions(a, b).cos_threshold
     singlet = mode == "singlet"
 
-    def block(k: int) -> np.ndarray:
-        return _simulate_block(seed, k, min(BLOCK_SIZE, n - k * BLOCK_SIZE), cos_threshold, singlet)
-
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     workers = min(threads, n_blocks, os.cpu_count() or 1)
-    counts = np.zeros(4, dtype=np.int64)
+
+    def stripe(j: int) -> np.ndarray:
+        """Counts of blocks j, j + workers, j + 2 * workers, ...: a worker
+        holds one block result at a time, so memory does not grow with n."""
+        total = np.zeros(4, dtype=np.int64)
+        for k in range(j, n_blocks, workers):
+            total += _simulate_block(seed, k, min(BLOCK_SIZE, n - k * BLOCK_SIZE), cos_threshold, singlet)
+        return total
+
     if workers > 1:
-        # At most 2 * workers blocks are queued or held at once, so memory
-        # does not grow with n; integer sums do not depend on the order.
+        # Integer sums do not depend on which worker counted which block.
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = deque()
-            for k in range(n_blocks):
-                if len(pending) == 2 * workers:
-                    counts += pending.popleft().result()
-                pending.append(pool.submit(block, k))
-            while pending:
-                counts += pending.popleft().result()
+            stripes = [pool.submit(stripe, j) for j in range(workers)]
+            counts = sum(f.result() for f in stripes)
     else:
-        for k in range(n_blocks):
-            counts += block(k)
+        counts = stripe(0)
     counts = counts.reshape(2, 2)
 
     theoretical = qm_pair_dist(a, b) if singlet else local_pair_dist(a, b)

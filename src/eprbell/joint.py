@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .errors import (
     InconsistentMarginalsError,
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .geometry import Direction
 from .inequalities import VIOLATION_SLACK, InequalityVerdict, bell_pair_inequalities
-from .spincore import SIGNS, PairDist, cells_of, covariance, read_only_array, table_sum
+from .spincore import SIGNS, PairDist, _idx, cells_of, covariance, read_only_array, table_sum
 
 TRIPLE_TOL = 1e-12
 QUAD_TOL = 1e-9
@@ -75,57 +75,52 @@ _BC = tuple(b * c for _, b, c in _SIGN_GRID)
 
 
 @dataclass(frozen=True)
-class TripleDist:
-    """Signed table over {-1,+1}^3. ``cells`` holds the eight entries in C
-    order of (A, B, C), index 0 = +1, built like ``PairDist.cells``;
-    ``q[i, j, k]`` is the entry for (SIGNS[i], SIGNS[j], SIGNS[k]), as a
-    read-only ndarray."""
+class SignedTable:
+    """Signed table over {-1,+1}^DIMS whose cells sum to one within TOL.
+    ``cells`` holds the 2^DIMS entries in C order of (A, B, C, ...), index
+    0 = +1, built like ``PairDist.cells``; ``q[i, j, ...]`` is the entry for
+    (SIGNS[i], SIGNS[j], ...), as a read-only ndarray. Negative entries are
+    kept: a table with one certifies that no joint has its pair marginals."""
+
+    DIMS: ClassVar[int]
+    TOL: ClassVar[float]
 
     cells: tuple[float, ...]
-    labels: tuple[str, str, str] = ("A", "B", "C")
 
     def __post_init__(self):
-        q = cells_of(self.cells, 3, "triple table")
-        if abs(table_sum(q) - 1.0) > TRIPLE_TOL:
-            raise InvalidInputError(f"triple table sums to {table_sum(q)}, not 1")
+        name = type(self).__name__
+        q = cells_of(self.cells, self.DIMS, name)
+        if abs(table_sum(q) - 1.0) > self.TOL:
+            raise InvalidInputError(f"{name} sums to {table_sum(q)}, not 1")
         object.__setattr__(self, "cells", q)
 
     @cached_property
     def q(self):
-        return read_only_array(self.cells, 3)
+        return read_only_array(self.cells, self.DIMS)
 
     @property
     def valid(self) -> bool:
-        return min(self.cells) >= -TRIPLE_TOL
+        return min(self.cells) >= -self.TOL
 
-    def prob(self, a: int, b: int, c: int) -> float:
-        return self.cells[4 * ((1 - a) // 2) + 2 * ((1 - b) // 2) + (1 - c) // 2]
+    def prob(self, *signs: int) -> float:
+        if len(signs) != self.DIMS:
+            raise InvalidInputError(f"expected {self.DIMS} spin values, got {len(signs)}")
+        index = 0
+        for s in signs:
+            index = 2 * index + _idx(s)
+        return self.cells[index]
 
-    def negative_cells(self) -> list[tuple[tuple[int, int, int], float]]:
-        return [(cell, v) for cell, v in zip(_SIGN_GRID, self.cells) if v < -TRIPLE_TOL]
+    def negative_cells(self) -> list[tuple[tuple[int, ...], float]]:
+        grid = itertools.product(SIGNS, repeat=self.DIMS)
+        return [(cell, v) for cell, v in zip(grid, self.cells) if v < -self.TOL]
 
 
-@dataclass(frozen=True)
-class QuadDist:
-    """Signed table over {-1,+1}^4 in (A, B, C, D) order; ``cells`` and
-    ``q`` as in ``TripleDist``."""
+class TripleDist(SignedTable):
+    DIMS, TOL = 3, TRIPLE_TOL
 
-    cells: tuple[float, ...]
-    labels: tuple[str, str, str, str] = ("A", "B", "C", "D")
 
-    def __post_init__(self):
-        q = cells_of(self.cells, 4, "quad table")
-        if abs(table_sum(q) - 1.0) > QUAD_TOL:
-            raise InvalidInputError(f"quad table sums to {table_sum(q)}, not 1")
-        object.__setattr__(self, "cells", q)
-
-    @cached_property
-    def q(self):
-        return read_only_array(self.cells, 4)
-
-    @property
-    def valid(self) -> bool:
-        return min(self.cells) >= -QUAD_TOL
+class QuadDist(SignedTable):
+    DIMS, TOL = 4, QUAD_TOL
 
 
 def _pair_marginal(cells, dims: int, first: int, second: int) -> list[float]:
@@ -134,6 +129,15 @@ def _pair_marginal(cells, dims: int, first: int, second: int) -> list[float]:
     for index, v in zip(itertools.product((0, 1), repeat=dims), cells):
         m[2 * index[first] + index[second]] += v
     return m
+
+
+def marginal(table: SignedTable, first: int, second: int) -> PairDist:
+    """The pair table of axes ``first`` and ``second`` (0 = A, 1 = B, ...),
+    in that order. It is defined even when entries are negative: the pair
+    marginals of the moment construction are always valid tables."""
+    if first == second or not {first, second} <= set(range(table.DIMS)):
+        raise InvalidInputError(f"axes must be two of 0..{table.DIMS - 1}, got {first!r}, {second!r}")
+    return PairDist(_pair_marginal(table.cells, table.DIMS, first, second))
 
 
 @dataclass(frozen=True)
@@ -225,9 +229,7 @@ def mu3_interval(m_a, m_b, m_c, m_ab, m_bc, m_ca) -> Mu3Interval:
     mu3 <= t(cell). A valid third-order joint with these six moments exists
     iff the interval (intersected with [-1, 1]) is non-empty.
     """
-    for name, v in (("m_a", m_a), ("m_b", m_b), ("m_c", m_c),
-                    ("m_ab", m_ab), ("m_bc", m_bc), ("m_ca", m_ca)):
-        _check_moment(name, v)
+    MomentSet3(m_a, m_b, m_c, m_ab, m_bc, m_ca)  # checks each moment
     t = _affine_part(m_a, m_b, m_c, m_ab, m_bc, m_ca)
     lo = max(-1.0, *(-v for v, abc in zip(t, _ABC) if abc == 1))
     hi = min(1.0, *(v for v, abc in zip(t, _ABC) if abc == -1))
@@ -276,18 +278,7 @@ def existence_check_3(m_a, m_b, m_c, m_ab, m_bc, m_ca, symmetric: bool = False) 
 def qm_triple(a: Direction, b: Direction, c: Direction) -> TripleDist:
     """The unique sign-symmetric signed table whose pair marginals are the
     single-device tables for (a, b), (b, c), (c, a)."""
-    m = MomentSet3(m_ab=a.cos_to(b), m_bc=b.cos_to(c), m_ca=c.cos_to(a))
-    return TripleDist(triple_from_moments(m).cells, ("A(a)", "A(b)", "A(c)"))
-
-
-def triple_marginal_pair(t: TripleDist, drop: str) -> PairDist:
-    """Marginalize one variable ('A', 'B' or 'C') out of a valid-summing
-    triple table; defined even when entries are negative (marginals of the
-    moment construction are always valid pair tables)."""
-    axis = {"A": 0, "B": 1, "C": 2}.get(drop)
-    if axis is None:
-        raise InvalidInputError(f"drop must be 'A', 'B' or 'C', got {drop!r}")
-    return PairDist(_pair_marginal(t.cells, 3, *(k for k in range(3) if k != axis)))
+    return triple_from_moments(MomentSet3(m_ab=a.cos_to(b), m_bc=b.cos_to(c), m_ca=c.cos_to(a)))
 
 
 def triple_conditional(t: TripleDist, given: str, value: int) -> PairDist:
@@ -303,9 +294,7 @@ def triple_conditional(t: TripleDist, given: str, value: int) -> PairDist:
     axis = {"A": 0, "B": 1, "C": 2}.get(given)
     if axis is None:
         raise InvalidInputError(f"given must be 'A', 'B' or 'C', got {given!r}")
-    if value not in (1, -1):
-        raise InvalidInputError(f"value must be +1 or -1, got {value}")
-    k = (1 - value) // 2
+    k = _idx(value)
     slab = [v for index, v in zip(itertools.product((0, 1), repeat=3), t.cells) if index[axis] == k]
     norm = table_sum(slab)
     if norm <= TRIPLE_TOL:
@@ -380,7 +369,7 @@ def _glued_witness(m_a, m_b, m_c, m_d, c_ab, c_ac, c_db, c_dc) -> Optional[QuadD
         moments = MomentSet3(m_x, m_b, m_c, m_xb, m_bc, m_xc, mu3)
         triangles.append(triple_from_moments(moments).cells)
     q_abc, q_dbc = triangles
-    p_bc = [q_abc[bc] + q_abc[4 + bc] for bc in range(4)]
+    p_bc = _pair_marginal(q_abc, 3, 1, 2)
     q = []
     for a, b, c, d in itertools.product((0, 1), repeat=4):
         bc = 2 * b + c
@@ -425,11 +414,3 @@ def quad_feasibility(
         )
     return QuadFeasibility(feasible=True, witness=witness, verdicts=verdicts, failed=None)
 
-
-def quad_pair_marginal(w: QuadDist, pair: str) -> PairDist:
-    """Extract one of the CHSH pair tables ('AB', 'AC', 'DB', 'DC') from a
-    four-variable table in (A, B, C, D) order."""
-    axes = {"AB": (0, 1), "AC": (0, 2), "DB": (3, 1), "DC": (3, 2)}.get(pair)
-    if axes is None:
-        raise InvalidInputError(f"pair must be one of AB/AC/DB/DC, got {pair!r}")
-    return PairDist(_pair_marginal(w.cells, 4, *axes))

@@ -72,6 +72,10 @@ def lp_witness(
     return QuadDist(q / q.sum())
 
 
+# Axes of each CHSH pair table in the (A, B, C, D) cell order.
+CHSH_AXES = {"AB": (0, 1), "AC": (0, 2), "DB": (3, 1), "DC": (3, 2)}
+
+
 # A contradictory set of three pairwise tables whose third-order joint cannot exist:
 # A and B perfectly correlated, C and A perfectly correlated, B and C
 # perfectly anti-correlated.

@@ -24,6 +24,7 @@ from eprbell import (
     conditional_entropy,
     existence_check_3,
     local_pair_dist,
+    marginal,
     mixture_pair_dist,
     moments_from_pairs,
     mu3_interval,
@@ -32,17 +33,15 @@ from eprbell import (
     qm_pair_dist,
     qm_triple,
     quad_feasibility,
-    quad_pair_marginal,
     simulate,
     singlet_pair_prob,
     triple_from_moments,
-    triple_marginal_pair,
 )
 from eprbell.cli import main as cli_main
 from eprbell.inequalities import CovarianceQuad, CovarianceTriple
 from eprbell.joint import QUAD_TOL
 
-from conftest import CONTRA_AB, CONTRA_BC, CONTRA_CA, lp_witness, random_direction
+from conftest import CHSH_AXES, CONTRA_AB, CONTRA_BC, CONTRA_CA, lp_witness, random_direction
 
 SQRT2 = math.sqrt(2.0)
 
@@ -166,9 +165,9 @@ def test_criterion_08_triple_marginalization():
         a, b, c = (random_direction(rng) for _ in range(3))
         t = qm_triple(a, b, c)
         saw_negative = saw_negative or not t.valid
-        for drop, pair in (("C", (a, b)), ("A", (b, c)), ("B", (a, c))):
+        for axes, pair in (((0, 1), (a, b)), ((1, 2), (b, c)), ((0, 2), (a, c))):
             dev = float(np.max(np.abs(
-                triple_marginal_pair(t, drop).table - local_pair_dist(*pair).table
+                marginal(t, *axes).table - local_pair_dist(*pair).table
             )))
             worst = max(worst, dev)
     ok = worst < 1e-12 and saw_negative
@@ -201,7 +200,7 @@ def test_criterion_09_fine_consistency():
                 disagreements += 1
             for key, table in tables.items():
                 dev = float(np.max(np.abs(
-                    quad_pair_marginal(witness, key).table - table.table
+                    marginal(witness, *CHSH_AXES[key]).table - table.table
                 )))
                 worst_witness_dev = max(worst_witness_dev, dev)
     elapsed = time.monotonic() - start

@@ -193,6 +193,9 @@ class TestScan:
     ["dist", "--theta", "30", "--b", "1,0,0"],
     ["joint3", "--qm", "--angles", "30,40", "--mu3", "0.5"],
     ["joint3", "--pairs", "sym3", "--angles", "1,2"],
+    # A single-value option given twice, which used to keep the last value.
+    ["dist", "--theta", "30", "--theta", "60"],
+    ["scan", "--inequality", "chsh", "--inequality", "bell", "--resolution-deg", "22.5"],
 ])
 def test_boundary_usage_errors(capsys, tmp_path, argv):
     code, out, err = run(capsys, *with_golden_files(tmp_path, argv))

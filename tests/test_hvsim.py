@@ -167,19 +167,23 @@ class TestSimulate:
         blocks) holds at most 2 * workers block results at once, and its
         traced peak stays far below one object per block."""
         import os
+        import threading
         import tracemalloc
         import weakref
         from eprbell import hvsim
 
         held, peak_held = [0], [0]
+        lock = threading.Lock()  # the stub and the finalizers run on worker threads
 
         def release():
-            held[0] -= 1
+            with lock:
+                held[0] -= 1
 
         def stub(seed, k, count, cos_threshold, singlet):
             out = np.array([count, 0, 0, 0], dtype=np.int64)
-            held[0] += 1
-            peak_held[0] = max(peak_held[0], held[0])
+            with lock:
+                held[0] += 1
+                peak_held[0] = max(peak_held[0], held[0])
             weakref.finalize(out, release)
             return out
 

@@ -20,20 +20,19 @@ from eprbell import (
     default_mu3,
     existence_check_3,
     local_pair_dist,
+    marginal,
     moments_from_pairs,
     mu3_interval,
     qm_pair_dist,
     qm_triple,
     quad_feasibility,
-    quad_pair_marginal,
     triple_conditional,
     triple_from_moments,
-    triple_marginal_pair,
 )
 from eprbell import joint
 from eprbell.inequalities import VIOLATION_SLACK
 
-from conftest import CONTRA_AB, CONTRA_BC, CONTRA_CA, lp_witness, random_direction
+from conftest import CHSH_AXES, CONTRA_AB, CONTRA_BC, CONTRA_CA, lp_witness, random_direction
 
 
 def contradictory_pairs():
@@ -72,11 +71,45 @@ class TestTableValidation:
         assert t.q is t.q and not t.q.flags.writeable
         assert t.q.shape == (2,) * dims and t.q.ravel().tolist() == list(t.cells)
 
-    def test_triple_prob_and_negative_cells(self):
+    @pytest.mark.parametrize("dims", [3, 4])
+    def test_prob_and_negative_cells(self, dims):
+        # <AB> = <BC> = <CA> = -1; at four variables, times an independent
+        # uniform D.
         t = triple_from_moments(MomentSet3(m_ab=-1.0, m_bc=-1.0, m_ca=-1.0))
-        for cell in itertools.product((1, -1), repeat=3):
+        negative = [((1, 1, 1), -0.25), ((-1, -1, -1), -0.25)]
+        if dims == 4:
+            t = QuadDist([v / 2 for v in t.cells for _ in range(2)])
+            negative = [(cell + (d,), v / 2) for cell, v in negative for d in (1, -1)]
+        for cell in itertools.product((1, -1), repeat=dims):
             assert t.prob(*cell) == t.q[tuple((1 - s) // 2 for s in cell)]
-        assert t.negative_cells() == [((1, 1, 1), -0.25), ((-1, -1, -1), -0.25)]
+        assert t.negative_cells() == negative
+
+    @pytest.mark.parametrize("cls", [TripleDist, QuadDist])
+    def test_prob_rejects_bad_signs(self, cls):
+        t = cls([1.0] + [0.0] * (2 ** cls.DIMS - 1))
+        rest = [1] * (cls.DIMS - 1)
+        for bad in (0, 3):
+            for signs in ([bad, *rest], [*rest, bad]):
+                with pytest.raises(InvalidInputError, match="spin value"):
+                    t.prob(*signs)
+        for n in (cls.DIMS - 1, cls.DIMS + 1):
+            with pytest.raises(InvalidInputError, match=f"expected {cls.DIMS} spin values"):
+                t.prob(*[1] * n)
+
+    @pytest.mark.parametrize("cls", [TripleDist, QuadDist])
+    def test_rejects_sum_off_one(self, cls):
+        rest = [0.0] * (2 ** cls.DIMS - 2)
+        assert cls([1.0, 0.5 * cls.TOL, *rest]).valid
+        with pytest.raises(InvalidInputError, match="sums to"):
+            cls([1.0, 2.0 * cls.TOL, *rest])
+
+    @pytest.mark.parametrize("cls", [TripleDist, QuadDist])
+    def test_marginal_rejects_bad_axes(self, cls):
+        t = cls([1.0] + [0.0] * (2 ** cls.DIMS - 1))
+        assert marginal(t, 0, cls.DIMS - 1).cells == (1.0, 0.0, 0.0, 0.0)
+        for axes in ((1, 1), (0, cls.DIMS), (-1, 0)):
+            with pytest.raises(InvalidInputError, match="axes"):
+                marginal(t, *axes)
 
     @pytest.mark.parametrize("cls", [TripleDist, QuadDist])
     def test_rejects_wrong_shape(self, cls):
@@ -157,11 +190,11 @@ class TestMomentsFromPairs:
             t = triple_from_moments(
                 MomentSet3(m.m_a, m.m_b, m.m_c, m.m_ab, m.m_bc, m.m_ca, mu3)
             )
-            assert np.max(np.abs(triple_marginal_pair(t, "C").table - p_ab.table)) < 1e-12
-            assert np.max(np.abs(triple_marginal_pair(t, "A").table - p_bc.table)) < 1e-12
+            assert np.max(np.abs(marginal(t, 0, 1).table - p_ab.table)) < 1e-12
+            assert np.max(np.abs(marginal(t, 1, 2).table - p_bc.table)) < 1e-12
             # marginal over B gives the (A, C) table; p_ca is (C, A)
             assert np.max(
-                np.abs(triple_marginal_pair(t, "B").table - p_ca.table.T)
+                np.abs(marginal(t, 0, 2).table - p_ca.table.T)
             ) < 1e-12
 
 
@@ -279,13 +312,13 @@ class TestQmTriple:
             a, b, c = (random_direction(rng) for _ in range(3))
             t = qm_triple(a, b, c)
             assert np.max(
-                np.abs(triple_marginal_pair(t, "C").table - local_pair_dist(a, b).table)
+                np.abs(marginal(t, 0, 1).table - local_pair_dist(a, b).table)
             ) < 1e-12
             assert np.max(
-                np.abs(triple_marginal_pair(t, "A").table - local_pair_dist(b, c).table)
+                np.abs(marginal(t, 1, 2).table - local_pair_dist(b, c).table)
             ) < 1e-12
             assert np.max(
-                np.abs(triple_marginal_pair(t, "B").table - local_pair_dist(a, c).table)
+                np.abs(marginal(t, 0, 2).table - local_pair_dist(a, c).table)
             ) < 1e-12
 
 
@@ -342,12 +375,12 @@ def asymmetric_quads(draw):
         cells = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16)))
         assume(cells.sum() > 1e-3)
         joint4 = QuadDist((cells / cells.sum()).reshape(2, 2, 2, 2))
-        return [quad_pair_marginal(joint4, k) for k in CHSH_PAIRS]
+        return [marginal(joint4, *CHSH_AXES[k]) for k in CHSH_PAIRS]
     w = draw(st.floats(0.5, 1.0))
     product = biased_product(*(draw(st.floats(-1.0, 1.0)) for _ in range(4)))
     return [
         PairDist(w * pair_from_cov(TSIRELSON_COVS[k]).table
-                 + (1 - w) * quad_pair_marginal(product, k).table)
+                 + (1 - w) * marginal(product, *CHSH_AXES[k]).table)
         for k in CHSH_PAIRS
     ]
 
@@ -358,7 +391,7 @@ _CHSH_SIGNS = ((-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1))
 def quad_from_cells(cells) -> list[PairDist]:
     """The CHSH pair tables of the joint with these 16 (A, B, C, D) weights."""
     joint4 = QuadDist((cells / cells.sum()).reshape(2, 2, 2, 2))
-    return [quad_pair_marginal(joint4, k) for k in CHSH_PAIRS]
+    return [marginal(joint4, *CHSH_AXES[k]) for k in CHSH_PAIRS]
 
 
 @st.composite
@@ -399,7 +432,7 @@ def boundary_quads(draw):
 def assert_valid_witness(witness: QuadDist, tables) -> None:
     assert witness.q.min() >= -joint.QUAD_TOL
     for key, table in zip(CHSH_PAIRS, tables):
-        assert np.max(np.abs(quad_pair_marginal(witness, key).table - table.table)) < 1e-9
+        assert np.max(np.abs(marginal(witness, *CHSH_AXES[key]).table - table.table)) < 1e-9
 
 
 class TestQuadFeasibility:
@@ -409,7 +442,7 @@ class TestQuadFeasibility:
         assert res.feasible and res.failed is None
         assert res.witness is not None
         for pair in ("AB", "AC", "DB", "DC"):
-            assert np.allclose(quad_pair_marginal(res.witness, pair).table, 0.25, atol=1e-9)
+            assert np.allclose(marginal(res.witness, *CHSH_AXES[pair]).table, 0.25, atol=1e-9)
 
     def test_qm_tsirelson_infeasible(self):
         s = math.sqrt(2) / 2
@@ -431,7 +464,7 @@ class TestQuadFeasibility:
             tables = dict(zip(("AB", "AC", "DB", "DC"), (pair_from_cov(c) for c in cs)))
             for pair, table in tables.items():
                 assert np.max(
-                    np.abs(quad_pair_marginal(witness, pair).table - table.table)
+                    np.abs(marginal(witness, *CHSH_AXES[pair]).table - table.table)
                 ) < 1e-9
 
     def test_marginal_mismatch(self):
@@ -469,7 +502,7 @@ class TestQuadFeasibility:
         # The inequalities hold on this asymmetric input, so an empty <BC>
         # range for the glued witness contradicts Fine's theorem.
         product = biased_product(0.3, -0.5, 0.2, 0.7)
-        tables = [quad_pair_marginal(product, k) for k in CHSH_PAIRS]
+        tables = [marginal(product, *CHSH_AXES[k]) for k in CHSH_PAIRS]
         monkeypatch.setattr(joint, "_bc_interval", lambda *moments: (1.0, -1.0))
         with pytest.raises(RuntimeError, match="Fine"):
             quad_feasibility(*tables)
