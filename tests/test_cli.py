@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,7 @@ import pytest
 import eprbell
 from eprbell import cli, verify
 from eprbell.cli import main
+from eprbell.inequalities import violation_scan
 from eprbell.information import INFO_MAX_POINTS
 
 from conftest import CONTRA_AB, CONTRA_BC, CONTRA_CA
@@ -100,6 +103,9 @@ class TestIneq:
 # Traced peak of `scan chsh 5 -o FILE`: ~61 MB with the dense kernel and
 # csv.writer, ~9 MB with the slabbed kernel and streamed rows.
 SCAN_PEAK_BOUND = 24 * 2**20
+# Traced peak of formatting `scan bell 0.5` (29,261 distinct lhs values) in
+# windows of 2,048 rows: ~0.4 MB; one memo over the whole scan reads ~3.3 MB.
+FORMAT_PEAK_BOUND = 2**20
 
 
 class TestScan:
@@ -171,6 +177,42 @@ class TestScan:
             tracemalloc.stop()
         assert code == 0
         assert peak < SCAN_PEAK_BOUND
+
+    @pytest.mark.parametrize("inequality, degrees, names", [
+        ("bell", 5, ["phi_b_deg", "phi_c_deg"]),
+        ("chsh", 11.25, ["phi_b_deg", "phi_c_deg", "phi_d_deg"]),
+    ])
+    def test_matches_csv_writer(self, monkeypatch, inequality, degrees, names):
+        # The bytes csv.writer gives for the same floats: unlike GOLDEN, this
+        # holds whatever the last bits of np.cos. Chunks of 7 rows in windows
+        # of 21 split runs of equal lhs values at both kinds of boundary.
+        monkeypatch.setattr(cli, "_SCAN_CHUNK_ROWS", 7)
+        monkeypatch.setattr(cli, "_SCAN_WINDOW_ROWS", 21)
+        result = violation_scan(inequality, math.radians(degrees))
+        lhs = result.violation_lhs.tolist()
+        splits = [k for k in range(7, len(lhs), 7) if lhs[k - 1] == lhs[k]]
+        assert any(k % 21 == 0 for k in splits) and any(k % 21 != 0 for k in splits)
+        grid = result.grid.tolist()
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["kind", *names, "lhs"])
+        for index, value in zip(result.violation_index.tolist(), lhs):
+            writer.writerow(["violation", *(math.degrees(grid[i]) for i in index), value])
+        writer.writerow(["max", *map(math.degrees, result.argmax_angles), result.max_lhs])
+        assert "".join(cli._scan_csv(result, names)) == buf.getvalue()
+
+    def test_format_memory_bounded_by_window(self, monkeypatch):
+        monkeypatch.setattr(cli, "_SCAN_CHUNK_ROWS", 512)
+        monkeypatch.setattr(cli, "_SCAN_WINDOW_ROWS", 2048)
+        result = violation_scan("bell", math.radians(0.5))
+        tracemalloc.start()
+        try:
+            for _ in cli._scan_csv(result, ["phi_b_deg", "phi_c_deg"]):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < FORMAT_PEAK_BOUND
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,7 +20,7 @@ import json
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from eprbell.cli import main
 
@@ -93,12 +93,15 @@ def _marginal(cells, dims, first, second):
     return dict(zip(("pp", "pm", "mp", "mm"), m))
 
 
+def _pairs3(q):
+    return {k: _marginal(q, 3, *axes) for k, axes in (("AB", (0, 1)), ("BC", (1, 2)), ("CA", (2, 0)))}
+
+
 # Cell weights with many zeros, so that tables land on the boundary.
 WEIGHT = st.one_of(st.sampled_from([0.0, 0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
 # Pair tables of one joint over (A, B, C) or (A, B, C, D), so that the
 # marginals agree and the input reaches the feasibility code.
-JOINT3 = st.lists(WEIGHT, min_size=8, max_size=8).map(_normalized).map(
-    lambda q: {k: _marginal(q, 3, *axes) for k, axes in (("AB", (0, 1)), ("BC", (1, 2)), ("CA", (2, 0)))})
+JOINT3 = st.lists(WEIGHT, min_size=8, max_size=8).map(_normalized).map(_pairs3)
 JOINT4 = st.lists(WEIGHT, min_size=16, max_size=16).map(_normalized).map(
     lambda q: {k: _marginal(q, 4, *axes)
                for k, axes in (("AB", (0, 1)), ("AC", (0, 2)), ("DB", (3, 1)), ("DC", (3, 2)))})
@@ -194,6 +197,29 @@ def check(argv, directory):
     assert "Traceback" not in err, (argv, err)
 
 
+# Inputs that these tests have found, each run first on every invocation:
+# which examples Hypothesis draws can change with the tests run before.
+FOUND_ARGV = {"scan": [["scan", "--inequality", "bell", "--resolution-rad", r] for r in ("1e-320", "5e-324")]}
+FOUND_CONTENT = [
+    b"[" * 5000,  # nested too deep for json
+    b"1" * 5000,  # more than 4,300 digits
+    json.dumps({"pairs": {"AB": {"pp": 10 ** 399, "pm": 0, "mp": 0, "mm": 0}}}).encode(),  # a 400-digit cell
+]
+FOUND_JOINT3 = [
+    [0.2, 0.3, 0.5, 0, 0, 0, 0, 0],  # the mu3 interval is one point, which rounding put out of order
+    [0, 0.20442119186048707, 0.26519293604650435, 0, 0, 0.5303858720930087, 0, 0],  # <BC> is -1 - 2^-52
+]
+
+
+def pinned(name, values):
+    """A decorator: one ``@example`` for each of ``values``, passed as ``name``."""
+    def decorate(test):
+        for value in values:
+            test = example(**{name: value})(test)
+        return test
+    return decorate
+
+
 FUZZ = settings(deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 
@@ -207,7 +233,7 @@ def test_subcommand_exit_codes(name, tmp_path_factory):
     def inner(argv):
         check(argv, directory)
 
-    inner()
+    pinned("argv", FOUND_ARGV.get(name, ()))(inner)()
 
 
 @pytest.mark.parametrize("inequality", ["bell", "chsh"])
@@ -239,11 +265,12 @@ def test_pairs_file_exit_codes(name, tmp_path_factory):
     def inner(content):
         check([name, "--pairs", content], directory)
 
-    inner()
+    pinned("content", map(PairsFile, FOUND_CONTENT))(inner)()
 
 
 @settings(FUZZ, max_examples=300)
 @given(pairs=JOINT3)
+@pinned("pairs", map(_pairs3, FOUND_JOINT3))
 def test_marginals_of_a_joint3_exist(pairs, tmp_path_factory):
     """Pair tables cut from one joint over (A, B, C) always have a joint,
     also on the boundary, where rounding alone used to empty the mu3 interval."""
