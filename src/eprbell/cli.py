@@ -41,7 +41,7 @@ from .joint import (
     triple_from_moments,
     MomentSet3,
 )
-from .spincore import PairDist, cell_key, cell_keys, covariance, local_pair_dist, qm_pair_dist
+from .spincore import PairDist, cell_key, covariance, local_pair_dist, qm_pair_dist
 
 EXIT_OK = 0
 EXIT_USAGE = 64
@@ -175,7 +175,7 @@ def _load_pair_file(path: str, keys: tuple[str, ...]) -> dict[str, PairDist]:
         if key not in pairs:
             raise DataError(f"{path}: missing pair table {key!r}")
         try:
-            out[key] = PairDist.from_mapping(pairs[key], tuple(key))
+            out[key] = PairDist.from_mapping(pairs[key])
         except EprBellError as exc:
             raise DataError(f"{path}: pair table {key!r}: {exc}")
     return out
@@ -285,7 +285,7 @@ def _cmd_joint3(args) -> dict:
     trip = triple_from_moments(MomentSet3(*moments, mu3))
     check = existence_check_3(*moments, symmetric=symmetric)
     payload = {
-        "entries": dict(zip(cell_keys(3), trip.cells)),
+        "entries": trip.to_mapping(),
         "valid": trip.valid,
         "negative_cells": [{"cell": cell_key(cell), "value": v} for cell, v in trip.negative_cells()],
         "mu3": mu3,
@@ -307,7 +307,7 @@ def _cmd_joint4(args) -> dict:
         "feasible": result.feasible,
         "failed_inequality": result.failed,
         "inequalities": {name: _verdict(v) for name, v in result.verdicts.items()},
-        "witness": dict(zip(cell_keys(4), result.witness.cells)) if result.witness is not None else None,
+        "witness": result.witness.to_mapping() if result.witness is not None else None,
     }
 
 

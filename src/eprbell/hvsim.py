@@ -91,7 +91,7 @@ def classify(lam: np.ndarray, part: PartitionSpec) -> np.ndarray:
 
 def p_c_analytic(a: Direction, b: Direction) -> dict[int, float]:
     """P[C = c] = (1 + c * a.b) / 2, the cap-area ratio."""
-    x = a.dot(b)
+    x = a.cos_to(b)
     return {1: 0.5 * (1.0 + x), -1: 0.5 * (1.0 - x)}
 
 

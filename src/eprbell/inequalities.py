@@ -10,7 +10,7 @@ pairwise angles are geometrically realizable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 from .errors import InvalidGeometryError, InvalidInputError, InvalidModelError
@@ -19,10 +19,12 @@ from .geometry import Direction
 VIOLATION_SLACK = 1e-12
 
 
-def _check_cov(name: str, value: float) -> float:
-    if not -1.0 <= value <= 1.0:
-        raise InvalidInputError(f"covariance {name} = {value} outside [-1, 1]")
-    return float(value)
+def _check_unit(obj, what: str) -> None:
+    """Raise InvalidInputError unless each field of the dataclass ``obj`` is in [-1, 1]."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if not -1.0 <= v <= 1.0:
+            raise InvalidInputError(f"{what} {f.name} = {v} outside [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,7 @@ class CovarianceTriple:
     c_bc: float
 
     def __post_init__(self):
-        for name in ("c_ab", "c_ac", "c_bc"):
-            _check_cov(name, getattr(self, name))
+        _check_unit(self, "covariance")
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,7 @@ class CovarianceQuad:
     c_dc: float
 
     def __post_init__(self):
-        for name in ("c_ab", "c_ac", "c_db", "c_dc"):
-            _check_cov(name, getattr(self, name))
+        _check_unit(self, "covariance")
 
 
 @dataclass(frozen=True)
@@ -58,23 +58,32 @@ class InequalityVerdict:
         object.__setattr__(self, "satisfied", self.lhs <= self.bound + VIOLATION_SLACK)
 
 
+def _bell_lhs(c_ab, c_ac, c_bc):
+    """|c_ab - c_ac| - c_bc, on floats or ndarrays."""
+    return abs(c_ab - c_ac) - c_bc
+
+
+def _chsh_lhs(c_ab, c_ac, c_db, c_dc):
+    """|c_ab - c_ac| + |c_db + c_dc|, on floats or ndarrays."""
+    return abs(c_ab - c_ac) + abs(c_db + c_dc)
+
+
 def bell_1964(t: CovarianceTriple) -> InequalityVerdict:
     """|c_ab - c_ac| - c_bc <= 1."""
-    return InequalityVerdict(abs(t.c_ab - t.c_ac) - t.c_bc, 1.0)
+    return InequalityVerdict(_bell_lhs(t.c_ab, t.c_ac, t.c_bc), 1.0)
 
 
 def chsh(q: CovarianceQuad) -> InequalityVerdict:
     """|c_ab - c_ac| + |c_db + c_dc| <= 2."""
-    return InequalityVerdict(abs(q.c_ab - q.c_ac) + abs(q.c_db + q.c_dc), 2.0)
+    return InequalityVerdict(_chsh_lhs(q.c_ab, q.c_ac, q.c_db, q.c_dc), 2.0)
 
 
 def bell_pair_inequalities(c_ab: float, c_ac: float, c_bc: float) -> tuple[InequalityVerdict, InequalityVerdict]:
     """The single-device covariance pair: |c_ab + c_ac| - c_bc <= 1 and
     |c_ab - c_ac| + c_bc <= 1. Both must hold for a third-order joint to exist."""
-    for name, v in (("c_ab", c_ab), ("c_ac", c_ac), ("c_bc", c_bc)):
-        _check_cov(name, v)
-    first = InequalityVerdict(abs(c_ab + c_ac) - c_bc, 1.0)
-    second = InequalityVerdict(abs(c_ab - c_ac) + c_bc, 1.0)
+    CovarianceTriple(c_ab, c_ac, c_bc)  # checks each covariance
+    first = InequalityVerdict(_bell_lhs(c_ab, -c_ac, c_bc), 1.0)
+    second = InequalityVerdict(_bell_lhs(c_ab, c_ac, -c_bc), 1.0)
     return first, second
 
 
@@ -85,11 +94,13 @@ def _wrap_angle(theta: float) -> float:
 
 def qm_bell_lhs(theta_ab: float, theta_ac: float, theta_bc: float) -> float:
     """Bell-1964 left-hand side |cos t_ab - cos t_ac| + cos t_bc for singlet
-    covariances at coplanar orientations.
+    covariances -cos t at coplanar orientations.
 
-    The triple must be realizable: t_ac must equal t_ab + t_bc or
-    |t_ab - t_bc| up to reflection about pi.
+    The angles must be finite and the triple realizable: t_ac must equal
+    t_ab + t_bc or |t_ab - t_bc| up to reflection about pi.
     """
+    if not all(map(math.isfinite, (theta_ab, theta_ac, theta_bc))):
+        raise InvalidInputError(f"angles must be finite, got ({theta_ab}, {theta_ac}, {theta_bc})")
     tab, tac, tbc = (_wrap_angle(t) for t in (theta_ab, theta_ac, theta_bc))
     realizable = any(
         abs(_wrap_angle(tab + s * tbc) - tac) <= 1e-9 for s in (1.0, -1.0)
@@ -98,7 +109,7 @@ def qm_bell_lhs(theta_ab: float, theta_ac: float, theta_bc: float) -> float:
         raise InvalidGeometryError(
             f"angles ({theta_ab}, {theta_ac}, {theta_bc}) not realizable by coplanar unit vectors"
         )
-    return abs(math.cos(tab) - math.cos(tac)) + math.cos(tbc)
+    return _bell_lhs(-math.cos(tab), -math.cos(tac), -math.cos(tbc))
 
 
 def chsh_to_bell_reduction(t: CovarianceTriple) -> tuple[float, float]:
@@ -222,10 +233,10 @@ def violation_scan(inequality: str, resolution: float) -> ScanResult:
     for start in range(0, n, rows):
         if dims == 2:
             pb, pc = grid[start:start + rows, None], grid[None, :]
-            lhs = np.abs(-np.cos(pb) + np.cos(pc)) - (-np.cos(pc - pb))
+            lhs = _bell_lhs(-np.cos(pb), -np.cos(pc), -np.cos(pc - pb))
         else:
             pb, pc, pd = grid[start:start + rows, None, None], grid[None, :, None], grid[None, None, :]
-            lhs = np.abs(-np.cos(pb) + np.cos(pc)) + np.abs(-np.cos(pd - pb) - np.cos(pd - pc))
+            lhs = _chsh_lhs(-np.cos(pb), -np.cos(pc), -np.cos(pd - pb), -np.cos(pd - pc))
         # Strict > over slabs in C order keeps the first maximum, as argmax does.
         local = np.unravel_index(int(np.argmax(lhs)), lhs.shape)
         if lhs[local] > best_lhs:

@@ -54,7 +54,7 @@ def binary_entropy(p: float) -> float:
 
 def conditional_entropy(a: Direction, b: Direction) -> float:
     """H(A(b) | A(a)) in bits; the binary entropy of cos^2(theta_ab / 2)."""
-    x = a.dot(b)
+    x = a.cos_to(b)
     return binary_entropy(0.5 * (1.0 + x))
 
 

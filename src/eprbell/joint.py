@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import ClassVar, Optional
+from typing import Optional
 
 from .errors import (
     InconsistentMarginalsError,
@@ -37,18 +36,12 @@ from .errors import (
     UndefinedConditionalError,
 )
 from .geometry import Direction
-from .inequalities import VIOLATION_SLACK, InequalityVerdict, bell_pair_inequalities
-from .spincore import SIGNS, PairDist, _idx, cells_of, covariance, read_only_array, table_sum
+from .inequalities import VIOLATION_SLACK, InequalityVerdict, _check_unit, bell_pair_inequalities
+from .spincore import SIGNS, PairDist, SignedTable, _idx, covariance, table_sum
 
 TRIPLE_TOL = 1e-12
 QUAD_TOL = 1e-9
 MARGINAL_TOL = 1e-9
-
-
-def _check_moment(name: str, v: float) -> float:
-    if not -1.0 <= v <= 1.0:
-        raise InvalidInputError(f"moment {name} = {v} outside [-1, 1]")
-    return float(v)
 
 
 @dataclass(frozen=True)
@@ -64,55 +57,13 @@ class MomentSet3:
     m_abc: float = 0.0
 
     def __post_init__(self):
-        for name in ("m_a", "m_b", "m_c", "m_ab", "m_bc", "m_ca", "m_abc"):
-            _check_moment(name, getattr(self, name))
+        _check_unit(self, "moment")
 
 
 # Cells of the (A, B, C) tables in C order, index 0 = +1.
 _SIGN_GRID = tuple(itertools.product(SIGNS, repeat=3))
 _ABC = tuple(a * b * c for a, b, c in _SIGN_GRID)
 _BC = tuple(b * c for _, b, c in _SIGN_GRID)
-
-
-@dataclass(frozen=True)
-class SignedTable:
-    """Signed table over {-1,+1}^DIMS whose cells sum to one within TOL.
-    ``cells`` holds the 2^DIMS entries in C order of (A, B, C, ...), index
-    0 = +1, built like ``PairDist.cells``; ``q[i, j, ...]`` is the entry for
-    (SIGNS[i], SIGNS[j], ...), as a read-only ndarray. Negative entries are
-    kept: a table with one certifies that no joint has its pair marginals."""
-
-    DIMS: ClassVar[int]
-    TOL: ClassVar[float]
-
-    cells: tuple[float, ...]
-
-    def __post_init__(self):
-        name = type(self).__name__
-        q = cells_of(self.cells, self.DIMS, name)
-        if abs(table_sum(q) - 1.0) > self.TOL:
-            raise InvalidInputError(f"{name} sums to {table_sum(q)}, not 1")
-        object.__setattr__(self, "cells", q)
-
-    @cached_property
-    def q(self):
-        return read_only_array(self.cells, self.DIMS)
-
-    @property
-    def valid(self) -> bool:
-        return min(self.cells) >= -self.TOL
-
-    def prob(self, *signs: int) -> float:
-        if len(signs) != self.DIMS:
-            raise InvalidInputError(f"expected {self.DIMS} spin values, got {len(signs)}")
-        index = 0
-        for s in signs:
-            index = 2 * index + _idx(s)
-        return self.cells[index]
-
-    def negative_cells(self) -> list[tuple[tuple[int, ...], float]]:
-        grid = itertools.product(SIGNS, repeat=self.DIMS)
-        return [(cell, v) for cell, v in zip(grid, self.cells) if v < -self.TOL]
 
 
 class TripleDist(SignedTable):
@@ -260,8 +211,7 @@ def existence_check_3(m_a, m_b, m_c, m_ab, m_bc, m_ca, symmetric: bool = False) 
     """
     if symmetric and max(abs(m_a), abs(m_b), abs(m_c)) > MARGINAL_TOL:
         raise InvalidInputError("symmetric flag set but first moments are non-zero")
-    for name, v in (("m_ab", m_ab), ("m_bc", m_bc), ("m_ca", m_ca)):
-        _check_moment(name, v)
+    MomentSet3(m_ab=m_ab, m_bc=m_bc, m_ca=m_ca)  # checks each pair moment
     abs_plus, abs_minus = bell_pair_inequalities(m_ab, m_ca, m_bc)
     verdicts = {
         "sum": InequalityVerdict(-(m_ab + m_bc + m_ca), 1.0),

@@ -1,5 +1,8 @@
 """Exact spin-pair probability tables for the singlet state.
 
+``SignedTable`` is the one table type over {-1,+1}^DIMS: ``PairDist`` is its
+two-axis size, ``joint.TripleDist`` and ``joint.QuadDist`` the larger ones.
+
 Two families of 2x2 tables over outcomes in {-1,+1}:
 
 * ``qm_pair_dist``: the two-device (A, B) table, entry(alpha, beta) =
@@ -18,6 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 from .errors import InvalidInputError
 from .geometry import Direction
@@ -82,52 +86,77 @@ def table_sum(cells) -> float:
     return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
 
 
-def read_only_array(cells, dims: int):
-    """``cells`` as a read-only 2 x ... x 2 ndarray; numpy loads here, on the
-    first ``.table`` or ``.q`` access."""
-    import numpy as np
-
-    a = np.array(cells, dtype=float).reshape((2,) * dims)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
-class PairDist:
-    """Probability table over {-1,+1}^2 for two binary spin variables.
+class SignedTable:
+    """Signed table over {-1,+1}^DIMS whose cells sum to one within TOL.
+    ``cells`` holds the 2^DIMS entries in C order of (A, B, C, ...), index
+    0 = +1; it is built from any 2 x ... x 2 nested sequence or array, or
+    from the flat cells. ``table[i, j, ...]`` is the entry for (SIGNS[i],
+    SIGNS[j], ...), as a read-only ndarray. Negative entries are kept: a
+    table with one certifies that no joint has its pair marginals."""
 
-    ``cells`` is (p(+,+), p(+,-), p(-,+), p(-,-)), first variable first; it
-    is built from any 2x2 nested sequence or array, or from the four cells.
-    ``table[i, j]`` is the probability of (first, second) = (SIGNS[i],
-    SIGNS[j]), as a read-only ndarray.
-    """
+    DIMS: ClassVar[int]
+    TOL: ClassVar[float]
 
-    cells: tuple[float, float, float, float]
-    labels: tuple[str, str] = ("A", "B")
+    cells: tuple[float, ...]
 
     def __post_init__(self):
-        t = cells_of(self.cells, 2, "pair table")
-        if min(t) < -PROB_TOL or max(t) > 1.0 + PROB_TOL:
-            raise InvalidInputError(f"pair table entries outside [0, 1]: {t}")
-        if abs(table_sum(t) - 1.0) > PROB_TOL:
-            raise InvalidInputError(f"pair table sums to {table_sum(t)}, not 1")
-        # Clip as np.clip does: -0.0 stays -0.0.
-        t = tuple(0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in t)
+        name = type(self).__name__
+        t = cells_of(self.cells, self.DIMS, name)
+        if abs(table_sum(t) - 1.0) > self.TOL:
+            raise InvalidInputError(f"{name} sums to {table_sum(t)}, not 1")
         object.__setattr__(self, "cells", t)
 
     @cached_property
     def table(self):
-        return read_only_array(self.cells, 2)
+        # numpy loads here, on the first access.
+        import numpy as np
 
-    def prob(self, first: int, second: int) -> float:
-        return self.cells[2 * _idx(first) + _idx(second)]
+        a = np.array(self.cells, dtype=float).reshape((2,) * self.DIMS)
+        a.flags.writeable = False
+        return a
+
+    # The former name of ``table``; perfbench/child.py still reads it.
+    q = property(lambda self: self.table)
+
+    @property
+    def valid(self) -> bool:
+        return min(self.cells) >= -self.TOL
+
+    def prob(self, *signs: int) -> float:
+        if len(signs) != self.DIMS:
+            raise InvalidInputError(f"expected {self.DIMS} spin values, got {len(signs)}")
+        index = 0
+        for s in signs:
+            index = 2 * index + _idx(s)
+        return self.cells[index]
+
+    def negative_cells(self) -> list[tuple[tuple[int, ...], float]]:
+        grid = itertools.product(SIGNS, repeat=self.DIMS)
+        return [(cell, v) for cell, v in zip(grid, self.cells) if v < -self.TOL]
 
     def to_mapping(self) -> dict[str, float]:
-        """Serialize as {"pp", "pm", "mp", "mm"} (``cell_keys(2)``)."""
-        return dict(zip(cell_keys(2), self.cells))
+        """The cells by name (``cell_keys``): {"pp", "pm", "mp", "mm"} for a pair."""
+        return dict(zip(cell_keys(self.DIMS), self.cells))
+
+
+class PairDist(SignedTable):
+    """Probability table over {-1,+1}^2 for two binary spin variables: a
+    ``SignedTable`` whose cells also lie in [0, 1] within TOL, clipped to it."""
+
+    DIMS, TOL = 2, PROB_TOL
+
+    def __post_init__(self):
+        super().__post_init__()
+        t, lo, hi = self.cells, min(self.cells), max(self.cells)
+        if lo < -self.TOL or hi > 1.0 + self.TOL:
+            raise InvalidInputError(f"pair table entries outside [0, 1]: {t}")
+        if lo < 0.0 or hi > 1.0:  # clip as np.clip does: -0.0 stays -0.0
+            object.__setattr__(self, "cells", tuple(0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in t))
 
     @classmethod
-    def from_mapping(cls, m: dict, labels=("A", "B")) -> "PairDist":
+    def from_mapping(cls, m: dict, labels=None) -> "PairDist":
+        # ``labels`` is ignored: perfbench/child.py still passes it.
         try:
             cells = [m[key] for key in cell_keys(2)]
         except (KeyError, TypeError) as exc:
@@ -135,7 +164,7 @@ class PairDist:
         # float() would parse "0.25" and read True as 1.0.
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in cells):
             raise InvalidInputError(f"pair table cells must be numbers, got {cells}")
-        return cls(cells, labels)
+        return cls(cells)
 
 
 def pair_dist_from_dot(x: float, s: int) -> PairDist:
@@ -143,17 +172,17 @@ def pair_dist_from_dot(x: float, s: int) -> PairDist:
     s = -1 gives the two-device (A, B) singlet table, s = +1 the
     single-device (A, A') one."""
     cells = [0.25 * (1.0 + s * alpha * beta * x) for alpha in SIGNS for beta in SIGNS]
-    return PairDist(cells, ("A", "B") if s == -1 else ("A", "A'"))
+    return PairDist(cells)
 
 
 def qm_pair_dist(a: Direction, b: Direction) -> PairDist:
     """Singlet-state joint table for outcomes (A(a), B(b))."""
-    return pair_dist_from_dot(a.dot(b), -1)
+    return pair_dist_from_dot(a.cos_to(b), -1)
 
 
 def local_pair_dist(a: Direction, b: Direction) -> PairDist:
     """Single-device joint table for outcomes (A(a), A(b))."""
-    return pair_dist_from_dot(a.dot(b), 1)
+    return pair_dist_from_dot(a.cos_to(b), 1)
 
 
 def qm_marginal(d: PairDist, which: str = "first") -> dict[int, float]:
@@ -169,17 +198,15 @@ def qm_marginal(d: PairDist, which: str = "first") -> dict[int, float]:
 def qm_conditional(a: Direction, b: Direction, given: int) -> dict[int, float]:
     """Conditional table for one device's outcome given the other's reading
     ``given``; by symmetry it does not matter which device conditions:
-    P[s] = (1 - s*given * a.b) / 2."""
-    _idx(given)
-    x = a.dot(b)
-    return {s: 0.5 * (1.0 - s * given * x) for s in SIGNS}
+    P[s] = (1 - s*given * a.b) / 2: twice a row of the pair table."""
+    d = qm_pair_dist(a, b)
+    return {s: 2.0 * d.prob(given, s) for s in SIGNS}
 
 
 def local_conditional(a: Direction, b: Direction, given: int) -> dict[int, float]:
-    """P[A(b)=s | A(a)=given] = (1 + s*given * a.b) / 2."""
-    _idx(given)
-    x = a.dot(b)
-    return {s: 0.5 * (1.0 + s * given * x) for s in SIGNS}
+    """P[A(b)=s | A(a)=given] = (1 + s*given * a.b) / 2: twice a row of the pair table."""
+    d = local_pair_dist(a, b)
+    return {s: 2.0 * d.prob(given, s) for s in SIGNS}
 
 
 def covariance(d: PairDist) -> float:
@@ -196,7 +223,7 @@ def apply_property_I(d: PairDist, which: str = "second") -> PairDist:
     """
     pp, pm, mp, mm = d.cells
     if which == "first":
-        return PairDist((mp, mm, pp, pm), d.labels)
+        return PairDist((mp, mm, pp, pm))
     if which == "second":
-        return PairDist((pm, pp, mm, mp), d.labels)
+        return PairDist((pm, pp, mm, mp))
     raise InvalidInputError(f"which must be 'first' or 'second', got {which!r}")

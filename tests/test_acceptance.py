@@ -196,7 +196,7 @@ def test_criterion_09_fine_consistency():
         for witness in (res.witness, lp):
             if witness is None:
                 continue
-            if witness.q.min() < -QUAD_TOL:
+            if witness.table.min() < -QUAD_TOL:
                 disagreements += 1
             for key, table in tables.items():
                 dev = float(np.max(np.abs(

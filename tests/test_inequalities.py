@@ -104,6 +104,13 @@ class TestQmBellLhs:
         with pytest.raises(InvalidGeometryError):
             qm_bell_lhs(math.pi / 4, math.pi, math.pi / 4)
 
+    @pytest.mark.parametrize("angles", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf)])
+    def test_rejects_non_finite_angles(self, angles):
+        # NaN used to read as angle 0 (lhs 1.0), an infinity to raise a bare
+        # "math domain error".
+        with pytest.raises(InvalidInputError, match="finite"):
+            qm_bell_lhs(*angles)
+
 
 class TestReduction:
     def test_qm_point(self):

@@ -63,13 +63,13 @@ def grid_oracle_exists(m_ab, m_bc, m_ca, m_a=0.0, m_b=0.0, m_c=0.0, step=1e-3):
 
 
 class TestTableValidation:
-    @pytest.mark.parametrize("cls, dims", [(TripleDist, 3), (QuadDist, 4)])
+    @pytest.mark.parametrize("cls, dims", [(PairDist, 2), (TripleDist, 3), (QuadDist, 4)])
     def test_cells_and_read_only_array(self, cls, dims):
         q = np.arange(1.0, 2 ** dims + 1) / (2 ** (dims - 1) * (2 ** dims + 1))
         t = cls(q.reshape((2,) * dims))
         assert t.cells == tuple(q.tolist()) and cls(tuple(q.tolist())) == t
-        assert t.q is t.q and not t.q.flags.writeable
-        assert t.q.shape == (2,) * dims and t.q.ravel().tolist() == list(t.cells)
+        assert t.table is t.table and not t.table.flags.writeable
+        assert t.table.shape == (2,) * dims and t.table.ravel().tolist() == list(t.cells)
 
     @pytest.mark.parametrize("dims", [3, 4])
     def test_prob_and_negative_cells(self, dims):
@@ -81,10 +81,10 @@ class TestTableValidation:
             t = QuadDist([v / 2 for v in t.cells for _ in range(2)])
             negative = [(cell + (d,), v / 2) for cell, v in negative for d in (1, -1)]
         for cell in itertools.product((1, -1), repeat=dims):
-            assert t.prob(*cell) == t.q[tuple((1 - s) // 2 for s in cell)]
+            assert t.prob(*cell) == t.table[tuple((1 - s) // 2 for s in cell)]
         assert t.negative_cells() == negative
 
-    @pytest.mark.parametrize("cls", [TripleDist, QuadDist])
+    @pytest.mark.parametrize("cls", [PairDist, TripleDist, QuadDist])
     def test_prob_rejects_bad_signs(self, cls):
         t = cls([1.0] + [0.0] * (2 ** cls.DIMS - 1))
         rest = [1] * (cls.DIMS - 1)
@@ -96,7 +96,7 @@ class TestTableValidation:
             with pytest.raises(InvalidInputError, match=f"expected {cls.DIMS} spin values"):
                 t.prob(*[1] * n)
 
-    @pytest.mark.parametrize("cls", [TripleDist, QuadDist])
+    @pytest.mark.parametrize("cls", [PairDist, TripleDist, QuadDist])
     def test_rejects_sum_off_one(self, cls):
         rest = [0.0] * (2 ** cls.DIMS - 2)
         assert cls([1.0, 0.5 * cls.TOL, *rest]).valid
@@ -128,7 +128,7 @@ class TestTableValidation:
 class TestTripleFromMoments:
     def test_uniform(self):
         t = triple_from_moments(MomentSet3())
-        assert np.allclose(t.q, 0.125, atol=1e-15)
+        assert np.allclose(t.table, 0.125, atol=1e-15)
         assert t.valid
 
     def test_contradictory_negative_cell(self):
@@ -282,7 +282,7 @@ class TestQmTriple:
         b = Direction(0, 1, 0)
         c = Direction(0, 0, 1)
         t = qm_triple(a, b, c)
-        assert np.allclose(t.q, 0.125, atol=1e-15)
+        assert np.allclose(t.table, 0.125, atol=1e-15)
         assert t.valid
 
     def test_negative_entry_at_pi_over_8(self):
@@ -430,7 +430,7 @@ def boundary_quads(draw):
 
 
 def assert_valid_witness(witness: QuadDist, tables) -> None:
-    assert witness.q.min() >= -joint.QUAD_TOL
+    assert witness.table.min() >= -joint.QUAD_TOL
     for key, table in zip(CHSH_PAIRS, tables):
         assert np.max(np.abs(marginal(witness, *CHSH_AXES[key]).table - table.table)) < 1e-9
 

@@ -9,9 +9,11 @@ from eprbell import (
     InvalidDirectionError,
     InvalidInputError,
     apply_property_I,
+    conditional_entropy,
     covariance,
     local_conditional,
     local_pair_dist,
+    p_c_analytic,
     qm_conditional,
     qm_marginal,
     qm_pair_dist,
@@ -157,6 +159,22 @@ class TestMarginalsConditionals:
                     assert cond[alpha] * 0.5 == pytest.approx(
                         d.prob(alpha, beta), abs=1e-12
                     )
+
+    def test_opposite_directions_read_clamped_cosine(self, rng):
+        # a.dot(-a) rounds to -1 - 2^-52 for many random a; every pair
+        # quantity reads the cosine clamped to [-1, 1], so none goes negative
+        # and such a pair has zero conditional entropy.
+        rounded = 0
+        for _ in range(2000):
+            a = random_direction(rng)
+            if a.dot(-a) < -1.0:
+                rounded += 1
+                assert conditional_entropy(a, -a) == 0.0
+                assert qm_pair_dist(a, -a).cells == (0.5, 0.0, 0.0, 0.5)
+            values = [*qm_conditional(a, a, 1).values(), *local_conditional(a, -a, 1).values(),
+                      *p_c_analytic(a, a).values(), *p_c_analytic(a, -a).values()]
+            assert min(values) >= 0.0
+        assert rounded > 0
 
     def test_local_conditional_aligned(self):
         a, b = from_angles(0.0)
