@@ -61,4 +61,10 @@ class Direction:
         return math.acos(self.cos_to(other))
 
     def __neg__(self) -> "Direction":
-        return Direction(-self.x, -self.y, -self.z)
+        # Negation is exact; __post_init__ would divide by the rounded norm
+        # again and could move a component by an ulp.
+        neg = object.__new__(Direction)
+        object.__setattr__(neg, "x", -self.x)
+        object.__setattr__(neg, "y", -self.y)
+        object.__setattr__(neg, "z", -self.z)
+        return neg

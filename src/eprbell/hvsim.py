@@ -10,17 +10,27 @@ sits on +z: by Archimedes' hat-box theorem z is uniform on [-1, 1], and a
 sample is in the cap exactly when its z reaches the cap's cosine threshold.
 
 Reproducibility contract ``CONTRACT`` (2): samples come in fixed blocks of
-65,536. Block k of a run with seed s uses the PCG64 stream of
-``numpy.random.SeedSequence((s, k))`` and draws, in order, its z
-coordinates, one 64-bit word per sample in the azimuth slot, and its pair
-signs. Totals are integer counts summed over blocks, so results are
-bit-identical for any worker count.
+65,536. Block k of a run with seed s reads the PCG64 stream of
+``numpy.random.SeedSequence((s, k))``. Counting in 64-bit words, a block of
+``count`` samples takes:
 
-The fused kernel ``_simulate_block`` skips the azimuth words without
-computing them. The staged public functions ``block_rng``,
-``sample_lambda``, ``classify`` and ``sample_pair_given_c``, chained on the
-partition of ``PartitionSpec.for_directions``, are its reference route and
-give the same counts; the tests compare the two.
+- ``count`` words for z, one per sample: word w gives
+  z = -1 + (w >> 11) * 2**-52;
+- ``count`` words skipped, the azimuth slot;
+- ceil(count / 2) words for the pair signs, two per word: the 32-bit halves
+  in order, low half first, and A(a) = -1 exactly when the half's top bit
+  is 0.
+
+Totals are integer counts summed over blocks, so results are bit-identical
+for any worker count.
+
+The fused kernel ``_simulate_block`` reads these words with ``random_raw``
+and decides the cap from them in exact integer arithmetic. The staged public
+functions ``block_rng``, ``sample_lambda``, ``classify`` and
+``sample_pair_given_c``, chained on the partition of
+``PartitionSpec.for_directions``, are its reference route and give the same
+counts through numpy's ``uniform`` and ``integers``; the tests compare the
+two.
 """
 
 from __future__ import annotations
@@ -128,19 +138,38 @@ class SimReport:
         return dict(zip(cell_keys(2), self.empirical.ravel().tolist()))
 
 
-def _simulate_block(seed: int, block_index: int, count: int, cos_threshold: float, singlet: bool) -> np.ndarray:
+def _z_word_min(cos_threshold: float) -> int | None:
+    """Smallest word w with z = -1 + (w >> 11) * 2**-52 >= cos_threshold, or
+    None when no word reaches it.
+
+    Every such z is exact, so z >= t holds exactly when w >> 11 >= K with
+    K = ceil((t + 1) * 2**52), computed here in integers from t = p / q.
+    """
+    p, q = cos_threshold.as_integer_ratio()
+    k = -(-((p + q) << 52) // q)
+    return k << 11 if k < 1 << 53 else None
+
+
+def _simulate_block(seed: int, block_index: int, count: int, z_word_min: int | None, singlet: bool) -> np.ndarray:
     """Counts (++, +-, -+, --) of one block: block_rng -> sample_lambda ->
     classify -> sample_pair_given_c -> bincount on a +z cap fused into one
-    pass that makes the same draws in the same order.
+    pass over the contract's raw words.
 
-    The cap test needs z alone, so the azimuths are never computed: each
-    uniform double consumes exactly one 64-bit PCG64 word, and advancing the
-    stream by ``count`` words leaves it where sample_lambda leaves it.
+    ``z_word_min`` is ``_z_word_min`` of the cap's cosine threshold. The cap
+    test needs z alone, so the azimuth words are skipped with ``advance``.
     """
-    rng = block_rng(seed, block_index)
-    inside = rng.uniform(-1.0, 1.0, count) >= cos_threshold
-    rng.bit_generator.advance(count)
-    first_neg = rng.integers(0, 2, count) == 0  # A(a) = -1
+    words = block_rng(seed, block_index).bit_generator
+    # The z words are compared and dropped at once: holding them while the
+    # sign words were drawn made the block about twice as slow.
+    if z_word_min is None:  # no z reaches the threshold
+        words.advance(count)
+        inside = np.zeros(count, dtype=bool)
+    else:
+        inside = words.random_raw(count) >= z_word_min
+    words.advance(count)
+    # '<u4' reads each word's low half first on any byte order.
+    halves = words.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")
+    first_neg = halves[:count] < 1 << 31  # A(a) = -1
     # A(b) = A(a) * C is -1 when exactly one of A(a) and C is -1; singlet
     # mode reports B(b) = -A(b).
     second_neg = first_neg ^ inside if singlet else first_neg == inside
@@ -173,7 +202,7 @@ def simulate(
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
     if mode not in ("local", "singlet"):
         raise InvalidInputError(f"mode must be 'local' or 'singlet', got {mode!r}")
-    cos_threshold = PartitionSpec.for_directions(a, b).cos_threshold
+    z_word_min = _z_word_min(PartitionSpec.for_directions(a, b).cos_threshold)
     singlet = mode == "singlet"
 
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -184,7 +213,7 @@ def simulate(
         holds one block result at a time, so memory does not grow with n."""
         total = np.zeros(4, dtype=np.int64)
         for k in range(j, n_blocks, workers):
-            total += _simulate_block(seed, k, min(BLOCK_SIZE, n - k * BLOCK_SIZE), cos_threshold, singlet)
+            total += _simulate_block(seed, k, min(BLOCK_SIZE, n - k * BLOCK_SIZE), z_word_min, singlet)
         return total
 
     if workers > 1:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ class TestSimulate:
             with lock:
                 held[0] -= 1
 
-        def stub(seed, k, count, cos_threshold, singlet):
+        def stub(seed, k, count, z_word_min, singlet):
             out = np.array([count, 0, 0, 0], dtype=np.int64)
             with lock:
                 held[0] += 1
@@ -240,13 +241,16 @@ GENERAL_A = Direction(0.36, -0.48, 0.8)
 class TestGoldenCounts:
     """Exact (++, +-, -+, --) counts of reproducibility contract 2: fixed
     blocks, per-block SeedSequence((seed, k)), a cap on +z decided by z
-    alone, and per block the draws z, one skipped 64-bit word per sample in
-    the azimuth slot, then the pair signs.
+    alone. A block of ``count`` samples takes, in 64-bit PCG64 words,
+    ``count`` words for z (z = -1 + (w >> 11) * 2**-52), ``count`` words
+    skipped in the azimuth slot, then ceil(count / 2) words for the pair
+    signs: 32-bit halves, low half first, and A(a) = -1 exactly when the
+    half's top bit is 0.
 
     Recorded with numpy 2.4.6 on a 2-vCPU Intel Xeon (x86-64). The counts
-    depend only on numpy's PCG64 stream and its uniform/integers transforms,
-    and on math.cos of the cap angle; a mismatch on another platform is a
-    platform difference, not a reason to loosen this test.
+    depend only on numpy's PCG64 stream, which NEP 19 keeps stable, and on
+    math.cos of the cap angle; a mismatch on another platform is a platform
+    difference, not a reason to loosen this test.
     """
 
     GOLDEN = [
@@ -299,21 +303,61 @@ def _direction_at_dot(a, x):
     return Direction.from_array(x * v + math.sqrt(1.0 - x * x) * w / np.linalg.norm(w))
 
 
+def _cap_at(t):
+    """A +z cap whose cosine threshold is exactly t; classify reads only the
+    axis and the threshold."""
+    return SimpleNamespace(cap_axis=Direction(0.0, 0.0, 1.0), cos_threshold=t)
+
+
+def _edge_cases():
+    """(seed, block, count, threshold) cases for the raw-word kernel."""
+    rng = np.random.default_rng(20261018)
+    cases = [
+        (int(rng.integers(2**32)), int(rng.integers(1_000)), int(rng.integers(1, 2_049)),
+         float(rng.uniform(-1.0, 1.0)))
+        for _ in range(2_000)
+    ]
+    # Counts 1, 3 and 65,535 leave the high half of the last sign word unused.
+    for count in (1, 3, 65_535, BLOCK_SIZE):
+        cases += [(9, 4, count, t) for t in (-1.0, 1.0, 0.25)]
+    # Thresholds at drawn z values and one ulp either side, the extremes included.
+    for seed, k, count in ((2, 0, 4_096), (31, 7, 65_535)):
+        z = block_rng(seed, k).uniform(-1.0, 1.0, count)
+        for zi in [z.min(), z.max()] + rng.choice(z, 10).tolist():
+            cases += [(seed, k, count, float(t)) for t in (np.nextafter(zi, -2.0), zi, np.nextafter(zi, 2.0))]
+    return cases
+
+
 class TestFusedBlock:
     @pytest.mark.parametrize("axis", _sweep_axes())
     def test_matches_staged_route(self, axis):
         """For device direction a = ``axis`` and b at each swept a.b, the fused
         kernel, given only the cap threshold, equals the staged route on
         for_directions' partition bit for bit."""
-        from eprbell.hvsim import _simulate_block
+        from eprbell.hvsim import _simulate_block, _z_word_min
 
         for x in SWEEP_DOTS:
             part = PartitionSpec.for_directions(axis, _direction_at_dot(axis, x))
             for singlet in (False, True):
                 for seed, k, count in ((17, 0, BLOCK_SIZE), (0, 3, 1_000), (12345, 1, 1)):
                     expected = _staged_block(seed, k, count, part, singlet)
-                    got = _simulate_block(seed, k, count, part.cos_threshold, singlet)
+                    got = _simulate_block(seed, k, count, _z_word_min(part.cos_threshold), singlet)
                     assert np.array_equal(got, expected)
+
+    def test_matches_staged_route_at_the_edges(self):
+        """The kernel reads raw PCG64 words; the staged route draws through
+        numpy's ``uniform`` and ``integers``. They agree bit for bit on random
+        cases, at t = -1 and t = +1, at thresholds equal to a drawn z and one
+        ulp either side, and on odd counts. If a numpy release changes
+        ``uniform`` or ``integers``, this test fails while TestGoldenCounts,
+        which depends only on the PCG64 stream, still passes."""
+        from eprbell.hvsim import _simulate_block, _z_word_min
+
+        for i, (seed, k, count, t) in enumerate(_edge_cases()):
+            singlet = i % 2 == 1
+            got = _simulate_block(seed, k, count, _z_word_min(t), singlet)
+            expected = _staged_block(seed, k, count, _cap_at(t), singlet)
+            assert np.array_equal(got, expected), (seed, k, count, t, singlet)
 
 
 # (++, +-, -+, --) cell probabilities of the exact tables, row-major as in PairDist.

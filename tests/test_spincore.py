@@ -54,6 +54,15 @@ class TestDirection:
         a = Direction(0.0, 0.6, 0.8)
         assert a.cos_to(Direction(0.48, 0.6, -0.64)) == a.dot(Direction(0.48, 0.6, -0.64))
 
+    def test_negation_is_exact(self, rng):
+        # -a negates each component without renormalizing, so the two-device
+        # table of (a, -a) is the one-device table of (a, a) cell for cell.
+        for _ in range(2000):
+            a = random_direction(rng)
+            neg = -a
+            assert (neg.x, neg.y, neg.z) == (-a.x, -a.y, -a.z)
+            assert qm_pair_dist(a, neg).cells == local_pair_dist(a, a).cells
+
 
 class TestPairDist:
     @pytest.mark.parametrize("first, second", [(math.nan, 0.25), (math.inf, -math.inf)])
