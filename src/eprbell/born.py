@@ -3,7 +3,7 @@
 Probabilities come from the quadratic form <psi| P_a(alpha) x P_b(beta) |psi>
 with P_n(s) = (I + s * n.sigma) / 2 and the singlet amplitudes
 (0, 1, -1, 0)/sqrt(2) over the (up-up, up-down, down-up, down-down) basis.
-This route shares no code with the closed-form pair tables and is used to
+This route shares no formula with the closed-form pair tables and is used to
 cross-validate them; ``singlet_pair_probs`` evaluates it for many
 orientation pairs and all four outcome pairs at once.
 """
@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import Direction
+from .spincore import _idx
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -51,12 +52,6 @@ class SingletState:
         return SingletState(self.amplitudes * np.exp(1j * phase))
 
 
-def _sign_index(s: int) -> int:
-    if s not in (1, -1):
-        raise InvalidInputError(f"spin value must be +1 or -1, got {s}")
-    return 0 if s == 1 else 1
-
-
 def _projectors(n: np.ndarray) -> np.ndarray:
     """Projectors (I + s * n.sigma) / 2 for unit vectors ``n`` of shape
     (k, 3), stacked as (k, 2, 2, 2): trial, sign index (0 is +1), row,
@@ -67,7 +62,7 @@ def _projectors(n: np.ndarray) -> np.ndarray:
 
 def spin_projector(n: Direction, s: int) -> np.ndarray:
     """2x2 projector (I + s * n.sigma) / 2 onto spin s along direction n."""
-    return _projectors(n.as_array()[None])[0, _sign_index(s)]
+    return _projectors(n.as_array()[None])[0, _idx(s)]
 
 
 def singlet_pair_probs(a, b, state: SingletState | None = None) -> np.ndarray:
@@ -94,5 +89,5 @@ def singlet_pair_prob(
 ) -> float:
     """Born-rule probability of outcomes (alpha, beta) at orientations (a, b):
     the one-trial case of ``singlet_pair_probs``."""
-    i, j = _sign_index(alpha), _sign_index(beta)
+    i, j = _idx(alpha), _idx(beta)
     return float(singlet_pair_probs(a.as_array()[None], b.as_array()[None], state)[0, i, j])

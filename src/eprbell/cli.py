@@ -5,7 +5,7 @@ companion options and converts degrees to radians, once. Each ``_cmd_*``
 handler takes the parsed values, computes, and returns its output; ``main``
 alone writes it and maps errors to exit codes by type: 64 for an
 ``InvalidInputError`` (usage), 65 for any other ``EprBellError`` or a stdout
-closed by its reader, 1 for a failed ``verify`` check.
+that cannot be written, 1 for a failed ``verify`` check.
 
 Only ``scan``, ``simulate`` and ``verify`` load numpy.
 """
@@ -33,6 +33,7 @@ from .inequalities import (
 )
 from .information import info_curve
 from .joint import (
+    MARGINAL_TOL,
     default_mu3,
     existence_check_3,
     moments_from_pairs,
@@ -137,6 +138,7 @@ def _emit(out, args):
     chunks = (out,) if isinstance(out, str) else out
     if not args.output:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a write error shows here, not in the exit-time flush
         return
     try:
         with open(args.output, "w") as fh:
@@ -157,10 +159,18 @@ def _verdict(v) -> dict:
     return {"lhs": v.lhs, "bound": v.bound, "satisfied": v.satisfied}
 
 
+# Longest pair file read, so that memory stays bounded for any path, even
+# /dev/zero; a pair file holds a few hundred bytes.
+_PAIR_FILE_MAX_BYTES = 1 << 20
+
+
 def _load_pair_file(path: str, keys: tuple[str, ...]) -> dict[str, PairDist]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(_PAIR_FILE_MAX_BYTES + 1)
+        if len(data) > _PAIR_FILE_MAX_BYTES:
+            raise DataError(f"{path} is longer than {_PAIR_FILE_MAX_BYTES} bytes")
+        doc = json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
@@ -222,7 +232,7 @@ _SCAN_CHUNK_ROWS = 1 << 14
 _SCAN_WINDOW_ROWS = _SCAN_CHUNK_ROWS << 4
 
 
-def _scan_csv(result, angle_names: list[str]):
+def _scan_csv(result):
     """Header, violation rows and the max row of a scan, chunk by chunk, in
     the text csv.writer gives (floats as repr).
 
@@ -240,7 +250,7 @@ def _scan_csv(result, angle_names: list[str]):
     degrees = np.array([repr(math.degrees(g)) + "," for g in result.grid.tolist()], dtype=object)
     first = "violation," + degrees  # object array: elementwise str +
     dims = result.violation_index.shape[1]
-    yield ",".join(["kind"] + angle_names + ["lhs"]) + "\n"
+    yield ",".join(["kind", "phi_b_deg", "phi_c_deg", "phi_d_deg"][:dims + 1] + ["lhs"]) + "\n"
     for window in range(0, len(result.violation_lhs), _SCAN_WINDOW_ROWS):
         window_index = result.violation_index[window:window + _SCAN_WINDOW_ROWS]
         window_lhs = result.violation_lhs[window:window + _SCAN_WINDOW_ROWS]
@@ -263,11 +273,7 @@ def _scan_csv(result, angle_names: list[str]):
 
 
 def _cmd_scan(args):
-    result = violation_scan(args.inequality, args.resolution)
-    angle_names = ["phi_b_deg", "phi_c_deg"] + (
-        ["phi_d_deg"] if args.inequality == "chsh" else []
-    )
-    return _scan_csv(result, angle_names)
+    return _scan_csv(violation_scan(args.inequality, args.resolution))
 
 
 def _cmd_joint3(args) -> dict:
@@ -280,7 +286,7 @@ def _cmd_joint3(args) -> dict:
         m = moments_from_pairs(tables["AB"], tables["BC"], tables["CA"])
         moments = (m.m_a, m.m_b, m.m_c, m.m_ab, m.m_bc, m.m_ca)
     interval = mu3_interval(*moments)
-    symmetric = max(map(abs, moments[:3])) <= 1e-9
+    symmetric = max(map(abs, moments[:3])) <= MARGINAL_TOL
     mu3 = args.mu3 if args.mu3 is not None else default_mu3(interval, symmetric)
     trip = triple_from_moments(MomentSet3(*moments, mu3))
     check = existence_check_3(*moments, symmetric=symmetric)
@@ -406,7 +412,7 @@ def build_parser() -> _Parser:
     p = command("simulate", _cmd_simulate, "hidden-variable Monte Carlo run", degrees=("theta",))
     p.add_argument("--theta", type=_finite_float, required=True)
     p.add_argument("-n", type=int, required=True,
-                   help="sample count; run time grows linearly with it, about 0.9 ms "
+                   help="sample count; run time grows linearly with it, about 0.5 ms "
                    "per 65,536-sample block on one core of a 2-vCPU Xeon")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=["local", "singlet"], default="local")
@@ -454,12 +460,15 @@ def main(argv=None) -> int:
     except EprBellError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except BrokenPipeError:
-        # The reader closed stdout; send the interpreter's exit-time flush to devnull.
+    except OSError as exc:
+        # Stdout could not be written (``_emit`` maps -o errors): send the
+        # interpreter's exit-time flush to devnull.
         try:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         except (AttributeError, OSError, ValueError):
             pass  # stdout has no file descriptor, so nothing is left to flush
+        if not isinstance(exc, BrokenPipeError):  # a reader that closed the pipe needs no message
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

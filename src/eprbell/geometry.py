@@ -11,6 +11,11 @@ from .errors import InvalidDirectionError
 _NORM_SLACK = 1e-6
 
 
+def clamp_unit(v: float) -> float:
+    """v clamped to [-1, 1], where a rounded cosine or moment can leave it by an ulp."""
+    return min(1.0, max(-1.0, v))
+
+
 @dataclass(frozen=True)
 class Direction:
     """A unit 3-vector. Inputs within 1e-6 of unit norm are renormalized."""
@@ -53,8 +58,8 @@ class Direction:
 
     def cos_to(self, other: "Direction") -> float:
         """Cosine of the angle between the two directions: the dot product
-        clamped to [-1, 1], which rounding can leave by an ulp."""
-        return max(-1.0, min(1.0, self.dot(other)))
+        clamped to [-1, 1]."""
+        return clamp_unit(self.dot(other))
 
     def angle_to(self, other: "Direction") -> float:
         """Angle between the two directions, in [0, pi]."""

@@ -77,15 +77,13 @@ class PartitionSpec:
     centres it on +z, where the simulator decides it from z alone.
     """
 
-    a: Direction
-    b: Direction
     cap_axis: Direction
     cap_angle: float
 
     @classmethod
     def for_directions(cls, a: Direction, b: Direction) -> "PartitionSpec":
         x = a.cos_to(b)
-        return cls(a=a, b=b, cap_axis=Direction(0.0, 0.0, 1.0), cap_angle=math.acos(-x))
+        return cls(cap_axis=Direction(0.0, 0.0, 1.0), cap_angle=math.acos(-x))
 
     @property
     def cos_threshold(self) -> float:
@@ -138,34 +136,31 @@ class SimReport:
         return dict(zip(cell_keys(2), self.empirical.ravel().tolist()))
 
 
-def _z_word_min(cos_threshold: float) -> int | None:
-    """Smallest word w with z = -1 + (w >> 11) * 2**-52 >= cos_threshold, or
-    None when no word reaches it.
+def _z_word_bound(cos_threshold: float) -> int:
+    """Largest word w with z = -1 + (w >> 11) * 2**-52 below cos_threshold:
+    a word is in the cap exactly when it exceeds this bound, so -1 puts
+    every word inside and 2**64 - 1 none.
 
     Every such z is exact, so z >= t holds exactly when w >> 11 >= K with
     K = ceil((t + 1) * 2**52), computed here in integers from t = p / q.
     """
     p, q = cos_threshold.as_integer_ratio()
     k = -(-((p + q) << 52) // q)
-    return k << 11 if k < 1 << 53 else None
+    return (k << 11) - 1
 
 
-def _simulate_block(seed: int, block_index: int, count: int, z_word_min: int | None, singlet: bool) -> np.ndarray:
+def _simulate_block(seed: int, block_index: int, count: int, z_word_bound: int, singlet: bool) -> np.ndarray:
     """Counts (++, +-, -+, --) of one block: block_rng -> sample_lambda ->
     classify -> sample_pair_given_c -> bincount on a +z cap fused into one
     pass over the contract's raw words.
 
-    ``z_word_min`` is ``_z_word_min`` of the cap's cosine threshold. The cap
-    test needs z alone, so the azimuth words are skipped with ``advance``.
+    ``z_word_bound`` is ``_z_word_bound`` of the cap's cosine threshold. The
+    cap test needs z alone, so the azimuth words are skipped with ``advance``.
     """
     words = block_rng(seed, block_index).bit_generator
     # The z words are compared and dropped at once: holding them while the
     # sign words were drawn made the block about twice as slow.
-    if z_word_min is None:  # no z reaches the threshold
-        words.advance(count)
-        inside = np.zeros(count, dtype=bool)
-    else:
-        inside = words.random_raw(count) >= z_word_min
+    inside = words.random_raw(count) > z_word_bound
     words.advance(count)
     # '<u4' reads each word's low half first on any byte order.
     halves = words.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")
@@ -202,7 +197,7 @@ def simulate(
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
     if mode not in ("local", "singlet"):
         raise InvalidInputError(f"mode must be 'local' or 'singlet', got {mode!r}")
-    z_word_min = _z_word_min(PartitionSpec.for_directions(a, b).cos_threshold)
+    z_word_bound = _z_word_bound(PartitionSpec.for_directions(a, b).cos_threshold)
     singlet = mode == "singlet"
 
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -213,7 +208,7 @@ def simulate(
         holds one block result at a time, so memory does not grow with n."""
         total = np.zeros(4, dtype=np.int64)
         for k in range(j, n_blocks, workers):
-            total += _simulate_block(seed, k, min(BLOCK_SIZE, n - k * BLOCK_SIZE), z_word_min, singlet)
+            total += _simulate_block(seed, k, min(BLOCK_SIZE, n - k * BLOCK_SIZE), z_word_bound, singlet)
         return total
 
     if workers > 1:
@@ -229,9 +224,8 @@ def simulate(
     empirical = counts / n
     max_abs_dev = float(np.max(np.abs(empirical - theoretical.table)))
     expected = n * theoretical.table
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(expected > 0, (counts - expected) ** 2 / np.where(expected > 0, expected, 1.0), 0.0)
-    chi_square = float(terms.sum())
+    drawn = expected > 0
+    chi_square = float(((counts - expected)[drawn] ** 2 / expected[drawn]).sum())
     return SimReport(
         n_samples=n,
         seed=seed,

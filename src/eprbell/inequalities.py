@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import InvalidGeometryError, InvalidInputError, InvalidModelError
-from .geometry import Direction
+from .geometry import Direction, clamp_unit
 
 VIOLATION_SLACK = 1e-12
 
@@ -89,7 +89,7 @@ def bell_pair_inequalities(c_ab: float, c_ac: float, c_bc: float) -> tuple[Inequ
 
 def _wrap_angle(theta: float) -> float:
     """Reduce to the geometric angle between two unit vectors, in [0, pi]."""
-    return math.acos(max(-1.0, min(1.0, math.cos(theta))))
+    return math.acos(clamp_unit(math.cos(theta)))
 
 
 def qm_bell_lhs(theta_ab: float, theta_ac: float, theta_bc: float) -> float:
@@ -128,15 +128,12 @@ class LocalModel:
     """A factorized hidden-variable model: independent outcomes given lambda.
 
     ``mean_a(lams, a)`` and ``mean_b(lams, b)`` return conditional means in
-    [-1, 1] for an (n, 3) array of unit vectors lambda. ``sample_lambda``
-    optionally overrides the default uniform-sphere density
-    (``hvsim.sample_lambda``); it receives (rng, n) and returns an (n, 3)
-    array.
+    [-1, 1] for an (n, 3) array of unit vectors lambda, drawn uniformly on
+    the sphere (``hvsim.sample_lambda``).
     """
 
     mean_a: Callable[[np.ndarray, Direction], np.ndarray]
     mean_b: Callable[[np.ndarray, Direction], np.ndarray]
-    sample_lambda: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
 
 
 def bell_local_model_covariance(
@@ -153,9 +150,7 @@ def bell_local_model_covariance(
 
     from .hvsim import sample_lambda
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    sampler = model.sample_lambda or sample_lambda
-    lams = np.asarray(sampler(rng, n_samples), dtype=float)
+    lams = sample_lambda(np.random.default_rng(seed), n_samples)
     ma = np.asarray(model.mean_a(lams, a), dtype=float)
     mb = np.asarray(model.mean_b(lams, b), dtype=float)
     for name, m in (("mean_a", ma), ("mean_b", mb)):

@@ -66,10 +66,10 @@ def info_curve(step: float) -> list[InfoCurvePoint]:
     n = int(round(min(2.0 / step, INFO_MAX_POINTS)))
     if n + 1 > INFO_MAX_POINTS:
         raise InvalidInputError(f"step {step} gives more than {INFO_MAX_POINTS} points, the most allowed")
+    # k < n = round(2 / step) keeps each x in [-1, 1 - step / 2].
     xs = [-1.0 + k * step for k in range(n)] + [1.0]
     points = []
     for x in xs:
-        x = max(-1.0, min(1.0, x))
         mi = mutual_information(pair_dist_from_dot(x, 1))
         ce = binary_entropy(0.5 * (1.0 + x))
         points.append(InfoCurvePoint(x, mi, ce))

@@ -35,7 +35,7 @@ from .errors import (
     QuasiDistributionError,
     UndefinedConditionalError,
 )
-from .geometry import Direction
+from .geometry import Direction, clamp_unit
 from .inequalities import VIOLATION_SLACK, InequalityVerdict, _check_unit, bell_pair_inequalities
 from .spincore import SIGNS, PairDist, SignedTable, _idx, covariance, table_sum
 
@@ -112,7 +112,7 @@ class Mu3Interval:
     def midpoint(self) -> float:
         """The middle, clamped to [-1, 1]: rounding can put a bound an ulp
         outside."""
-        return _clamp(0.5 * (self.lo + self.hi))
+        return clamp_unit(0.5 * (self.lo + self.hi))
 
 
 def _affine_part(m_a, m_b, m_c, m_ab, m_bc, m_ca) -> list[float]:
@@ -144,7 +144,7 @@ def _agreed_moments(**pairs: tuple[float, float]) -> list[float]:
             raise InconsistentMarginalsError(
                 f"marginal of {var} differs across pair tables by {abs(u - v):.3g}"
             )
-    return [_clamp(0.5 * (u + v)) for u, v in pairs.values()]
+    return [clamp_unit(0.5 * (u + v)) for u, v in pairs.values()]
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def moments_from_pairs(p_ab: PairDist, p_bc: PairDist, p_ca: PairDist) -> PairMo
     c1, a2, m_ca = _pair_moments(p_ca)
     # Rounding can put a moment of a valid table an ulp outside [-1, 1].
     return PairMoments(*_agreed_moments(A=(a1, a2), B=(b2, b1), C=(c2, c1)),
-                       _clamp(m_ab), _clamp(m_bc), _clamp(m_ca))
+                       clamp_unit(m_ab), clamp_unit(m_bc), clamp_unit(m_ca))
 
 
 def mu3_interval(m_a, m_b, m_c, m_ab, m_bc, m_ca) -> Mu3Interval:
@@ -296,10 +296,6 @@ def _bc_interval(m_a, m_b, m_c, m_ab, m_ca) -> tuple[float, float]:
     return lo, hi
 
 
-def _clamp(v: float) -> float:
-    return min(1.0, max(-1.0, v))
-
-
 def _glued_witness(m_a, m_b, m_c, m_d, c_ab, c_ac, c_db, c_dc) -> Optional[QuadDist]:
     """A valid joint over (A, B, C, D) with the given first moments and CHSH
     pair moments, glued from the triangles (A, B, C) and (D, B, C) on the
@@ -312,7 +308,7 @@ def _glued_witness(m_a, m_b, m_c, m_d, c_ab, c_ac, c_db, c_dc) -> Optional[QuadD
     # by which the two routes differ.
     if lo > hi + 2.0 * VIOLATION_SLACK:
         return None
-    m_bc = _clamp(0.5 * (lo + hi))
+    m_bc = clamp_unit(0.5 * (lo + hi))
     triangles = []
     for m_x, m_xb, m_xc in ((m_a, c_ab, c_ac), (m_d, c_db, c_dc)):
         mu3 = mu3_interval(m_x, m_b, m_c, m_xb, m_bc, m_xc).midpoint
@@ -356,7 +352,7 @@ def quad_feasibility(
     if failed is not None:
         return QuadFeasibility(feasible=False, witness=None, verdicts=verdicts, failed=failed)
 
-    witness = _glued_witness(m_a, m_b, m_c, m_d, *map(_clamp, (c_ab, c_ac, c_db, c_dc)))
+    witness = _glued_witness(m_a, m_b, m_c, m_d, *map(clamp_unit, (c_ab, c_ac, c_db, c_dc)))
     if witness is None:
         raise RuntimeError(
             "no <BC> admits both triangles although the eight CHSH "

@@ -199,7 +199,7 @@ class TestScan:
         for index, value in zip(result.violation_index.tolist(), lhs):
             writer.writerow(["violation", *(math.degrees(grid[i]) for i in index), value])
         writer.writerow(["max", *map(math.degrees, result.argmax_angles), result.max_lhs])
-        assert "".join(cli._scan_csv(result, names)) == buf.getvalue()
+        assert "".join(cli._scan_csv(result)) == buf.getvalue()
 
     def test_format_memory_bounded_by_window(self, monkeypatch):
         monkeypatch.setattr(cli, "_SCAN_CHUNK_ROWS", 512)
@@ -207,7 +207,7 @@ class TestScan:
         result = violation_scan("bell", math.radians(0.5))
         tracemalloc.start()
         try:
-            for _ in cli._scan_csv(result, ["phi_b_deg", "phi_c_deg"]):
+            for _ in cli._scan_csv(result):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -433,6 +433,21 @@ class TestJoint4:
         code, out, err = run(capsys, "joint4", "--pairs", str(doc_path))
         assert code == 65 and out == ""
         assert "finite" in err and "Traceback" not in err
+
+    def test_pair_file_length_cap(self, capsys, tmp_path):
+        """A pair file padded to the cap is read; one byte more exits 65."""
+        path = Path(quad_file(tmp_path, UNIFORM_COVS))
+        text = path.read_text()
+        path.write_text(text.ljust(cli._PAIR_FILE_MAX_BYTES))
+        assert run(capsys, "joint4", "--pairs", str(path))[0] == 0
+        path.write_text(text.ljust(cli._PAIR_FILE_MAX_BYTES + 1))
+        code, out, err = run(capsys, "joint4", "--pairs", str(path))
+        assert code == 65 and out == "" and "longer than" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_pair_file(self, capsys):
+        code, out, err = run(capsys, "joint4", "--pairs", "/dev/zero")
+        assert code == 65 and out == "" and "longer than" in err
 
 
 def independent_table(p, q):
@@ -742,6 +757,23 @@ def test_closed_stdout_exits_quietly(argv, lines_read):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 65
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["dist", "--theta", "30"],  # fails at the flush
+    ["scan", "--inequality", "bell", "--resolution-deg", "5"],  # fails mid-write
+])
+def test_full_stdout_exits_quietly(argv):
+    """Like ``eprbell ... > /dev/full``: each write to stdout fails with ENOSPC."""
+    src = str(Path(eprbell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "eprbell.cli", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 65
+    assert proc.stderr.startswith("error: cannot write stdout")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_broken_pipe_without_file_descriptor(monkeypatch):

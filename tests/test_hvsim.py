@@ -102,11 +102,20 @@ class TestMixtureIdentity:
 
 class TestSimulate:
     def test_aligned_local_deterministic_cells(self):
+        from eprbell.hvsim import _z_word_bound
+
         a = Direction(0, 0, 1)
-        rep = simulate(a, a, 100_000, seed=0, mode="local")
-        # perfectly correlated: off-diagonal cells are exactly empty
-        assert rep.empirical[0, 1] == 0.0 and rep.empirical[1, 0] == 0.0
-        assert rep.max_abs_dev < 0.01
+        # b = a fills the cap (t = -1, every word inside); b = -a empties it
+        # (t = +1, no word inside). The cells that must stay exactly empty
+        # are (+-, -+) when the reported signs always agree, else (++, --).
+        for b, bound in ((a, -1), (-a, 2**64 - 1)):
+            assert _z_word_bound(PartitionSpec.for_directions(a, b).cos_threshold) == bound
+            for mode in ("local", "singlet"):
+                rep = simulate(a, b, 100_000, seed=0, mode=mode)
+                agree = (b == a) == (mode == "local")
+                empty = [(0, 1), (1, 0)] if agree else [(0, 0), (1, 1)]
+                assert all(rep.empirical[cell] == 0.0 for cell in empty), (b, mode)
+                assert rep.max_abs_dev < 0.01
 
     def test_singlet_sixty_degrees(self):
         a = Direction.from_angle(0.0)
@@ -334,14 +343,14 @@ class TestFusedBlock:
         """For device direction a = ``axis`` and b at each swept a.b, the fused
         kernel, given only the cap threshold, equals the staged route on
         for_directions' partition bit for bit."""
-        from eprbell.hvsim import _simulate_block, _z_word_min
+        from eprbell.hvsim import _simulate_block, _z_word_bound
 
         for x in SWEEP_DOTS:
             part = PartitionSpec.for_directions(axis, _direction_at_dot(axis, x))
             for singlet in (False, True):
                 for seed, k, count in ((17, 0, BLOCK_SIZE), (0, 3, 1_000), (12345, 1, 1)):
                     expected = _staged_block(seed, k, count, part, singlet)
-                    got = _simulate_block(seed, k, count, _z_word_min(part.cos_threshold), singlet)
+                    got = _simulate_block(seed, k, count, _z_word_bound(part.cos_threshold), singlet)
                     assert np.array_equal(got, expected)
 
     def test_matches_staged_route_at_the_edges(self):
@@ -351,11 +360,11 @@ class TestFusedBlock:
         ulp either side, and on odd counts. If a numpy release changes
         ``uniform`` or ``integers``, this test fails while TestGoldenCounts,
         which depends only on the PCG64 stream, still passes."""
-        from eprbell.hvsim import _simulate_block, _z_word_min
+        from eprbell.hvsim import _simulate_block, _z_word_bound
 
         for i, (seed, k, count, t) in enumerate(_edge_cases()):
             singlet = i % 2 == 1
-            got = _simulate_block(seed, k, count, _z_word_min(t), singlet)
+            got = _simulate_block(seed, k, count, _z_word_bound(t), singlet)
             expected = _staged_block(seed, k, count, _cap_at(t), singlet)
             assert np.array_equal(got, expected), (seed, k, count, t, singlet)
 
@@ -397,7 +406,7 @@ class TestContractV2Law:
         rep = simulate(a, b, n, seed=3, mode="singlet" if singlet else "local")
         v2 = np.rint(rep.empirical * n).ravel()
         v2_part = PartitionSpec.for_directions(a, b)
-        v1_part = PartitionSpec(a, b, cap_axis=a, cap_angle=v2_part.cap_angle)
+        v1_part = PartitionSpec(cap_axis=a, cap_angle=v2_part.cap_angle)
         v1 = sum(_staged_block(1000, k, BLOCK_SIZE, v1_part, singlet) for k in range(blocks))
         table = np.array([v1, v2])
         assert stats.chi2_contingency(table[:, table.sum(axis=0) > 0])[1] > 0.001
