@@ -7,7 +7,10 @@ alone writes it and maps errors to exit codes by type: 64 for an
 ``InvalidInputError`` (usage), 65 for any other ``EprBellError`` or a stdout
 that cannot be written, 1 for a failed ``verify`` check.
 
-Only ``scan``, ``simulate`` and ``verify`` load numpy.
+One loading rule: this module loads only the numpy-free core that every
+command shares (``errors``, ``geometry``, ``spincore``), and each handler
+imports the module it computes with when it runs. So ``dist`` loads nothing
+more, and only ``scan``, ``simulate`` and ``verify`` load numpy.
 """
 
 from __future__ import annotations
@@ -24,39 +27,11 @@ from dataclasses import fields
 
 from .errors import EprBellError, InvalidInputError
 from .geometry import Direction
-from .inequalities import (
-    CovarianceQuad,
-    CovarianceTriple,
-    bell_1964,
-    chsh,
-    violation_scan,
-)
-from .information import info_curve
-from .joint import (
-    MARGINAL_TOL,
-    default_mu3,
-    existence_check_3,
-    moments_from_pairs,
-    mu3_interval,
-    quad_feasibility,
-    triple_from_moments,
-    MomentSet3,
-)
 from .spincore import PairDist, cell_key, covariance, local_pair_dist, qm_pair_dist
 
 EXIT_OK = 0
 EXIT_USAGE = 64
 EXIT_DATA = 65
-
-
-def __getattr__(name):
-    # ``cli.simulate`` stays a module attribute (perfbench's tracer patches
-    # it), but the numpy-backed simulator loads only on first use.
-    if name == "simulate":
-        from .hvsim import simulate
-
-        return simulate
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(InvalidInputError):
@@ -88,6 +63,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # argparse would exit(2); we want 64
         raise UsageError(message)
+
+    def _print_message(self, message, file=None):
+        # argparse drops a write error here, so `--help > /dev/full` would
+        # exit 0 with nothing written; ``main`` maps it to 65.
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
 
 
 def _finite_float(text: str) -> float:
@@ -203,12 +186,12 @@ def _cmd_dist(args) -> dict:
     return {**dist.to_mapping(), "covariance": covariance(dist)}
 
 
-# Each inequality's covariance type (its fields in argument order) and verdict.
-_INEQUALITIES = {"bell": (CovarianceTriple, bell_1964), "chsh": (CovarianceQuad, chsh)}
-
-
 def _cmd_ineq(args) -> dict:
-    covariances, verdict = _INEQUALITIES[args.which]
+    from .inequalities import CovarianceQuad, CovarianceTriple, bell_1964, chsh
+
+    # Each inequality's covariance type (its fields in argument order) and verdict.
+    inequalities = {"bell": (CovarianceTriple, bell_1964), "chsh": (CovarianceQuad, chsh)}
+    covariances, verdict = inequalities[args.which]
     n = len(fields(covariances))
     if args.angles is not None:
         # Coplanar increments: phi_a = 0 and each next direction turns by the
@@ -273,10 +256,15 @@ def _scan_csv(result):
 
 
 def _cmd_scan(args):
+    from .inequalities import violation_scan
+
     return _scan_csv(violation_scan(args.inequality, args.resolution))
 
 
 def _cmd_joint3(args) -> dict:
+    from .joint import (MARGINAL_TOL, MomentSet3, default_mu3, existence_check_3, moments_from_pairs,
+                        mu3_interval, triple_from_moments)
+
     if args.qm:
         t_ab, t_bc = _count(args.angles, 2, "--angles")
         a, b, c = (Direction.from_angle(phi) for phi in (0.0, t_ab, t_ab + t_bc))
@@ -307,6 +295,8 @@ def _cmd_joint3(args) -> dict:
 
 
 def _cmd_joint4(args) -> dict:
+    from .joint import quad_feasibility
+
     tables = _load_pair_file(args.pairs, ("AB", "AC", "DB", "DC"))
     result = quad_feasibility(tables["AB"], tables["AC"], tables["DB"], tables["DC"])
     return {
@@ -337,6 +327,8 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_info(args) -> str:
+    from .information import info_curve
+
     rows = [[p.x, p.mutual_information_bits, p.conditional_entropy_bits] for p in info_curve(args.step)]
     return _csv(["x", "mi_bits", "cond_entropy_bits"], rows)
 

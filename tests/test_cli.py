@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -564,11 +565,12 @@ SHORT_COMMANDS = {
 }
 
 # Runs each [step, argv] of the JSON list in sys.argv[1] in one process and
-# prints, after import and after each step, which of numpy and scipy are loaded.
+# prints, after import and after each step, which of numpy, scipy and the
+# eprbell modules are loaded.
 MODULE_PROBE = """
 import json, sys
 def loaded():
-    return [name for name in ("numpy", "scipy") if name in sys.modules]
+    return sorted(name for name in sys.modules if name in ("numpy", "scipy") or name.startswith("eprbell."))
 seen = {}
 import eprbell
 seen["import eprbell"] = loaded()
@@ -618,9 +620,45 @@ def test_numpy_never_loaded(tmp_path):
     steps.append(["scan", ["scan", "--inequality", "bell", "--resolution-deg", "11.25"]])
     proc = run_probe(MODULE_PROBE, json.dumps(steps))
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
+    seen = {step: [name for name in loaded if not name.startswith("eprbell.")]
+            for step, loaded in json.loads(proc.stdout.splitlines()[-1]).items()}
     assert seen.pop("scan") == ["numpy"]  # the probe sees a lazy import
     assert seen == dict.fromkeys(["import eprbell", *SHORT_COMMANDS], [])
+
+
+# The eprbell modules each subcommand loads, run alone: cli and the core that
+# every command shares, then the module it computes with.
+CORE_MODULES = ["eprbell.cli", "eprbell.errors", "eprbell.geometry", "eprbell.spincore"]
+
+
+@pytest.mark.parametrize("argv, own_modules", [
+    (SHORT_COMMANDS["dist"], []),  # none of inequalities, information and joint
+    (SHORT_COMMANDS["ineq chsh"], ["inequalities"]),
+    (["scan", "--inequality", "bell", "--resolution-deg", "11.25"], ["inequalities"]),
+    (SHORT_COMMANDS["info"], ["information"]),
+    (SHORT_COMMANDS["joint3 pairs"], ["inequalities", "joint"]),
+    (SHORT_COMMANDS["joint4 feasible"], ["inequalities", "joint"]),
+    (["simulate", "--theta", "60", "-n", "1000", "--seed", "1"], ["hvsim"]),
+    (["verify", "--trials", "10"], ["born", "hvsim", "verify"]),
+])
+def test_modules_loaded(tmp_path, argv, own_modules):
+    steps = [["command", with_golden_files(tmp_path, argv)]]
+    proc = run_probe(MODULE_PROBE, json.dumps(steps))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import eprbell"] == []
+    loaded = [name for name in seen["command"] if name.startswith("eprbell.")]
+    assert loaded == sorted(CORE_MODULES + [f"eprbell.{name}" for name in own_modules])
+
+
+def test_public_names():
+    """Every name of the one lazy table is the object its module holds, and
+    only those names are served."""
+    for name, module in eprbell._MODULE_OF.items():
+        assert getattr(eprbell, name) is getattr(importlib.import_module(f"eprbell.{module}"), name), name
+    assert set(eprbell._MODULE_OF) <= set(dir(eprbell))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        eprbell.no_such_name
 
 
 def test_short_commands_without_numpy(capsys, tmp_path):
@@ -763,6 +801,8 @@ def test_closed_stdout_exits_quietly(argv, lines_read):
 @pytest.mark.parametrize("argv", [
     ["dist", "--theta", "30"],  # fails at the flush
     ["scan", "--inequality", "bell", "--resolution-deg", "5"],  # fails mid-write
+    ["--help"],
+    ["dist", "--help"],
 ])
 def test_full_stdout_exits_quietly(argv):
     """Like ``eprbell ... > /dev/full``: each write to stdout fails with ENOSPC."""
