@@ -101,6 +101,17 @@ def _count(values: tuple[float, ...], n: int, what: str) -> tuple[float, ...]:
     return values
 
 
+def _coplanar_phis(angles: tuple[float, ...], n: int) -> tuple[float, ...]:
+    """Azimuths of the coplanar directions after phi_a = 0 when each turns by
+    the next of ``n`` increments: their running sums, left to right (sum()
+    would compensate on Python >= 3.12). Finite increments can still sum to
+    an infinity, which no cosine takes: a usage error."""
+    phis = tuple(itertools.accumulate(_count(angles, n, "--angles")))
+    if not all(map(math.isfinite, phis)):
+        raise UsageError(f"--angles: the angles must sum to a finite value, got {phis[-1]!r}")
+    return phis
+
+
 def _direction(values: tuple[float, ...], what: str) -> Direction:
     x, y, z = _count(values, 3, what)
     try:
@@ -194,12 +205,10 @@ def _cmd_ineq(args) -> dict:
     covariances, verdict = inequalities[args.which]
     n = len(fields(covariances))
     if args.angles is not None:
-        # Coplanar increments: phi_a = 0 and each next direction turns by the
-        # next increment (bell: b, c; chsh: b, d, c), so the a-c angle is
-        # their sum and the rest are the increments themselves. The sum runs
-        # left to right; sum() would compensate on Python >= 3.12.
-        t = _count(args.angles, n - 1, "--angles")
-        *_, t_ac = itertools.accumulate(t)
+        # Coplanar increments (bell: b, c; chsh: b, d, c), so the a-c angle
+        # is their sum and the rest are the increments themselves.
+        *_, t_ac = _coplanar_phis(args.angles, n - 1)
+        t = args.angles
         values = [-math.cos(v) for v in (t[0], t_ac, *t[1:])]
     else:
         values = _count(args.cov, n, "--cov")
@@ -266,8 +275,7 @@ def _cmd_joint3(args) -> dict:
                         mu3_interval, triple_from_moments)
 
     if args.qm:
-        t_ab, t_bc = _count(args.angles, 2, "--angles")
-        a, b, c = (Direction.from_angle(phi) for phi in (0.0, t_ab, t_ab + t_bc))
+        a, b, c = (Direction.from_angle(phi) for phi in (0.0, *_coplanar_phis(args.angles, 2)))
         moments = (0.0, 0.0, 0.0, a.cos_to(b), b.cos_to(c), c.cos_to(a))
     else:
         tables = _load_pair_file(args.pairs, ("AB", "BC", "CA"))

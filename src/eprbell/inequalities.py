@@ -154,7 +154,8 @@ def bell_local_model_covariance(
     ma = np.asarray(model.mean_a(lams, a), dtype=float)
     mb = np.asarray(model.mean_b(lams, b), dtype=float)
     for name, m in (("mean_a", ma), ("mean_b", mb)):
-        if m.size and (m.min() < -1.0 - 1e-12 or m.max() > 1.0 + 1e-12):
+        # Written so that NaN, which fails every compare, fails the check too.
+        if m.size and not (m.min() >= -1.0 - 1e-12 and m.max() <= 1.0 + 1e-12):
             raise InvalidModelError(f"{name} returned values outside [-1, 1]")
     return float(np.mean(ma * mb))
 

@@ -3,7 +3,6 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from eprbell import Direction, PairDist, QuadDist
 from eprbell.hvsim import sample_lambda
@@ -46,6 +45,7 @@ def lp_witness(
     by exact linear feasibility over the 16 entries; None when the linear
     program is infeasible. The second route against which the tests check
     quad_feasibility's verdict and glued witness."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
     # Axes in the (A, B, C, D) cell ordering for each specified pair.
     systems = [(0, 1, p_ab), (0, 2, p_ac), (3, 1, p_db), (3, 2, p_dc)]
     a_eq = np.vstack([_pair_constraint_rows(i, j) for i, j, _ in systems])

@@ -239,6 +239,10 @@ class TestScan:
     # A single-value option given twice, which used to keep the last value.
     ["dist", "--theta", "30", "--theta", "60"],
     ["scan", "--inequality", "chsh", "--inequality", "bell", "--resolution-deg", "22.5"],
+    # Finite angles whose coplanar sum overflows to infinity.
+    ["ineq", "chsh", "--radians", "--angles", "1e308,1e308,1e308"],
+    ["ineq", "bell", "--radians", "--angles", "1e308,1e308"],
+    ["joint3", "--qm", "--radians", "--angles", "1e308,1e308"],
 ])
 def test_boundary_usage_errors(capsys, tmp_path, argv):
     code, out, err = run(capsys, *with_golden_files(tmp_path, argv))
@@ -669,6 +673,24 @@ def test_short_commands_without_numpy(capsys, tmp_path):
     assert proc.stderr == "" and proc.stdout == expected
 
 
+# prob, valid, negative_cells and to_mapping on a table of each size: all
+# three share spincore.SignedTable, which must stay numpy-free.
+TABLE_CALLS = """
+from eprbell import Direction, PairDist, QuadDist, qm_triple
+a, b, c = (Direction.from_angle(t) for t in (0.0, 0.4, 0.8))
+for t in (PairDist([0.1, 0.2, 0.3, 0.4]), qm_triple(a, b, c), QuadDist([1 / 16] * 16)):
+    print(type(t).__name__, t.prob(*[1] * t.DIMS), t.valid, t.negative_cells(), t.to_mapping())
+"""
+
+
+def test_tables_without_numpy(capsys):
+    exec(TABLE_CALLS, {})
+    expected = capsys.readouterr().out
+    proc = run_probe("import sys\nsys.modules['numpy'] = None\n" + TABLE_CALLS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "" and proc.stdout == expected
+
+
 def test_joint4_witness_without_scipy(tmp_path):
     argv = ["joint4", "--pairs", quad_file(tmp_path, UNIFORM_COVS)]
     proc = run_probe(BLOCKED_PROBE, "scipy", json.dumps([argv]))
@@ -693,9 +715,11 @@ class TestSimulate:
         assert doc["max_abs_dev"] < 0.01
 
     def test_byte_identical_across_threads(self, capsys):
-        _, out1, _ = run(capsys, *self.ARGS, "--threads", "1")
-        _, out8, _ = run(capsys, *self.ARGS, "--threads", "8")
-        assert out1 == out8
+        # 196,609 samples: three full blocks and a one-sample block.
+        for n in ("100000", "196609"):
+            args = ("simulate", "--theta", "60", "-n", n, "--seed", "7", "--mode", "singlet")
+            runs = [run(capsys, *args, "--threads", t) for t in ("1", "2", "8")]
+            assert runs[0][0] == 0 and runs.count(runs[0]) == 3
 
     def test_golden_bytes(self, capsys):
         # sha256 of stdout, recorded with numpy 2.4.6 on a 2-vCPU Intel Xeon

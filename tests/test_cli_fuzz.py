@@ -18,8 +18,10 @@ import io
 import itertools
 import json
 
-import hypothesis.strategies as st
 import pytest
+
+pytest.importorskip("hypothesis")
+import hypothesis.strategies as st
 from hypothesis import HealthCheck, example, given, settings
 
 from eprbell.cli import main

@@ -3,7 +3,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from eprbell import (
     BLOCK_SIZE,
@@ -37,6 +36,7 @@ class TestSampleLambda:
         assert np.max(np.abs(lam.var(axis=0) - 1 / 3)) < 0.005
 
     def test_z_uniform(self):
+        stats = pytest.importorskip("scipy.stats")
         lam = sample_lambda(block_rng(2, 0), 200_000)
         _, p = stats.kstest(lam[:, 2], stats.uniform(loc=-1, scale=2).cdf)
         assert p > 0.001
@@ -151,6 +151,7 @@ class TestSimulate:
         assert not np.array_equal(r1.empirical, r2.empirical)
 
     def test_chi_square_calibrated(self, rng):
+        stats = pytest.importorskip("scipy.stats")
         # chi-square with 3 dof (or fewer when cells are empty) should not be
         # wildly inconsistent with the model over repeated random geometries
         for trial in range(20):
@@ -382,6 +383,7 @@ class TestContractV2Law:
     @pytest.mark.parametrize("mode", ["local", "singlet"])
     @pytest.mark.parametrize("theta_deg", [0, 30, 60, 90, 120, 180])
     def test_goodness_of_fit(self, theta_deg, mode):
+        stats = pytest.importorskip("scipy.stats")
         n = 1_000_000
         a, b = Direction.from_angle(0.0), Direction.from_angle(math.radians(theta_deg))
         rep = simulate(a, b, n, seed=theta_deg, mode=mode)
@@ -401,6 +403,7 @@ class TestContractV2Law:
     def test_matches_contract_v1_law(self, a, b, singlet):
         """simulate() against the staged route with the cap centred on a, on
         independent seeds: a chi-square test of homogeneity on the 2x4 table."""
+        stats = pytest.importorskip("scipy.stats")
         blocks = 8
         n = blocks * BLOCK_SIZE
         rep = simulate(a, b, n, seed=3, mode="singlet" if singlet else "local")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+
+pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from eprbell import (
@@ -169,14 +171,15 @@ class TestLocalModel:
         assert bell_local_model_covariance(det, a, b, 1000, seed=0) == -1.0
 
     def test_rejects_out_of_range(self):
-        bad = LocalModel(
-            mean_a=lambda lams, a: 2.0 * np.ones(len(lams)),
-            mean_b=lambda lams, b: np.zeros(len(lams)),
-        )
-        with pytest.raises(InvalidModelError):
-            bell_local_model_covariance(
-                bad, Direction.from_angle(0.0), Direction.from_angle(1.0), 100, seed=0
+        for value in (2.0, math.nan):  # NaN fails every compare, in range or out
+            bad = LocalModel(
+                mean_a=lambda lams, a: value * np.ones(len(lams)),
+                mean_b=lambda lams, b: np.zeros(len(lams)),
             )
+            with pytest.raises(InvalidModelError):
+                bell_local_model_covariance(
+                    bad, Direction.from_angle(0.0), Direction.from_angle(1.0), 100, seed=0
+                )
 
     def test_random_models_satisfy_chsh(self, rng):
         # any factorized model yields CHSH-satisfying covariance quadruples

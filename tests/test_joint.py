@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+
+pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from eprbell import (
