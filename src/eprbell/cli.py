@@ -230,13 +230,13 @@ def _scan_csv(result):
 
     Each text is formatted once and looked up. Angles take only n values.
     Violation rows hold few distinct lhs values, so each window of
-    ``_SCAN_WINDOW_ROWS`` rows formats each of its distinct values once
-    (``np.unique``) and its chunks find their text by ``np.searchsorted``.
-    The bytes are those of one ``repr`` per row: ``repr`` is a function of
-    the float, and ``np.unique`` merges only equal floats, except NaN and
-    the two signed zeros, none of which is a violation lhs (each is greater
-    than bound + VIOLATION_SLACK >= 1). Each chunk's cells fill one object
-    array that is joined once."""
+    ``_SCAN_WINDOW_ROWS`` rows formats each of its distinct values once and
+    its chunks take each row's text by its index into them (``np.unique``
+    with ``return_inverse``). The bytes are those of one ``repr`` per row:
+    ``repr`` is a function of the float, and ``np.unique`` merges only equal
+    floats, except NaN and the two signed zeros, none of which is a
+    violation lhs (each is greater than bound + VIOLATION_SLACK >= 1). Each
+    chunk's cells fill one object array that is joined once."""
     import numpy as np
 
     degrees = np.array([repr(math.degrees(g)) + "," for g in result.grid.tolist()], dtype=object)
@@ -246,19 +246,15 @@ def _scan_csv(result):
     for window in range(0, len(result.violation_lhs), _SCAN_WINDOW_ROWS):
         window_index = result.violation_index[window:window + _SCAN_WINDOW_ROWS]
         window_lhs = result.violation_lhs[window:window + _SCAN_WINDOW_ROWS]
-        # return_inverse=True in place of the search below is a little
-        # faster, but its index arrays raised the peak RSS of `scan bell 0.5`
-        # by 5 MB.
-        values = np.unique(window_lhs)
+        values, inverse = np.unique(window_lhs, return_inverse=True)
         text = np.array([repr(v) + "\n" for v in values.tolist()], dtype=object)
         for start in range(0, len(window_lhs), _SCAN_CHUNK_ROWS):
             index = window_index[start:start + _SCAN_CHUNK_ROWS]
-            lhs = window_lhs[start:start + _SCAN_CHUNK_ROWS]
-            cells = np.empty((len(lhs), dims + 1), dtype=object)
+            cells = np.empty((len(index), dims + 1), dtype=object)
             cells[:, 0] = first[index[:, 0]]
             for col in range(1, dims):
                 cells[:, col] = degrees[index[:, col]]
-            cells[:, dims] = text[np.searchsorted(values, lhs)]
+            cells[:, dims] = text[inverse[start:start + _SCAN_CHUNK_ROWS]]
             yield "".join(cells.ravel().tolist())
     max_row = [repr(math.degrees(v)) for v in result.argmax_angles] + [repr(result.max_lhs)]
     yield ",".join(["max"] + max_row) + "\n"

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,6 +211,8 @@ def simulate(
         return total
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         # Integer sums do not depend on which worker counted which block.
         with ThreadPoolExecutor(max_workers=workers) as pool:
             stripes = [pool.submit(stripe, j) for j in range(workers)]

@@ -569,12 +569,13 @@ SHORT_COMMANDS = {
 }
 
 # Runs each [step, argv] of the JSON list in sys.argv[1] in one process and
-# prints, after import and after each step, which of numpy, scipy and the
-# eprbell modules are loaded.
+# prints, after import and after each step, which of numpy, numpy.ma, scipy,
+# concurrent.futures and the eprbell modules are loaded.
 MODULE_PROBE = """
 import json, sys
 def loaded():
-    return sorted(name for name in sys.modules if name in ("numpy", "scipy") or name.startswith("eprbell."))
+    return sorted(name for name in sys.modules
+                  if name in ("numpy", "numpy.ma", "scipy", "concurrent.futures") or name.startswith("eprbell."))
 seen = {}
 import eprbell
 seen["import eprbell"] = loaded()
@@ -653,6 +654,9 @@ def test_modules_loaded(tmp_path, argv, own_modules):
     assert seen["import eprbell"] == []
     loaded = [name for name in seen["command"] if name.startswith("eprbell.")]
     assert loaded == sorted(CORE_MODULES + [f"eprbell.{name}" for name in own_modules])
+    # np.unique loads numpy.ma unless asked for an index array; only a
+    # simulate on more than one worker starts a thread pool.
+    assert not {"numpy.ma", "concurrent.futures"} & set(seen["command"])
 
 
 def test_public_names():

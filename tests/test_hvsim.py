@@ -216,9 +216,8 @@ class TestSimulate:
     def test_pool_capped(self, monkeypatch, threads, cpus, blocks, workers):
         """At most min(threads, blocks, CPUs) workers; no pool when that is 1.
         The stand-in pool runs the blocks inline, so no thread starts."""
+        import concurrent.futures
         import os
-        from concurrent.futures import Future
-        from eprbell import hvsim
 
         seen = []
 
@@ -233,11 +232,11 @@ class TestSimulate:
                 return False
 
             def submit(self, fn, *args):
-                future = Future()
+                future = concurrent.futures.Future()
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(hvsim, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         a, b = Direction(1, 0, 0), Direction(0, 1, 0)
         rep = simulate(a, b, blocks * BLOCK_SIZE, seed=5, threads=threads)
