@@ -5,7 +5,6 @@ import pytest
 
 from eprbell import (
     Direction,
-    SingletState,
     qm_pair_dist,
     singlet_pair_prob,
     singlet_pair_probs,
@@ -42,25 +41,6 @@ class TestSpinProjector:
         assert np.allclose(up, np.diag([1.0, 0.0]), atol=1e-12)
 
 
-class TestSingletState:
-    def test_default_vector(self):
-        psi = SingletState().amplitudes
-        expected = np.array([0, 1, -1, 0]) / math.sqrt(2)
-        assert np.allclose(psi, expected, atol=1e-12)
-        assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_global_phase_accepted(self):
-        base = np.array([0, 1, -1, 0]) / math.sqrt(2)
-        for phase in (0.3, math.pi / 2, 2.0):
-            SingletState(base * np.exp(1j * phase))
-
-    def test_rejects_non_singlet(self):
-        with pytest.raises(InvalidInputError):
-            SingletState(np.array([1.0, 0.0, 0.0, 0.0]))
-        with pytest.raises(InvalidInputError):
-            SingletState(np.array([0, 1, -1, 0]) / 2.0)  # not normalized
-
-
 class TestSingletPairProb:
     def test_aligned(self):
         a = Direction(0, 0, 1)
@@ -82,14 +62,6 @@ class TestSingletPairProb:
                     assert singlet_pair_prob(a, b, alpha, beta) == pytest.approx(
                         d.prob(alpha, beta), abs=1e-12
                     )
-
-    def test_phase_invariance(self, rng):
-        a, b = random_direction(rng), random_direction(rng)
-        base = singlet_pair_prob(a, b, 1, -1)
-        state = SingletState().with_phase(1.234)
-        assert singlet_pair_prob(a, b, 1, -1, state=state) == pytest.approx(
-            base, abs=1e-12
-        )
 
 
 def direction_arrays(rng, k):
@@ -117,12 +89,6 @@ class TestSingletPairProbs:
                     assert singlet_pair_prob(u, v, alpha, beta) == pytest.approx(
                         probs[i, j, k], abs=1e-15
                     )
-
-    def test_phase_invariance(self, rng):
-        _, a, b = direction_arrays(rng, 20)
-        state = SingletState().with_phase(0.7)
-        assert np.allclose(singlet_pair_probs(a, b, state), singlet_pair_probs(a, b),
-                           rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("a_shape, b_shape", [((3,), (3,)), ((4, 3), (5, 3)), ((4, 2), (4, 2))])
     def test_rejects_bad_shapes(self, a_shape, b_shape):

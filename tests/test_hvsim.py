@@ -21,6 +21,7 @@ from eprbell import (
     simulate,
 )
 
+import pcg64_ref
 from conftest import random_direction
 
 
@@ -280,6 +281,84 @@ class TestGoldenCounts:
     def test_counts(self, a, b, n, seed, mode, counts):
         rep = simulate(a, b, n, seed, mode=mode)
         assert np.rint(rep.empirical * n).astype(np.int64).ravel().tolist() == counts
+
+
+def _read_block(words, count, cos_threshold, singlet, z_shift=11, skip_azimuth=True, low_half_first=True):
+    """Counts (++, +-, -+, --) of one block of ``count`` samples, read from the
+    block's 64-bit words as contract 2 states them; the keywords are the
+    contract's defaults, and other values are misreadings."""
+    z_words = words[:count]
+    sign_start = 2 * count if skip_azimuth else count
+    halves = []
+    for w in words[sign_start:sign_start + (count + 1) // 2]:
+        low, high = w & 0xFFFFFFFF, w >> 32
+        halves += (low, high) if low_half_first else (high, low)
+    counts = [0, 0, 0, 0]
+    for w, half in zip(z_words, halves):
+        c = 1 if -1.0 + (w >> z_shift) * 2.0**-52 >= cos_threshold else -1
+        first = -1 if half < 1 << 31 else 1
+        second = -first * c if singlet else first * c
+        counts[(first < 0) * 2 + (second < 0)] += 1
+    return counts
+
+
+SPEC_READERS = {
+    "contract": {},
+    "high half first": {"low_half_first": False},
+    "z shifted by 12": {"z_shift": 12},
+    "no azimuth slot": {"skip_azimuth": False},
+}
+
+
+@pytest.fixture(scope="module")
+def spec_counts():
+    """Counts of every TestGoldenCounts case under every reader of
+    SPEC_READERS, keyed (case index, reader name), from the pure-Python
+    PCG64 words. Cases with the same seed and n share their blocks' words,
+    which are generated once."""
+    groups = {}
+    for i, (a, b, n, seed, mode, _) in enumerate(TestGoldenCounts.GOLDEN):
+        cos_threshold = PartitionSpec.for_directions(a, b).cos_threshold
+        groups.setdefault((seed, n), []).append((i, cos_threshold, mode == "singlet"))
+    out = {}
+    for (seed, n), cases in groups.items():
+        for k in range(-(-n // BLOCK_SIZE)):
+            count = min(BLOCK_SIZE, n - k * BLOCK_SIZE)
+            bits = pcg64_ref.PCG64(pcg64_ref.SeedSequence((seed, k)))
+            words = bits.random_raw(2 * count + (count + 1) // 2)
+            for i, cos_threshold, singlet in cases:
+                for name, misreading in SPEC_READERS.items():
+                    block = _read_block(words, count, cos_threshold, singlet, **misreading)
+                    total = out.setdefault((i, name), [0, 0, 0, 0])
+                    total[:] = [x + y for x, y in zip(total, block)]
+    return out
+
+
+class TestSpecRoute:
+    """Contract 2 from its written spec: a pure-Python SeedSequence and PCG64
+    (tests/pcg64_ref.py) and a reader of their words that shares no code
+    with numpy or hvsim's kernel. A numpy change to either algorithm fails
+    ``test_matches_numpy`` on its own, not only as a golden-count mismatch."""
+
+    @pytest.mark.parametrize("seed, block", [(3, 0), (11, 2), (2**40 + 5, 7), (5, 2**33)])
+    def test_matches_numpy(self, seed, block):
+        ours = pcg64_ref.SeedSequence((seed, block))
+        theirs = np.random.SeedSequence((seed, block))
+        assert ours.generate_state(4) == theirs.generate_state(4, np.uint64).tolist()
+        ours, theirs = pcg64_ref.PCG64(ours), np.random.PCG64(theirs)
+        assert ours.random_raw(64) == theirs.random_raw(64).tolist()
+        ours.advance(1000)
+        theirs.advance(1000)
+        assert ours.random_raw(64) == theirs.random_raw(64).tolist()
+
+    @pytest.mark.parametrize("case", range(len(TestGoldenCounts.GOLDEN)))
+    def test_golden_counts(self, spec_counts, case):
+        assert spec_counts[case, "contract"] == TestGoldenCounts.GOLDEN[case][-1]
+
+    @pytest.mark.parametrize("reader", [name for name in SPEC_READERS if name != "contract"])
+    def test_misreading_breaks_goldens(self, spec_counts, reader):
+        golden = [case[-1] for case in TestGoldenCounts.GOLDEN]
+        assert [spec_counts[i, reader] for i in range(len(golden))] != golden
 
 
 def _staged_block(seed, k, count, part, singlet):
