@@ -5,7 +5,9 @@ eighth-order construction determines the candidate triple distribution up to
 one free third moment mu3. The candidate is a real distribution iff mu3 can
 be chosen to keep all eight cells nonnegative - an interval condition that,
 for symmetric tables, matches a pair of covariance inequalities. The same
-question for the four CHSH pairs is settled exactly by linear programming.
+question for the four CHSH pairs is settled exactly by Fine's theorem (the
+eight CHSH inequalities), and a feasible set gets a closed-form witness glued
+from the triangles (A, B, C) and (D, B, C).
 """
 
 import math

@@ -11,11 +11,14 @@ sample is in the cap exactly when its z reaches the cap's cosine threshold.
 
 Reproducibility contract ``CONTRACT`` (2): samples come in fixed blocks of
 65,536. Block k of a run with seed s reads the PCG64 stream of
-``numpy.random.SeedSequence((s, k))``. Counting in 64-bit words, a block of
+``numpy.random.SeedSequence((s, k))``. The cap's cosine threshold is
+t = cos(acos(-c)) in double precision (``math.cos``, ``math.acos``), where
+c = a.b clamped to [-1, 1] (``Direction.cos_to``); rounding makes t differ
+from -c for about half of all c. Counting in 64-bit words, a block of
 ``count`` samples takes:
 
 - ``count`` words for z, one per sample: word w gives
-  z = -1 + (w >> 11) * 2**-52;
+  z = -1 + (w >> 11) * 2**-52, and the sample is in the cap when z >= t;
 - ``count`` words skipped, the azimuth slot;
 - ceil(count / 2) words for the pair signs, two per word: the 32-bit halves
   in order, low half first, and A(a) = -1 exactly when the half's top bit
@@ -27,7 +30,7 @@ for any worker count.
 The fused kernel ``_simulate_block`` reads these words with ``random_raw``
 and decides the cap from them in exact integer arithmetic. The staged public
 functions ``block_rng``, ``sample_lambda``, ``classify`` and
-``sample_pair_given_c``, chained on the partition of
+``sample_pair_given_c``, chained on the threshold of
 ``PartitionSpec.for_directions``, are its reference route and give the same
 counts through numpy's ``uniform`` and ``integers``; the tests compare the
 two.
@@ -66,34 +69,29 @@ def sample_lambda(rng: np.random.Generator, n: int = 1) -> np.ndarray:
     return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
 
 
+def _cos_threshold(a: Direction, b: Direction) -> float:
+    """Contract 2's cap threshold t = cos(acos(-a.b)): the +z cap z >= t has
+    area 2*pi*(1 + a.b)."""
+    return math.cos(math.acos(-a.cos_to(b)))
+
+
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Spherical-cap partition of the unit sphere for device directions (a, b).
+    """The +z spherical cap z >= ``cos_threshold`` whose area is
+    2*pi*(1 + a.b) for device directions (a, b); only the area enters the
+    outcome probabilities."""
 
-    The cap S+ is centered on ``cap_axis`` with angular radius ``cap_angle``
-    chosen so its area is 2*pi*(1 + a.b); only the area enters the outcome
-    probabilities, so the axis choice is immaterial. ``for_directions``
-    centres it on +z, where the simulator decides it from z alone.
-    """
-
-    cap_axis: Direction
-    cap_angle: float
+    cos_threshold: float
 
     @classmethod
     def for_directions(cls, a: Direction, b: Direction) -> "PartitionSpec":
-        x = a.cos_to(b)
-        return cls(cap_axis=Direction(0.0, 0.0, 1.0), cap_angle=math.acos(-x))
-
-    @property
-    def cos_threshold(self) -> float:
-        return math.cos(self.cap_angle)
+        return cls(_cos_threshold(a, b))
 
 
 def classify(lam: np.ndarray, part: PartitionSpec) -> np.ndarray:
     """C = +1 where lambda lies in the cap (boundary counts as inside), else -1."""
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
-    inside = lam @ part.cap_axis.as_array() >= part.cos_threshold
-    return np.where(inside, 1, -1)
+    return np.where(lam[:, 2] >= part.cos_threshold, 1, -1)
 
 
 def p_c_analytic(a: Direction, b: Direction) -> dict[int, float]:
@@ -196,7 +194,7 @@ def simulate(
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
     if mode not in ("local", "singlet"):
         raise InvalidInputError(f"mode must be 'local' or 'singlet', got {mode!r}")
-    z_word_bound = _z_word_bound(PartitionSpec.for_directions(a, b).cos_threshold)
+    z_word_bound = _z_word_bound(_cos_threshold(a, b))
     singlet = mode == "singlet"
 
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE

@@ -114,13 +114,13 @@ def qm_bell_lhs(theta_ab: float, theta_ac: float, theta_bc: float) -> float:
 
 def chsh_to_bell_reduction(t: CovarianceTriple) -> tuple[float, float]:
     """Set d = b in the CHSH expression, with c_db = -1 from total-spin
-    conservation. Then |c_db + c_dc| = 1 - c_bc and the CHSH left-hand side
-    equals the Bell-1964 left-hand side plus one, exactly.
+    conservation and c_dc = c_bc. Then |c_db + c_dc| = 1 - c_bc and the CHSH
+    left-hand side equals the Bell-1964 left-hand side plus one in exact
+    arithmetic; each side is computed by its own formula.
 
     Returns (chsh_lhs_with_d_eq_b, bell_lhs).
     """
-    bell_lhs = bell_1964(t).lhs
-    return bell_lhs + 1.0, bell_lhs
+    return chsh(CovarianceQuad(t.c_ab, t.c_ac, -1.0, t.c_bc)).lhs, bell_1964(t).lhs
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,21 @@
+import importlib
 import itertools
+import pkgutil
 from typing import Optional
 
 import numpy as np
 import pytest
 
+import eprbell
 from eprbell import Direction, PairDist, QuadDist
 from eprbell.hvsim import sample_lambda
+
+# Every eprbell submodule is loaded before any test runs. Hypothesis mixes the
+# literals of each loaded local module into its draws, so without this the
+# examples of a derandomized test would depend on which tests ran before it.
+# The loading-rule tests probe fresh subprocesses and do not see this import.
+for _module in pkgutil.iter_modules(eprbell.__path__):
+    importlib.import_module(f"eprbell.{_module.name}")
 
 
 def random_direction(rng: np.random.Generator) -> Direction:

@@ -17,6 +17,10 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,7 @@ pytest.importorskip("hypothesis")
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, example, given, settings
 
+import eprbell
 from eprbell.cli import main
 
 
@@ -199,8 +204,8 @@ def check(argv, directory):
     assert "Traceback" not in err, (argv, err)
 
 
-# Inputs that these tests have found, each run first on every invocation:
-# which examples Hypothesis draws can change with the tests run before.
+# Inputs that these tests have found, each run first on every invocation
+# whatever examples Hypothesis draws, which a Hypothesis release can change.
 FOUND_ARGV = {"scan": [["scan", "--inequality", "bell", "--resolution-rad", r] for r in ("1e-320", "5e-324")]}
 FOUND_CONTENT = [
     b"[" * 5000,  # nested too deep for json
@@ -292,3 +297,44 @@ def test_marginals_of_a_joint4_are_feasible(pairs, tmp_path_factory):
     code, out, err = run(["joint4", "--pairs", str(path)])
     assert code == 0, err
     assert json.loads(out)["feasible"] is True
+
+
+# A pytest plugin for a subprocess: it appends the argv of every example that
+# this module checks to the file named by $FUZZ_EXAMPLES_OUT, one repr a line.
+RECORDER = """
+import os, sys
+
+def pytest_collection_finish(session):
+    fuzz = sys.modules["test_cli_fuzz"]
+    check = fuzz.check
+
+    def recording(argv, directory):
+        with open(os.environ["FUZZ_EXAMPLES_OUT"], "a") as out:
+            out.write(repr(argv) + "\\n")
+        return check(argv, directory)
+
+    fuzz.check = recording
+"""
+
+
+def test_examples_independent_of_earlier_imports(tmp_path):
+    """The joint4 fuzz test draws the same examples alone as after pytest has
+    imported test_verify.py, which loads eprbell.verify. Hypothesis mixes the
+    literals of every loaded local module into its draws, so this holds only
+    because conftest.py loads every eprbell submodule before any test runs."""
+    (tmp_path / "example_recorder.py").write_text(RECORDER)
+    src = str(Path(eprbell.__file__).resolve().parents[1])
+    tests = Path(__file__).resolve().parent
+    drawn = []
+    for earlier in ([], [str(tests / "test_verify.py")]):
+        out = tmp_path / f"examples{len(drawn)}.txt"
+        env = dict(os.environ, FUZZ_EXAMPLES_OUT=str(out), PYTHONPATH=os.pathsep.join(
+            filter(None, (src, str(tmp_path), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "example_recorder",
+             *earlier, str(tests / "test_cli_fuzz.py"), "-k", "test_subcommand_exit_codes and joint4"],
+            cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        drawn.append(out.read_text().splitlines())
+    assert len(drawn[0]) == EXAMPLES.get("joint4", 150)
+    assert drawn[0] == drawn[1]

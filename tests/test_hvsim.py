@@ -1,5 +1,5 @@
+import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,24 +44,27 @@ class TestSampleLambda:
 
 
 class TestPartition:
-    def test_cap_angle(self):
+    def test_cos_threshold(self):
+        """The partition is the contract's threshold t = cos(acos(-a.b)) and
+        nothing else; at 60 degrees t is -1/2 up to rounding, not exactly -a.b."""
         a = Direction.from_angle(0.0)
         b = Direction.from_angle(math.pi / 3)
         part = PartitionSpec.for_directions(a, b)
-        assert part.cap_axis == Direction(0, 0, 1)
-        assert part.cap_angle == pytest.approx(math.acos(-0.5), abs=1e-12)
+        assert [f.name for f in dataclasses.fields(part)] == ["cos_threshold"]
+        assert part == PartitionSpec(math.cos(math.acos(-a.cos_to(b))))
         assert part.cos_threshold == pytest.approx(-0.5, abs=1e-12)
+        assert part.cos_threshold != -a.cos_to(b)
 
     def test_classify_boundary_inside(self):
         a = Direction(0, 0, 1)
         part = PartitionSpec.for_directions(a, Direction(0, 0, 1))
-        # cap_angle = acos(-1) = pi: whole sphere is inside
+        # t = cos(acos(-1)) = -1: whole sphere is inside
         assert classify(np.array([[0.0, 0.0, -1.0]]), part)[0] == 1
 
     def test_classify_antipodal_cap(self):
         a = Direction(0, 0, 1)
         part = PartitionSpec.for_directions(a, Direction(0, 0, -1))
-        # cap_angle = acos(1) = 0: only the pole itself is inside
+        # t = cos(acos(1)) = 1: only the pole itself is inside
         got = classify(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), part)
         assert list(got) == [1, -1]
 
@@ -103,20 +106,40 @@ class TestMixtureIdentity:
 
 class TestSimulate:
     def test_aligned_local_deterministic_cells(self):
-        from eprbell.hvsim import _z_word_bound
+        from eprbell.hvsim import _cos_threshold, _z_word_bound
 
         a = Direction(0, 0, 1)
         # b = a fills the cap (t = -1, every word inside); b = -a empties it
         # (t = +1, no word inside). The cells that must stay exactly empty
         # are (+-, -+) when the reported signs always agree, else (++, --).
         for b, bound in ((a, -1), (-a, 2**64 - 1)):
-            assert _z_word_bound(PartitionSpec.for_directions(a, b).cos_threshold) == bound
+            assert _z_word_bound(_cos_threshold(a, b)) == bound
             for mode in ("local", "singlet"):
                 rep = simulate(a, b, 100_000, seed=0, mode=mode)
                 agree = (b == a) == (mode == "local")
                 empty = [(0, 1), (1, 0)] if agree else [(0, 0), (1, 1)]
                 assert all(rep.empirical[cell] == 0.0 for cell in empty), (b, mode)
                 assert rep.max_abs_dev < 0.01
+
+    def test_kernel_gets_contract_threshold(self, monkeypatch):
+        """simulate hands the kernel the word bound of t = cos(acos(-a.b)).
+        At the CLI geometry (b at 60 degrees) it differs from the bound of
+        -a.b, a misreading the golden counts miss: no drawn z falls in the
+        ulp between the two."""
+        from eprbell import hvsim
+
+        seen = []
+
+        def stub(seed, k, count, z_word_bound, singlet):
+            seen.append(z_word_bound)
+            return np.array([count, 0, 0, 0], dtype=np.int64)
+
+        monkeypatch.setattr(hvsim, "_simulate_block", stub)
+        a, b = Direction.from_angle(0.0), Direction.from_angle(math.radians(60))
+        simulate(a, b, 2 * BLOCK_SIZE, seed=0)
+        contract = hvsim._z_word_bound(math.cos(math.acos(-a.cos_to(b))))
+        assert contract != hvsim._z_word_bound(-a.cos_to(b))
+        assert seen == [contract, contract]
 
     def test_singlet_sixty_degrees(self):
         a = Direction.from_angle(0.0)
@@ -259,8 +282,8 @@ class TestGoldenCounts:
 
     Recorded with numpy 2.4.6 on a 2-vCPU Intel Xeon (x86-64). The counts
     depend only on numpy's PCG64 stream, which NEP 19 keeps stable, and on
-    math.cos of the cap angle; a mismatch on another platform is a platform
-    difference, not a reason to loosen this test.
+    math.cos and math.acos through the threshold; a mismatch on another
+    platform is a platform difference, not a reason to loosen this test.
     """
 
     GOLDEN = [
@@ -318,7 +341,8 @@ def spec_counts():
     which are generated once."""
     groups = {}
     for i, (a, b, n, seed, mode, _) in enumerate(TestGoldenCounts.GOLDEN):
-        cos_threshold = PartitionSpec.for_directions(a, b).cos_threshold
+        # The contract's threshold t = cos(acos(-c)), c = a.b clamped to [-1, 1].
+        cos_threshold = math.cos(math.acos(-a.cos_to(b)))
         groups.setdefault((seed, n), []).append((i, cos_threshold, mode == "singlet"))
     out = {}
     for (seed, n), cases in groups.items():
@@ -336,9 +360,10 @@ def spec_counts():
 
 class TestSpecRoute:
     """Contract 2 from its written spec: a pure-Python SeedSequence and PCG64
-    (tests/pcg64_ref.py) and a reader of their words that shares no code
-    with numpy or hvsim's kernel. A numpy change to either algorithm fails
-    ``test_matches_numpy`` on its own, not only as a golden-count mismatch."""
+    (tests/pcg64_ref.py), the cap threshold as the contract states it, and a
+    reader of their words that shares no code with numpy or hvsim. A numpy
+    change to either algorithm fails ``test_matches_numpy`` on its own, not
+    only as a golden-count mismatch."""
 
     @pytest.mark.parametrize("seed, block", [(3, 0), (11, 2), (2**40 + 5, 7), (5, 2**33)])
     def test_matches_numpy(self, seed, block):
@@ -361,7 +386,7 @@ class TestSpecRoute:
         assert [spec_counts[i, reader] for i in range(len(golden))] != golden
 
 
-def _staged_block(seed, k, count, part, singlet):
+def _staged_block(seed, k, count, part, singlet, classify=classify):
     """One block through the public staged functions, the fused kernel's oracle."""
     rng = block_rng(seed, k)
     first, second = sample_pair_given_c(classify(sample_lambda(rng, count), part), rng)
@@ -389,12 +414,6 @@ def _direction_at_dot(a, x):
     v = a.as_array()
     w = np.cross(v, [0.0, 0.0, 1.0] if abs(v[2]) < 0.9 else [1.0, 0.0, 0.0])
     return Direction.from_array(x * v + math.sqrt(1.0 - x * x) * w / np.linalg.norm(w))
-
-
-def _cap_at(t):
-    """A +z cap whose cosine threshold is exactly t; classify reads only the
-    axis and the threshold."""
-    return SimpleNamespace(cap_axis=Direction(0.0, 0.0, 1.0), cos_threshold=t)
 
 
 def _edge_cases():
@@ -444,7 +463,7 @@ class TestFusedBlock:
         for i, (seed, k, count, t) in enumerate(_edge_cases()):
             singlet = i % 2 == 1
             got = _simulate_block(seed, k, count, _z_word_bound(t), singlet)
-            expected = _staged_block(seed, k, count, _cap_at(t), singlet)
+            expected = _staged_block(seed, k, count, PartitionSpec(t), singlet)
             assert np.array_equal(got, expected), (seed, k, count, t, singlet)
 
 
@@ -486,9 +505,13 @@ class TestContractV2Law:
         n = blocks * BLOCK_SIZE
         rep = simulate(a, b, n, seed=3, mode="singlet" if singlet else "local")
         v2 = np.rint(rep.empirical * n).ravel()
-        v2_part = PartitionSpec.for_directions(a, b)
-        v1_part = PartitionSpec(cap_axis=a, cap_angle=v2_part.cap_angle)
-        v1 = sum(_staged_block(1000, k, BLOCK_SIZE, v1_part, singlet) for k in range(blocks))
+
+        def classify_on_a(lam, part):
+            """Contract 1's cap: the same threshold, centred on a."""
+            return np.where(lam @ a.as_array() >= part.cos_threshold, 1, -1)
+
+        part = PartitionSpec.for_directions(a, b)
+        v1 = sum(_staged_block(1000, k, BLOCK_SIZE, part, singlet, classify_on_a) for k in range(blocks))
         table = np.array([v1, v2])
         assert stats.chi2_contingency(table[:, table.sum(axis=0) > 0])[1] > 0.001
 

@@ -22,9 +22,22 @@ from eprbell import (
     qm_bell_lhs,
     violation_scan,
 )
+from eprbell import inequalities
 
 SQRT2 = math.sqrt(2.0)
 cov = st.floats(-1.0, 1.0, allow_nan=False)
+
+# chsh_to_bell_reduction computes |c_ab - c_ac| + (1 - c_bc) by the CHSH
+# formula and (|c_ab - c_ac| - c_bc) + 1 from the Bell side. The terms are at
+# most 2, so the two rounded sums lie within one ulp of 2 (4.44e-16) of each
+# other: they agree exactly on uniform random triples and differ by that ulp
+# on some edge inputs.
+REDUCTION_ULP = math.ulp(2.0)
+
+
+def reduction_agrees(t):
+    chsh_lhs, bell_lhs = chsh_to_bell_reduction(t)
+    return abs(chsh_lhs - (bell_lhs + 1.0)) <= REDUCTION_ULP
 
 
 class TestBell1964:
@@ -130,8 +143,22 @@ class TestReduction:
 
     @given(cov, cov, cov)
     def test_identity_exact(self, c_ab, c_ac, c_bc):
-        chsh_lhs, bell_lhs = chsh_to_bell_reduction(CovarianceTriple(c_ab, c_ac, c_bc))
-        assert chsh_lhs == bell_lhs + 1.0
+        assert reduction_agrees(CovarianceTriple(c_ab, c_ac, c_bc))
+
+    def test_edge_input_one_ulp_apart(self):
+        # 1 - c_bc rounds in the CHSH route and |c_ab - c_ac| - c_bc in the Bell one.
+        chsh_lhs, bell_lhs = chsh_to_bell_reduction(
+            CovarianceTriple(-0.9942843251636849, 0.016744750665503183, 8.263069358697507e-13))
+        assert abs(chsh_lhs - (bell_lhs + 1.0)) == REDUCTION_ULP
+
+    def test_broken_reduction_fails(self, monkeypatch, rng):
+        """With c_db = +1 instead of -1 the CHSH side is |c_ab - c_ac| + 1 + c_bc,
+        which the check rejects."""
+        quad = inequalities.CovarianceQuad
+        monkeypatch.setattr(inequalities, "CovarianceQuad",
+                            lambda c_ab, c_ac, c_db, c_dc: quad(c_ab, c_ac, -c_db, c_dc))
+        triples = [CovarianceTriple(*rng.uniform(-1, 1, 3)) for _ in range(1_000)]
+        assert not any(reduction_agrees(t) for t in triples)
 
 
 class TestLocalModel:
