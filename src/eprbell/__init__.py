@@ -34,7 +34,7 @@ _PUBLIC = {
         "PairDist", "apply_property_I", "covariance", "local_conditional", "local_pair_dist",
         "qm_conditional", "qm_marginal", "qm_pair_dist",
     ),
-    "born": ("singlet_pair_prob", "singlet_pair_probs", "spin_projector"),
+    "born": ("singlet_pair_probs", "spin_projector"),
     "hvsim": (
         "BLOCK_SIZE", "PartitionSpec", "SimReport", "block_rng", "classify",
         "mixture_pair_dist", "p_c_analytic", "product_rule_demo", "sample_lambda",

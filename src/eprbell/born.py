@@ -57,10 +57,3 @@ def singlet_pair_probs(a, b) -> np.ndarray:
     if residue > 1e-12:
         raise RuntimeError(f"probability has imaginary residue {residue}")
     return value.real
-
-
-def singlet_pair_prob(a: Direction, b: Direction, alpha: int, beta: int) -> float:
-    """Born-rule probability of outcomes (alpha, beta) at orientations (a, b):
-    the one-trial case of ``singlet_pair_probs``."""
-    i, j = _idx(alpha), _idx(beta)
-    return float(singlet_pair_probs(a.as_array()[None], b.as_array()[None])[0, i, j])

@@ -364,9 +364,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, degrees=(), requires=()):
-        """A subparser with -o, and --radians only where it has angles."""
+        """A subparser with -o; where it has angles, also --radians, which needs them."""
         p = sub.add_parser(name, help=help, description=help)
-        p.set_defaults(func=func, degrees=degrees, requires=requires)
+        p.set_defaults(func=func, degrees=degrees, requires=(*requires, *(("radians", d) for d in degrees)))
         if degrees:
             p.add_argument("--radians", action="store_true", help="angle inputs are radians")
         p.add_argument("-o", "--output", help="write to file instead of stdout")

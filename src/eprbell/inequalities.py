@@ -217,7 +217,7 @@ def violation_scan(inequality: str, resolution: float) -> ScanResult:
                                 f" {SCAN_MAX_POINTS} points, the most allowed")
     if n ** dims > SCAN_MAX_POINTS:
         raise InvalidInputError(
-            f"resolution {resolution} gives a {inequality} grid of {n}^{dims} = {n ** dims} points;"
+            f"resolution {resolution} gives a {inequality} grid of {n:.4g}^{dims} points;"
             f" at most {SCAN_MAX_POINTS} are allowed"
         )
     grid = resolution * np.arange(n)

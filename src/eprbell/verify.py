@@ -33,27 +33,22 @@ class CheckResult:
     detail: str = ""
 
 
-def _chunk_worst(rng: np.random.Generator, m: int, routes) -> tuple[float, tuple]:
-    """Worst deviation over ``m`` fresh direction pairs, and its pair.
-    ``routes(pairs)`` returns two (m, c) arrays that should agree row by
-    row; a NaN deviation counts as infinite."""
-    pairs = [(Direction(*u), Direction(*v))
-             for u, v in zip(sample_lambda(rng, m).tolist(), sample_lambda(rng, m).tolist())]
-    left, right = routes(pairs)
-    dev = np.nan_to_num(np.max(np.abs(left - right), axis=1), nan=np.inf)
-    i = int(np.argmax(dev))
-    return float(dev[i]), pairs[i]
-
-
 def _check(name: str, what: str, trials: int, seed: int, routes) -> CheckResult:
     """Worst deviation between the two routes over ``trials`` direction pairs
-    drawn from ``default_rng(seed)``, one chunk at a time."""
+    drawn from ``default_rng(seed)``, one chunk at a time. ``routes(pairs)``
+    returns two (m, c) arrays that should agree row by row; a NaN deviation
+    counts as infinite."""
     rng = np.random.default_rng(seed)
     worst, worst_pair = -1.0, None
     for start in range(0, trials, CHUNK):
-        dev, pair = _chunk_worst(rng, min(CHUNK, trials - start), routes)
-        if dev > worst:
-            worst, worst_pair = dev, pair
+        m = min(CHUNK, trials - start)
+        pairs = [(Direction(*u), Direction(*v))
+                 for u, v in zip(sample_lambda(rng, m).tolist(), sample_lambda(rng, m).tolist())]
+        left, right = routes(pairs)
+        dev = np.nan_to_num(np.max(np.abs(left - right), axis=1), nan=np.inf)
+        i = int(np.argmax(dev))
+        if dev[i] > worst:
+            worst, worst_pair = float(dev[i]), pairs[i]
     if worst <= TOL:
         return CheckResult(name, True, worst)
     a, b = worst_pair
@@ -84,31 +79,23 @@ def _mixture_routes(pairs):
     return rows[:, :4], rows[:, 4:]
 
 
-def check_born_agreement(trials: int, seed: int) -> CheckResult:
-    """Wave-function probabilities vs the closed-form two-device table, on
-    all four outcome cells of every trial."""
-    return _check("born_vs_qm_pair_dist", "qm_pair_dist disagrees with wave-function route",
-                  trials, seed, _born_routes)
-
-
-def check_equivalence_round_trip(trials: int, seed: int) -> CheckResult:
-    """Sign-flip relabeling maps the one-device table to the two-device table
-    and back."""
-    return _check("equivalence_round_trip", "round trip fails", trials, seed, _round_trip_routes)
-
-
-def check_mixture_identity(trials: int, seed: int) -> CheckResult:
-    """Analytic hidden-variable mixture equals the one-device table."""
-    return _check("hidden_variable_mixture", "mixture identity fails", trials, seed, _mixture_routes)
+# (name, FAIL text, routes) of each check, in run order. The Born-rule
+# wave-function probabilities equal the closed-form two-device table on all
+# four outcome cells of every trial; the sign flip A(a) = -B(a) maps the
+# one-device table to the two-device table and back; the analytic mixture
+# over the hidden lambda equals the one-device table.
+CHECKS = (
+    ("born_vs_qm_pair_dist", "qm_pair_dist disagrees with wave-function route", _born_routes),
+    ("equivalence_round_trip", "round trip fails", _round_trip_routes),
+    ("hidden_variable_mixture", "mixture identity fails", _mixture_routes),
+)
 
 
 def run_all(trials: int = 1000, seed: int = 0) -> list[CheckResult]:
+    """Every check in ``CHECKS``; check k draws its pairs from ``default_rng(seed + k)``."""
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    return [
-        check_born_agreement(trials, seed),
-        check_equivalence_round_trip(trials, seed + 1),
-        check_mixture_identity(trials, seed + 2),
-    ]
+    return [_check(name, what, trials, seed + k, routes)
+            for k, (name, what, routes) in enumerate(CHECKS)]

@@ -6,7 +6,6 @@ import pytest
 from eprbell import (
     Direction,
     qm_pair_dist,
-    singlet_pair_prob,
     singlet_pair_probs,
     spin_projector,
 )
@@ -41,27 +40,33 @@ class TestSpinProjector:
         assert np.allclose(up, np.diag([1.0, 0.0]), atol=1e-12)
 
 
+def one_trial(a, b):
+    """The (2, 2) Born probabilities at one orientation pair: k = 1."""
+    return singlet_pair_probs(a.as_array()[None], b.as_array()[None])[0]
+
+
 class TestSingletPairProb:
     def test_aligned(self):
         a = Direction(0, 0, 1)
-        assert singlet_pair_prob(a, a, 1, 1) == pytest.approx(0.0, abs=1e-12)
-        assert singlet_pair_prob(a, a, 1, -1) == pytest.approx(0.5, abs=1e-12)
+        probs = one_trial(a, a)
+        assert probs[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert probs[0, 1] == pytest.approx(0.5, abs=1e-12)
 
     def test_sixty_degrees(self):
         a = Direction.from_angle(0.0)
         b = Direction.from_angle(math.pi / 3)
-        assert singlet_pair_prob(a, b, 1, -1) == pytest.approx(0.375, abs=1e-12)
-        assert singlet_pair_prob(a, b, 1, 1) == pytest.approx(0.125, abs=1e-12)
+        probs = one_trial(a, b)
+        assert probs[0, 1] == pytest.approx(0.375, abs=1e-12)
+        assert probs[0, 0] == pytest.approx(0.125, abs=1e-12)
 
     def test_matches_closed_form_random(self, rng):
         for _ in range(1000):
             a, b = random_direction(rng), random_direction(rng)
             d = qm_pair_dist(a, b)
-            for alpha in (1, -1):
-                for beta in (1, -1):
-                    assert singlet_pair_prob(a, b, alpha, beta) == pytest.approx(
-                        d.prob(alpha, beta), abs=1e-12
-                    )
+            probs = one_trial(a, b)
+            for i, alpha in enumerate((1, -1)):
+                for j, beta in enumerate((1, -1)):
+                    assert probs[i, j] == pytest.approx(d.prob(alpha, beta), abs=1e-12)
 
 
 def direction_arrays(rng, k):
@@ -80,24 +85,11 @@ class TestSingletPairProbs:
         closed = np.array([qm_pair_dist(u, v).cells for u, v in pairs])
         assert np.max(np.abs(probs.reshape(-1, 4) - closed)) < 1e-12
 
-    def test_matches_one_trial_route(self, rng):
-        pairs, a, b = direction_arrays(rng, 50)
-        probs = singlet_pair_probs(a, b)
-        for i, (u, v) in enumerate(pairs):
-            for j, alpha in enumerate((1, -1)):
-                for k, beta in enumerate((1, -1)):
-                    assert singlet_pair_prob(u, v, alpha, beta) == pytest.approx(
-                        probs[i, j, k], abs=1e-15
-                    )
-
     @pytest.mark.parametrize("a_shape, b_shape", [((3,), (3,)), ((4, 3), (5, 3)), ((4, 2), (4, 2))])
     def test_rejects_bad_shapes(self, a_shape, b_shape):
         with pytest.raises(InvalidInputError):
             singlet_pair_probs(np.zeros(a_shape), np.zeros(b_shape))
 
     def test_rejects_bad_sign(self):
-        a = Direction(0, 0, 1)
         with pytest.raises(InvalidInputError):
-            singlet_pair_prob(a, a, 0, 1)
-        with pytest.raises(InvalidInputError):
-            spin_projector(a, 2)
+            spin_projector(Direction(0, 0, 1), 2)

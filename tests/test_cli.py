@@ -138,6 +138,12 @@ class TestScan:
         assert err.startswith("error: resolution") and "206^3" in err
         assert "Traceback" not in err
 
+    def test_grid_limit_message_short(self, capsys):
+        # The grid size is not expanded in full: n ** 3 here has ~900 digits.
+        code, out, err = run(capsys, "scan", "--inequality", "chsh", "--resolution-rad", "1e-300")
+        assert code == 64 and out == ""
+        assert "chsh grid of 6.283e+300^3 points" in err and len(err.encode()) < 200
+
     # sha256 of stdout as the dense-meshgrid kernel and csv.writer wrote it;
     # the slabbed kernel and streamed rows must match it byte for byte.
     # Recorded with numpy 2.4.6 on a 2-vCPU Intel Xeon (x86-64). The lhs
@@ -874,6 +880,16 @@ def test_flag_not_taken(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 64 and out == ""
     assert err.startswith("error: unrecognized arguments: --")
+
+
+# --radians given with no angle option, where it used to change nothing.
+@pytest.mark.parametrize("argv, angles", [
+    (["dist", "--a", "1,0,0", "--b", "0,1,0", "--radians"], "theta"),
+    (["ineq", "bell", "--cov", "0.1,0.2,0.3", "--radians"], "angles"),
+    (["joint3", "--pairs", "F", "--radians"], "angles"),
+])
+def test_radians_without_angles(capsys, argv, angles):
+    assert run(capsys, *argv) == (64, "", f"error: --radians requires --{angles}\n")
 
 
 @pytest.mark.parametrize("argv, degrees", [
