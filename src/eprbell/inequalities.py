@@ -128,8 +128,8 @@ class LocalModel:
     """A factorized hidden-variable model: independent outcomes given lambda.
 
     ``mean_a(lams, a)`` and ``mean_b(lams, b)`` return conditional means in
-    [-1, 1] for an (n, 3) array of unit vectors lambda, drawn uniformly on
-    the sphere (``hvsim.sample_lambda``).
+    [-1, 1], of shape (n,) or a scalar, for an (n, 3) array of unit vectors
+    lambda, drawn uniformly on the sphere (``hvsim.sample_lambda``).
     """
 
     mean_a: Callable[[np.ndarray, Direction], np.ndarray]
@@ -154,6 +154,8 @@ def bell_local_model_covariance(
     ma = np.asarray(model.mean_a(lams, a), dtype=float)
     mb = np.asarray(model.mean_b(lams, b), dtype=float)
     for name, m in (("mean_a", ma), ("mean_b", mb)):
+        if m.shape not in ((), (n_samples,)):  # an (n, 1) mean would broadcast to n x n
+            raise InvalidModelError(f"{name} returned shape {m.shape}, not () or ({n_samples},)")
         # Written so that NaN, which fails every compare, fails the check too.
         if m.size and not (m.min() >= -1.0 - 1e-12 and m.max() <= 1.0 + 1e-12):
             raise InvalidModelError(f"{name} returned values outside [-1, 1]")
@@ -224,7 +226,6 @@ def violation_scan(inequality: str, resolution: float) -> ScanResult:
     bound = 1.0 if dims == 2 else 2.0
     rows = max(1, SCAN_SLAB_CELLS // n ** (dims - 1))
 
-    best_lhs, best_index = -math.inf, None
     index_parts, lhs_parts = [], []
     for start in range(0, n, rows):
         if dims == 2:
@@ -233,10 +234,6 @@ def violation_scan(inequality: str, resolution: float) -> ScanResult:
         else:
             pb, pc, pd = grid[start:start + rows, None, None], grid[None, :, None], grid[None, None, :]
             lhs = _chsh_lhs(-np.cos(pb), -np.cos(pc), -np.cos(pd - pb), -np.cos(pd - pc))
-        # Strict > over slabs in C order keeps the first maximum, as argmax does.
-        local = np.unravel_index(int(np.argmax(lhs)), lhs.shape)
-        if lhs[local] > best_lhs:
-            best_lhs, best_index = float(lhs[local]), (start + local[0],) + local[1:]
         hits = lhs > bound + VIOLATION_SLACK
         index = np.argwhere(hits).astype(np.int32)
         index[:, 0] += start
@@ -247,5 +244,9 @@ def violation_scan(inequality: str, resolution: float) -> ScanResult:
     violation_lhs = np.concatenate(lhs_parts)
     for a in (grid, violation_index, violation_lhs):
         a.setflags(write=False)
-    argmax = tuple(float(grid[i]) for i in best_index)
-    return ScanResult(inequality, resolution, best_lhs, argmax, grid, violation_index, violation_lhs)
+    # Some multiple x of resolution <= pi/8 lies in [pi/8, pi/4], where bell at
+    # (x, 2x) and chsh at (3x, x, 2x) violate: the grid's maximum is a violation,
+    # and the violations' first largest entry is its first in C order.
+    best = int(np.argmax(violation_lhs))
+    max_lhs, argmax = float(violation_lhs[best]), tuple(float(grid[i]) for i in violation_index[best])
+    return ScanResult(inequality, resolution, max_lhs, argmax, grid, violation_index, violation_lhs)

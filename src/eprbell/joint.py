@@ -26,6 +26,7 @@ its mu3 interval, and the two are glued on (B, C):
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .geometry import Direction, clamp_unit
 from .inequalities import VIOLATION_SLACK, InequalityVerdict, _check_unit, bell_pair_inequalities
-from .spincore import SIGNS, PairDist, SignedTable, _idx, covariance, table_sum
+from .spincore import SIGNS, PairDist, SignedTable, _idx, covariance
 
 TRIPLE_TOL = 1e-12
 QUAD_TOL = 1e-9
@@ -209,9 +210,9 @@ def existence_check_3(m_a, m_b, m_c, m_ab, m_bc, m_ca, symmetric: bool = False) 
     The conjunction is necessary for a valid third-order joint; when
     ``symmetric`` is set (all odd moments zero) it is also sufficient.
     """
+    MomentSet3(m_a, m_b, m_c, m_ab, m_bc, m_ca)  # checks each moment
     if symmetric and max(abs(m_a), abs(m_b), abs(m_c)) > MARGINAL_TOL:
         raise InvalidInputError("symmetric flag set but first moments are non-zero")
-    MomentSet3(m_ab=m_ab, m_bc=m_bc, m_ca=m_ca)  # checks each pair moment
     abs_plus, abs_minus = bell_pair_inequalities(m_ab, m_ca, m_bc)
     verdicts = {
         "sum": InequalityVerdict(-(m_ab + m_bc + m_ca), 1.0),
@@ -246,7 +247,7 @@ def triple_conditional(t: TripleDist, given: str, value: int) -> PairDist:
         raise InvalidInputError(f"given must be 'A', 'B' or 'C', got {given!r}")
     k = _idx(value)
     slab = [v for index, v in zip(itertools.product((0, 1), repeat=3), t.cells) if index[axis] == k]
-    norm = table_sum(slab)
+    norm = math.fsum(slab)
     if norm <= TRIPLE_TOL:
         raise UndefinedConditionalError(f"P[{given}={value}] = {norm} is not positive")
     return PairDist([v / norm for v in slab])
@@ -324,7 +325,7 @@ def _glued_witness(m_a, m_b, m_c, m_d, c_ab, c_ac, c_db, c_dc) -> Optional[QuadD
         # 0.0, as numpy's einsum does, so a -0.0 product is written as 0.0.
         v = (0.0 + q_abc[4 * a + bc] * q_dbc[4 * d + bc]) / p_bc[bc] if p_bc[bc] > TRIPLE_TOL else 0.0
         q.append(0.0 if -QUAD_TOL <= v < 0.0 else v)  # rounding only; larger negatives stay visible
-    total = table_sum(q)
+    total = math.fsum(q)
     return QuadDist([v / total for v in q])
 
 

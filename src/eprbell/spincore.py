@@ -64,26 +64,16 @@ def cells_of(values, dims: int, what: str) -> tuple[float, ...]:
     that shape, or the flat cells themselves."""
     v = values.tolist() if hasattr(values, "tolist") else values
     try:
-        cells = tuple(map(float, v if len(v) == 1 << dims else _nested(v, dims)))
+        flat = v if len(v) == 1 << dims else _nested(v, dims)
+        # float() would parse "0.25" and read True as 1.0; a float skips the slow ABC check.
+        if not all(type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool) for x in flat):
+            raise TypeError
+        cells = tuple(map(float, flat))
     except (TypeError, ValueError, OverflowError):
         raise InvalidInputError(f"{what} must be {'x'.join('2' * dims)} numbers, got {values!r}")
     if not all(map(math.isfinite, cells)):
         raise InvalidInputError(f"{what} entries must be finite: {cells}")
     return cells
-
-
-def table_sum(cells) -> float:
-    """Sum of 4, 8 or 16 cells in numpy's order, so that a table normalized
-    by it keeps numpy's bits: 4 cells left to right from 0.0; 8 or 16 in
-    eight accumulators r[j] = x[j] (+ x[j + 8]), combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))."""
-    if len(cells) < 8:
-        total = 0.0
-        for v in cells:
-            total += v
-        return total
-    r = [u + v for u, v in zip(cells[:8], cells[8:])] if len(cells) == 16 else cells
-    return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
 
 
 @dataclass(frozen=True)
@@ -103,8 +93,8 @@ class SignedTable:
     def __post_init__(self):
         name = type(self).__name__
         t = cells_of(self.cells, self.DIMS, name)
-        if abs(table_sum(t) - 1.0) > self.TOL:
-            raise InvalidInputError(f"{name} sums to {table_sum(t)}, not 1")
+        if abs(math.fsum(t) - 1.0) > self.TOL:
+            raise InvalidInputError(f"{name} sums to {math.fsum(t)}, not 1")
         object.__setattr__(self, "cells", t)
 
     @cached_property
@@ -161,9 +151,6 @@ class PairDist(SignedTable):
             cells = [m[key] for key in cell_keys(2)]
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"pair table mapping needs keys {'/'.join(cell_keys(2))}: {exc}")
-        # float() would parse "0.25" and read True as 1.0.
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in cells):
-            raise InvalidInputError(f"pair table cells must be numbers, got {cells}")
         return cls(cells)
 
 

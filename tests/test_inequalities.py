@@ -197,6 +197,9 @@ class TestLocalModel:
         )
         assert bell_local_model_covariance(det, a, b, 1000, seed=0) == -1.0
 
+        scalar = LocalModel(mean_a=lambda lams, a: 0.5, mean_b=lambda lams, b: -0.5)
+        assert bell_local_model_covariance(scalar, a, b, 1000, seed=0) == -0.25
+
     def test_rejects_out_of_range(self):
         for value in (2.0, math.nan):  # NaN fails every compare, in range or out
             bad = LocalModel(
@@ -207,6 +210,13 @@ class TestLocalModel:
                 bell_local_model_covariance(
                     bad, Direction.from_angle(0.0), Direction.from_angle(1.0), 100, seed=0
                 )
+
+    @pytest.mark.parametrize("shape", [(1000, 1), (1001,), (1, 1000)])
+    def test_rejects_wrong_shape(self, shape):
+        # An (n, 1) mean times an (n,) one would broadcast to an n x n product.
+        bad = LocalModel(mean_a=lambda lams, a: np.zeros(shape), mean_b=lambda lams, b: np.zeros(len(lams)))
+        with pytest.raises(InvalidModelError, match="shape"):
+            bell_local_model_covariance(bad, Direction.from_angle(0.0), Direction.from_angle(1.0), 1000, seed=0)
 
     def test_random_models_satisfy_chsh(self, rng):
         # any factorized model yields CHSH-satisfying covariance quadruples
@@ -308,8 +318,8 @@ def dense_scan(inequality, resolution):
 @pytest.mark.parametrize("inequality", ["bell", "chsh"])
 @pytest.mark.parametrize(
     "resolution",
-    [math.radians(7), math.radians(13), math.pi / 10, math.pi / 16, math.radians(5)],
-    ids=["7deg", "13deg", "pi/10", "pi/16", "5deg"],
+    [math.radians(7), math.radians(13), math.pi / 10, math.pi / 16, math.radians(5), math.pi / 8],
+    ids=["7deg", "13deg", "pi/10", "pi/16", "5deg", "pi/8"],
 )
 def test_scan_matches_dense_oracle(monkeypatch, inequality, resolution, slab_cells):
     """Slabbed kernel vs dense meshgrid kernel, including resolutions that do

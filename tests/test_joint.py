@@ -270,6 +270,13 @@ class TestExistenceCheck:
         with pytest.raises(InvalidInputError):
             existence_check_3(0.5, 0, 0, 0, 0, 0, symmetric=True)
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("first", [(math.nan, 0, 0), (0, math.nan, 0), (0, 0, 5.0)],
+                             ids=["nan_a", "nan_b", "5_c"])
+    def test_rejects_bad_first_moments(self, first, symmetric):
+        with pytest.raises(InvalidInputError, match="outside"):
+            existence_check_3(*first, 0.1, 0.1, 0.1, symmetric=symmetric)
+
     def test_agrees_with_interval_and_grid(self, rng):
         for _ in range(500):
             m_ab, m_bc, m_ca = rng.uniform(-1, 1, 3)

@@ -20,7 +20,8 @@ from eprbell import (
     qm_marginal,
     qm_pair_dist,
 )
-from eprbell.spincore import PairDist, table_sum
+from eprbell.joint import QuadDist
+from eprbell.spincore import PairDist
 
 from conftest import random_direction, random_rotation
 
@@ -66,16 +67,29 @@ class TestDirection:
             assert qm_pair_dist(a, neg).cells == local_pair_dist(a, a).cells
 
 
+# Cells that float() would read as a number but that are not one.
+NON_NUMBERS = ["0.25", b"0.25", True, np.bool_(False), None, [0.25]]
+
+
 class TestPairDist:
     @pytest.mark.parametrize("first, second", [(math.nan, 0.25), (math.inf, -math.inf)])
     def test_rejects_non_finite_entries(self, first, second):
         with pytest.raises(InvalidInputError, match="finite"):
             PairDist(np.array([[first, second], [0.25, 0.25]]))
 
-    @pytest.mark.parametrize("cell", ["0.25", b"0.25", True, np.bool_(False), None, [0.25]])
+    @pytest.mark.parametrize("cell", NON_NUMBERS)
     def test_from_mapping_rejects_non_numbers(self, cell):
         with pytest.raises(InvalidInputError, match="numbers"):
             PairDist.from_mapping({"pp": cell, "pm": 0.25, "mp": 0.25, "mm": 0.25})
+
+    @pytest.mark.parametrize("cls", [PairDist, QuadDist])
+    @pytest.mark.parametrize("cell", NON_NUMBERS)
+    def test_constructor_rejects_non_numbers(self, cell, cls):
+        # The other cells sum to 0.75, so a cell that float() reads as 0.25
+        # would make a table.
+        rest = [0.75 / (2 ** cls.DIMS - 1)] * (2 ** cls.DIMS - 1)
+        with pytest.raises(InvalidInputError, match="numbers"):
+            cls([cell, *rest])
 
     def test_cells_and_read_only_table(self):
         d = PairDist(np.array([[0.1, 0.2], [0.3, 0.4]]))
@@ -236,12 +250,3 @@ class TestPropertyI:
     def test_uniform_fixed_point(self):
         u = PairDist(np.full((2, 2), 0.25))
         assert np.array_equal(apply_property_I(u).table, u.table)
-
-
-@pytest.mark.parametrize("dims", [2, 3, 4])
-def test_table_sum_matches_numpy(dims):
-    """Normalized tables keep numpy's bits only if the sum order is numpy's."""
-    rng = np.random.default_rng(dims)
-    for _ in range(3000):
-        t = rng.dirichlet(np.full(2 ** dims, rng.choice([0.1, 1.0]))) * rng.uniform(0.5, 2.0)
-        assert table_sum(t.tolist()) == float(t.reshape((2,) * dims).sum())
