@@ -291,9 +291,7 @@ def _cmd_joint3(args) -> dict:
         "inequalities": {name: _verdict(v) for name, v in check.verdicts.items()},
     }
     if args.pairs is not None:
-        # The mu3 interval decides existence exactly for every input; symmetric
-        # inputs keep the inequalities' verdict, exact there as well.
-        payload["exists"] = check.exists if check.exact else not interval.empty
+        payload["exists"] = not interval.empty
         payload["necessary_conditions_hold"] = check.exists
     return payload
 

@@ -99,15 +99,15 @@ class Mu3Interval:
 
     @property
     def empty(self) -> bool:
-        # Rounding can put lo a few ulps above hi on the boundary. Within
-        # TRIPLE_TOL, the table at the midpoint has no cell below
-        # -TRIPLE_TOL / 16, so TripleDist.valid accepts it.
-        return self.lo > self.hi + TRIPLE_TOL
+        # The verdicts' slack, doubled: in the symmetric case lo - hi is twice
+        # an inequality's lhs excess. Within it the midpoint table has no cell
+        # below -VIOLATION_SLACK / 8, so TripleDist.valid accepts it.
+        return self.lo > self.hi + 2.0 * VIOLATION_SLACK
 
     def contains(self, v: float) -> bool:
         # Half the slack of empty on each side: some v is contained iff the
         # interval is not empty.
-        return self.lo - 0.5 * TRIPLE_TOL <= v <= self.hi + 0.5 * TRIPLE_TOL
+        return self.lo - VIOLATION_SLACK <= v <= self.hi + VIOLATION_SLACK
 
     @property
     def midpoint(self) -> float:
@@ -303,13 +303,13 @@ def _glued_witness(m_a, m_b, m_c, m_d, c_ab, c_ac, c_db, c_dc) -> Optional[QuadD
     midpoint of their common <BC> range; None when that range is empty."""
     lo_a, hi_a = _bc_interval(m_a, m_b, m_c, c_ab, c_ac)
     lo_d, hi_d = _bc_interval(m_d, m_b, m_c, c_db, c_dc)
-    lo, hi = max(lo_a, lo_d), min(hi_a, hi_d)
     # lo - hi equals the largest CHSH lhs minus 2, so an input inside the
-    # verdict's slack still gets a witness; doubled to absorb the rounding
-    # by which the two routes differ.
-    if lo > hi + 2.0 * VIOLATION_SLACK:
+    # verdict's slack still gets a witness; the doubled slack of empty
+    # absorbs the rounding by which the two routes differ.
+    bc_range = Mu3Interval(max(lo_a, lo_d), min(hi_a, hi_d))
+    if bc_range.empty:
         return None
-    m_bc = clamp_unit(0.5 * (lo + hi))
+    m_bc = bc_range.midpoint
     triangles = []
     for m_x, m_xb, m_xc in ((m_a, c_ab, c_ac), (m_d, c_db, c_dc)):
         mu3 = mu3_interval(m_x, m_b, m_c, m_xb, m_bc, m_xc).midpoint
@@ -321,10 +321,9 @@ def _glued_witness(m_a, m_b, m_c, m_d, c_ab, c_ac, c_db, c_dc) -> Optional[QuadD
     for a, b, c, d in itertools.product((0, 1), repeat=4):
         bc = 2 * b + c
         # A (B, C) cell of probability at most TRIPLE_TOL carries no mass;
-        # dividing by it would only amplify rounding. The product is added to
-        # 0.0, as numpy's einsum does, so a -0.0 product is written as 0.0.
-        v = (0.0 + q_abc[4 * a + bc] * q_dbc[4 * d + bc]) / p_bc[bc] if p_bc[bc] > TRIPLE_TOL else 0.0
-        q.append(0.0 if -QUAD_TOL <= v < 0.0 else v)  # rounding only; larger negatives stay visible
+        # dividing by it would only amplify rounding.
+        v = q_abc[4 * a + bc] * q_dbc[4 * d + bc] / p_bc[bc] if p_bc[bc] > TRIPLE_TOL else 0.0
+        q.append(0.0 if -QUAD_TOL <= v <= 0.0 else v)  # rounding and -0.0 only; larger negatives stay visible
     total = math.fsum(q)
     return QuadDist([v / total for v in q])
 

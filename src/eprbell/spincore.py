@@ -66,7 +66,9 @@ def cells_of(values, dims: int, what: str) -> tuple[float, ...]:
     try:
         flat = v if len(v) == 1 << dims else _nested(v, dims)
         # float() would parse "0.25" and read True as 1.0; a float skips the slow ABC check.
-        if not all(type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool) for x in flat):
+        # A str or byte string is no table, though it iterates as characters or ints.
+        text = isinstance(values, (str, bytes, bytearray, memoryview))
+        if text or not all(type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool) for x in flat):
             raise TypeError
         cells = tuple(map(float, flat))
     except (TypeError, ValueError, OverflowError):
@@ -141,7 +143,7 @@ class PairDist(SignedTable):
         t, lo, hi = self.cells, min(self.cells), max(self.cells)
         if lo < -self.TOL or hi > 1.0 + self.TOL:
             raise InvalidInputError(f"pair table entries outside [0, 1]: {t}")
-        if lo < 0.0 or hi > 1.0:  # clip as np.clip does: -0.0 stays -0.0
+        if lo < 0.0 or hi > 1.0:  # -0.0 is not below 0.0, so it is kept
             object.__setattr__(self, "cells", tuple(0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in t))
 
     @classmethod

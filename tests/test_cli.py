@@ -373,6 +373,17 @@ class TestJoint3:
         assert doc["exists"] is False
         assert doc["mu3_interval"]["empty"] is True
 
+    def test_exists_agrees_with_interval_near_the_boundary(self, capsys, tmp_path):
+        # Symmetric tables with <AB> = <BC> = <CA> = -1/3 - d: lo - hi runs from
+        # 0 to 6 d across the slack. The verdict, the interval and the
+        # inequalities must agree on every one, lo - hi in (1e-12, 2e-12] too.
+        path = tmp_path / "pairs.json"
+        for k in range(31):
+            table = cov_table(-1.0 / 3.0 - k * (6e-13 / 30))
+            path.write_text(json.dumps({"pairs": {"AB": table, "BC": table, "CA": table}}))
+            doc = run_json(capsys, "joint3", "--pairs", str(path))
+            assert doc["exists"] == (not doc["mu3_interval"]["empty"]) == doc["necessary_conditions_hold"], k
+
     def test_missing_file(self, capsys, tmp_path):
         assert run(capsys, "joint3", "--pairs", str(tmp_path / "absent.json"))[0] == 65
 

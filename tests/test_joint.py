@@ -220,8 +220,9 @@ class TestMu3Interval:
         iv = mu3_interval(*moments)
         assert iv.lo > iv.hi and not iv.empty and iv.contains(iv.midpoint)
         assert triple_from_moments(MomentSet3(*moments, 0.5 * (iv.lo + iv.hi))).valid
-        assert joint.Mu3Interval(joint.TRIPLE_TOL, 0.0).empty is False
-        assert joint.Mu3Interval(2.0 * joint.TRIPLE_TOL, 0.0).empty is True
+        # The slack is the verdicts' own, doubled as lo - hi is twice an lhs excess.
+        assert joint.Mu3Interval(2.0 * VIOLATION_SLACK, 0.0).empty is False
+        assert joint.Mu3Interval(math.nextafter(2.0 * VIOLATION_SLACK, 1.0), 0.0).empty is True
 
     def test_half_correlations(self):
         iv = mu3_interval(0, 0, 0, 0.5, 0.5, 0.5)

@@ -91,6 +91,15 @@ class TestPairDist:
         with pytest.raises(InvalidInputError, match="numbers"):
             cls([cell, *rest])
 
+    @pytest.mark.parametrize("cls", [PairDist, QuadDist])
+    @pytest.mark.parametrize("kind", [str, bytes, bytearray, memoryview])
+    def test_constructor_rejects_text_and_bytes(self, kind, cls):
+        # Iterated, b"\x01\x00\x00\x00" yields the ints 1, 0, 0, 0: a table.
+        cells = [1] + [0] * (2 ** cls.DIMS - 1)
+        values = "".join(map(str, cells)) if kind is str else kind(bytes(cells))
+        with pytest.raises(InvalidInputError, match="numbers"):
+            cls(values)
+
     def test_cells_and_read_only_table(self):
         d = PairDist(np.array([[0.1, 0.2], [0.3, 0.4]]))
         assert d.cells == (0.1, 0.2, 0.3, 0.4)
