@@ -16,14 +16,13 @@ more, and only ``scan``, ``simulate`` and ``verify`` load numpy.
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import io
 import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import fields
 
 from .errors import EprBellError, InvalidInputError
 from .geometry import Direction
@@ -142,6 +141,8 @@ def _emit(out, args):
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -203,7 +204,7 @@ def _cmd_ineq(args) -> dict:
     # Each inequality's covariance type (its fields in argument order) and verdict.
     inequalities = {"bell": (CovarianceTriple, bell_1964), "chsh": (CovarianceQuad, chsh)}
     covariances, verdict = inequalities[args.which]
-    n = len(fields(covariances))
+    n = len(covariances.FIELDS)
     if args.angles is not None:
         # Coplanar increments (bell: b, c; chsh: b, d, c), so the a-c angle
         # is their sum and the rest are the increments themselves.
@@ -466,5 +467,14 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
+def entry():
+    """The ``eprbell`` script and ``python -m eprbell.cli``: ``main``, then a frozen collector, so the
+    final collection at exit skips every object the call loaded (every file is closed and no thread
+    runs by then; atexit, flushes and teardown still run), then exit. Tests call ``main`` alone."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidDirectionError
+from .value import Value
 
 # Inputs with norm this far from 1 are normalized; anything worse is rejected.
 _NORM_SLACK = 1e-6
@@ -16,23 +16,18 @@ def clamp_unit(v: float) -> float:
     return min(1.0, max(-1.0, v))
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(Value):
     """A unit 3-vector. Inputs within 1e-6 of unit norm are renormalized."""
 
     x: float
     y: float
     z: float
 
-    def __post_init__(self):
-        norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+    def __init__(self, x: float, y: float, z: float):
+        norm = math.sqrt(x * x + y * y + z * z)
         if not (1.0 - _NORM_SLACK <= norm <= 1.0 + _NORM_SLACK):
-            raise InvalidDirectionError(
-                f"vector ({self.x}, {self.y}, {self.z}) has norm {norm:.6g}, not ~1"
-            )
-        object.__setattr__(self, "x", self.x / norm)
-        object.__setattr__(self, "y", self.y / norm)
-        object.__setattr__(self, "z", self.z / norm)
+            raise InvalidDirectionError(f"vector ({x}, {y}, {z}) has norm {norm:.6g}, not ~1")
+        vars(self).update(x=x / norm, y=y / norm, z=z / norm)
 
     @classmethod
     def from_angle(cls, theta: float) -> "Direction":
@@ -66,10 +61,8 @@ class Direction:
         return math.acos(self.cos_to(other))
 
     def __neg__(self) -> "Direction":
-        # Negation is exact; __post_init__ would divide by the rounded norm
-        # again and could move a component by an ulp.
+        # Negation is exact; __init__ would divide by the rounded norm again
+        # and could move a component by an ulp.
         neg = object.__new__(Direction)
-        object.__setattr__(neg, "x", -self.x)
-        object.__setattr__(neg, "y", -self.y)
-        object.__setattr__(neg, "z", -self.z)
+        vars(neg).update(x=-self.x, y=-self.y, z=-self.z)
         return neg

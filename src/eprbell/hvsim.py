@@ -40,13 +40,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import Direction
 from .spincore import PairDist, cell_keys, local_pair_dist, qm_pair_dist
+from .value import Value
 
 BLOCK_SIZE = 65_536
 CONTRACT = 2  # version of the reproducibility contract; 2 puts the cap on +z
@@ -75,8 +75,7 @@ def _cos_threshold(a: Direction, b: Direction) -> float:
     return math.cos(math.acos(-a.cos_to(b)))
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(Value):
     """The +z spherical cap z >= ``cos_threshold`` whose area is
     2*pi*(1 + a.b) for device directions (a, b); only the area enters the
     outcome probabilities."""
@@ -117,8 +116,7 @@ def mixture_pair_dist(a: Direction, b: Direction) -> PairDist:
     return PairDist((equal, unequal, unequal, equal))
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(Value):
     n_samples: int
     seed: int
     mode: str
@@ -237,8 +235,7 @@ def simulate(
     )
 
 
-@dataclass(frozen=True)
-class ProductRuleEstimate:
+class ProductRuleEstimate(Value):
     label: str
     b: Direction
     estimate: float

@@ -10,25 +10,23 @@ pairwise angles are geometrically realizable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import Callable
 
 from .errors import InvalidGeometryError, InvalidInputError, InvalidModelError
 from .geometry import Direction, clamp_unit
+from .value import Value
 
 VIOLATION_SLACK = 1e-12
 
 
 def _check_unit(obj, what: str) -> None:
-    """Raise InvalidInputError unless each field of the dataclass ``obj`` is in [-1, 1]."""
-    for f in fields(obj):
-        v = getattr(obj, f.name)
+    """Raise InvalidInputError unless each field of the value ``obj`` is in [-1, 1]."""
+    for name in obj.FIELDS:
+        v = getattr(obj, name)
         if not -1.0 <= v <= 1.0:
-            raise InvalidInputError(f"{what} {f.name} = {v} outside [-1, 1]")
+            raise InvalidInputError(f"{what} {name} = {v} outside [-1, 1]")
 
 
-@dataclass(frozen=True)
-class CovarianceTriple:
+class CovarianceTriple(Value):
     c_ab: float
     c_ac: float
     c_bc: float
@@ -37,8 +35,7 @@ class CovarianceTriple:
         _check_unit(self, "covariance")
 
 
-@dataclass(frozen=True)
-class CovarianceQuad:
+class CovarianceQuad(Value):
     c_ab: float
     c_ac: float
     c_db: float
@@ -48,14 +45,13 @@ class CovarianceQuad:
         _check_unit(self, "covariance")
 
 
-@dataclass(frozen=True)
-class InequalityVerdict:
+class InequalityVerdict(Value):
     lhs: float
     bound: float
-    satisfied: bool = field(init=False)
+    satisfied: bool  # computed, not an argument
 
-    def __post_init__(self):
-        object.__setattr__(self, "satisfied", self.lhs <= self.bound + VIOLATION_SLACK)
+    def __init__(self, lhs: float, bound: float):
+        vars(self).update(lhs=lhs, bound=bound, satisfied=lhs <= bound + VIOLATION_SLACK)
 
 
 def _bell_lhs(c_ab, c_ac, c_bc):
@@ -123,8 +119,7 @@ def chsh_to_bell_reduction(t: CovarianceTriple) -> tuple[float, float]:
     return chsh(CovarianceQuad(t.c_ab, t.c_ac, -1.0, t.c_bc)).lhs, bell_1964(t).lhs
 
 
-@dataclass(frozen=True)
-class LocalModel:
+class LocalModel(Value):
     """A factorized hidden-variable model: independent outcomes given lambda.
 
     ``mean_a(lams, a)`` and ``mean_b(lams, b)`` return conditional means in
@@ -171,8 +166,7 @@ SCAN_SLAB_CELLS = 1 << 20
 SCAN_MAX_POINTS = 1 << 23
 
 
-@dataclass(frozen=True, eq=False)
-class ScanResult:
+class ScanResult(Value):
     """Grid-scan outcome. ``violation_index[k]`` holds the grid indices of
     (phi_b, phi_c[, phi_d]) for violation k in C order, ``violation_lhs[k]``
     its left-hand side; both arrays are read-only."""
@@ -184,6 +178,8 @@ class ScanResult:
     grid: np.ndarray
     violation_index: np.ndarray  # int32, shape (k, dims)
     violation_lhs: np.ndarray  # float64, shape (k,)
+
+    __eq__, __hash__ = object.__eq__, object.__hash__  # a result equals only itself
 
     @property
     def violations(self) -> np.ndarray:

@@ -12,21 +12,24 @@ which is even in x, zero at x = 0, and 1 bit at x = +-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidInputError
 from .geometry import Direction
 from .spincore import PairDist, pair_dist_from_dot
+from .value import Value
 
 # Largest curve info_curve tabulates: step 2**-15 gives 2**16 + 1 points.
 INFO_MAX_POINTS = 2**16 + 1
 
 
-@dataclass(frozen=True)
-class InfoCurvePoint:
+class InfoCurvePoint(Value):
     x: float
     mutual_information_bits: float
     conditional_entropy_bits: float
+
+    def __init__(self, x: float, mutual_information_bits: float, conditional_entropy_bits: float):
+        vars(self).update(x=x, mutual_information_bits=mutual_information_bits,
+                          conditional_entropy_bits=conditional_entropy_bits)
 
 
 def _xlog2x(p: float) -> float:

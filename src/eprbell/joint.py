@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
     InconsistentMarginalsError,
@@ -39,14 +37,14 @@ from .errors import (
 from .geometry import Direction, clamp_unit
 from .inequalities import VIOLATION_SLACK, InequalityVerdict, _check_unit, bell_pair_inequalities
 from .spincore import SIGNS, PairDist, SignedTable, _idx, covariance
+from .value import Value
 
 TRIPLE_TOL = 1e-12
 QUAD_TOL = 1e-9
 MARGINAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MomentSet3:
+class MomentSet3(Value):
     """First, second and third moments of three binary variables (A, B, C)."""
 
     m_a: float = 0.0
@@ -92,8 +90,7 @@ def marginal(table: SignedTable, first: int, second: int) -> PairDist:
     return PairDist(_pair_marginal(table.cells, table.DIMS, first, second))
 
 
-@dataclass(frozen=True)
-class Mu3Interval:
+class Mu3Interval(Value):
     lo: float
     hi: float
 
@@ -148,8 +145,7 @@ def _agreed_moments(**pairs: tuple[float, float]) -> list[float]:
     return [clamp_unit(0.5 * (u + v)) for u, v in pairs.values()]
 
 
-@dataclass(frozen=True)
-class PairMoments:
+class PairMoments(Value):
     """Six moments extracted from the pair tables (A,B), (B,C), (C,A)."""
 
     m_a: float
@@ -196,8 +192,7 @@ def default_mu3(interval: Mu3Interval, symmetric: bool) -> float:
     return interval.midpoint
 
 
-@dataclass(frozen=True)
-class ExistenceResult:
+class ExistenceResult(Value):
     exists: bool
     exact: bool  # True when the verdict is necessary and sufficient
     verdicts: dict[str, InequalityVerdict]
@@ -269,8 +264,7 @@ def chsh_family_verdicts(c_ab, c_ac, c_db, c_dc) -> dict[str, InequalityVerdict]
     }
 
 
-@dataclass(frozen=True)
-class QuadFeasibility:
+class QuadFeasibility(Value):
     feasible: bool
     witness: Optional[QuadDist]
     verdicts: dict[str, InequalityVerdict]

@@ -19,12 +19,11 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar
 
 from .errors import InvalidInputError
 from .geometry import Direction
+from .value import Value
 
 SIGNS = (1, -1)  # row/column 0 is +1, row/column 1 is -1
 
@@ -78,8 +77,7 @@ def cells_of(values, dims: int, what: str) -> tuple[float, ...]:
     return cells
 
 
-@dataclass(frozen=True)
-class SignedTable:
+class SignedTable(Value):
     """Signed table over {-1,+1}^DIMS whose cells sum to one within TOL.
     ``cells`` holds the 2^DIMS entries in C order of (A, B, C, ...), index
     0 = +1; it is built from any 2 x ... x 2 nested sequence or array, or
@@ -92,12 +90,12 @@ class SignedTable:
 
     cells: tuple[float, ...]
 
-    def __post_init__(self):
+    def __init__(self, cells: tuple[float, ...]):
         name = type(self).__name__
-        t = cells_of(self.cells, self.DIMS, name)
+        t = cells_of(cells, self.DIMS, name)
         if abs(math.fsum(t) - 1.0) > self.TOL:
             raise InvalidInputError(f"{name} sums to {math.fsum(t)}, not 1")
-        object.__setattr__(self, "cells", t)
+        vars(self)["cells"] = t
 
     @cached_property
     def table(self):
@@ -138,13 +136,13 @@ class PairDist(SignedTable):
 
     DIMS, TOL = 2, PROB_TOL
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, cells: tuple[float, ...]):
+        super().__init__(cells)
         t, lo, hi = self.cells, min(self.cells), max(self.cells)
         if lo < -self.TOL or hi > 1.0 + self.TOL:
             raise InvalidInputError(f"pair table entries outside [0, 1]: {t}")
         if lo < 0.0 or hi > 1.0:  # -0.0 is not below 0.0, so it is kept
-            object.__setattr__(self, "cells", tuple(0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in t))
+            vars(self)["cells"] = tuple(0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in t)
 
     @classmethod
     def from_mapping(cls, m: dict, labels=None) -> "PairDist":

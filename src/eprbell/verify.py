@@ -11,8 +11,6 @@ grow with the trial count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .born import singlet_pair_probs
@@ -20,13 +18,13 @@ from .errors import InvalidInputError
 from .geometry import Direction
 from .hvsim import mixture_pair_dist, sample_lambda
 from .spincore import apply_property_I, local_pair_dist, qm_pair_dist
+from .value import Value
 
 TOL = 1e-12
 CHUNK = 4096  # trials per chunk
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
     name: str
     passed: bool
     max_dev: float

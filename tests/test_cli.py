@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tomllib
 import tracemalloc
 from pathlib import Path
 
@@ -585,14 +586,20 @@ SHORT_COMMANDS = {
     "info": ("info", "--step", "0.01"),
 }
 
+# Standard-library modules whose import is a large share of a short call's
+# start-up: dataclasses, which also loads inspect, ast and tokenize; inspect;
+# and csv.
+SLOW_STDLIB = ["dataclasses", "inspect", "csv"]
+
 # Runs each [step, argv] of the JSON list in sys.argv[1] in one process and
 # prints, after import and after each step, which of numpy, numpy.ma, scipy,
-# concurrent.futures and the eprbell modules are loaded.
+# concurrent.futures, SLOW_STDLIB and the eprbell modules are loaded.
 MODULE_PROBE = """
 import json, sys
 def loaded():
     return sorted(name for name in sys.modules
-                  if name in ("numpy", "numpy.ma", "scipy", "concurrent.futures") or name.startswith("eprbell."))
+                  if name in ("numpy", "numpy.ma", "scipy", "concurrent.futures", "dataclasses", "inspect", "csv")
+                  or name.startswith("eprbell."))
 seen = {}
 import eprbell
 seen["import eprbell"] = loaded()
@@ -642,7 +649,7 @@ def test_numpy_never_loaded(tmp_path):
     steps.append(["scan", ["scan", "--inequality", "bell", "--resolution-deg", "11.25"]])
     proc = run_probe(MODULE_PROBE, json.dumps(steps))
     assert proc.returncode == 0, proc.stderr
-    seen = {step: [name for name in loaded if not name.startswith("eprbell.")]
+    seen = {step: [name for name in loaded if not name.startswith("eprbell.") and name not in SLOW_STDLIB]
             for step, loaded in json.loads(proc.stdout.splitlines()[-1]).items()}
     assert seen.pop("scan") == ["numpy"]  # the probe sees a lazy import
     assert seen == dict.fromkeys(["import eprbell", *SHORT_COMMANDS], [])
@@ -650,7 +657,9 @@ def test_numpy_never_loaded(tmp_path):
 
 # The eprbell modules each subcommand loads, run alone: cli and the core that
 # every command shares, then the module it computes with.
-CORE_MODULES = ["eprbell.cli", "eprbell.errors", "eprbell.geometry", "eprbell.spincore"]
+CORE_MODULES = ["eprbell.cli", "eprbell.errors", "eprbell.geometry", "eprbell.spincore", "eprbell.value"]
+# The subcommands that load no numpy, which loads inspect.
+NUMPY_FREE = ["dist", "ineq", "joint3", "joint4", "info"]
 
 
 @pytest.mark.parametrize("argv, own_modules", [
@@ -674,6 +683,10 @@ def test_modules_loaded(tmp_path, argv, own_modules):
     # np.unique loads numpy.ma unless asked for an index array; only a
     # simulate on more than one worker starts a thread pool.
     assert not {"numpy.ma", "concurrent.futures"} & set(seen["command"])
+    # No command loads dataclasses, only info writes CSV with csv, and only
+    # numpy loads inspect.
+    stdlib = [name for name in seen["command"] if name in SLOW_STDLIB]
+    assert stdlib == ["csv"] * (argv[0] == "info") + ["inspect"] * (argv[0] not in NUMPY_FREE)
 
 
 def test_public_names():
@@ -684,6 +697,43 @@ def test_public_names():
     assert set(eprbell._MODULE_OF) <= set(dir(eprbell))
     with pytest.raises(AttributeError, match="no_such_name"):
         eprbell.no_such_name
+
+
+# Runs the command line sys.argv[2:] as a user does, after registering an
+# atexit hook that writes the collector's freeze count to stderr: as
+# ``python -m eprbell.cli`` when sys.argv[1] is "module", else as the console
+# script that runs the entry point sys.argv[1] names.
+EXIT_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"freeze count {gc.get_freeze_count()}", file=sys.stderr))
+how, sys.argv = sys.argv[1], ["eprbell", *sys.argv[2:]]
+if how == "module":
+    runpy.run_module("eprbell.cli", run_name="__main__")
+else:
+    from importlib.metadata import EntryPoint
+    sys.exit(EntryPoint("eprbell", how, "console_scripts").load()())
+"""
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+CONSOLE_SCRIPT = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]["eprbell"]
+
+
+@pytest.mark.parametrize("how", ["module", CONSOLE_SCRIPT])
+@pytest.mark.parametrize("argv", [
+    ["dist", "--theta", "30"],
+    ["scan", "--inequality", "bell", "--resolution-deg", "11.25"],
+    ["dist", "--theta", "nan"],  # a usage error
+])
+def test_exit_path(capsys, how, argv):
+    """Both launchers freeze the collector before exit, so the final
+    collection skips what the call loaded, and still run the atexit hooks;
+    output and exit status are main's."""
+    code, out, err = run(capsys, *argv)
+    proc = run_probe(EXIT_PROBE, how, *argv)
+    *lines, hook = proc.stderr.splitlines(keepends=True)
+    assert "".join(lines) == err
+    assert hook.startswith("freeze count ") and int(hook.split()[-1]) > 0
+    assert proc.stdout == out
+    assert proc.returncode == code == (64 if "nan" in argv else 0)
 
 
 def test_short_commands_without_numpy(capsys, tmp_path):

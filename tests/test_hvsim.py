@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -50,7 +49,7 @@ class TestPartition:
         a = Direction.from_angle(0.0)
         b = Direction.from_angle(math.pi / 3)
         part = PartitionSpec.for_directions(a, b)
-        assert [f.name for f in dataclasses.fields(part)] == ["cos_threshold"]
+        assert list(part.FIELDS) == ["cos_threshold"]
         assert part == PartitionSpec(math.cos(math.acos(-a.cos_to(b))))
         assert part.cos_threshold == pytest.approx(-0.5, abs=1e-12)
         assert part.cos_threshold != -a.cos_to(b)
