@@ -268,8 +268,8 @@ def _cmd_scan(args):
 
 
 def _cmd_joint3(args) -> dict:
-    from .joint import (MARGINAL_TOL, MomentSet3, default_mu3, existence_check_3, moments_from_pairs,
-                        mu3_interval, triple_from_moments)
+    from .joint import (MomentSet3, default_mu3, existence_check_3, moments_from_pairs, mu3_interval,
+                        triple_from_moments)
 
     if args.qm:
         a, b, c = (Direction.from_angle(phi) for phi in (0.0, *_coplanar_phis(args.angles, 2)))
@@ -279,10 +279,9 @@ def _cmd_joint3(args) -> dict:
         m = moments_from_pairs(tables["AB"], tables["BC"], tables["CA"])
         moments = (m.m_a, m.m_b, m.m_c, m.m_ab, m.m_bc, m.m_ca)
     interval = mu3_interval(*moments)
-    symmetric = max(map(abs, moments[:3])) <= MARGINAL_TOL
-    mu3 = args.mu3 if args.mu3 is not None else default_mu3(interval, symmetric)
+    mu3 = args.mu3 if args.mu3 is not None else default_mu3(interval)
     trip = triple_from_moments(MomentSet3(*moments, mu3))
-    check = existence_check_3(*moments, symmetric=symmetric)
+    check = existence_check_3(*moments)
     payload = {
         "entries": trip.to_mapping(),
         "valid": trip.valid,
@@ -399,7 +398,7 @@ def build_parser() -> _Parser:
     one.add_argument("--qm", action="store_true", help="build from singlet tables at --angles")
     one.add_argument("--pairs", help="JSON file with pair tables AB, BC, CA")
     p.add_argument("--angles", type=_floats, help="t_ab,t_bc for coplanar directions (with --qm)")
-    p.add_argument("--mu3", type=_finite_float, help="third moment for --pairs (default: 0 or interval midpoint)")
+    p.add_argument("--mu3", type=_finite_float, help="third moment for --pairs (default: interval midpoint or 0)")
 
     p = command("joint4", _cmd_joint4, "fourth-order feasibility from pair tables")
     p.add_argument("--pairs", required=True, help="JSON file with pair tables AB, AC, DB, DC")

@@ -39,7 +39,15 @@ from .inequalities import VIOLATION_SLACK, InequalityVerdict, _check_unit, bell_
 from .spincore import SIGNS, PairDist, SignedTable, _idx, covariance
 from .value import Value
 
-TRIPLE_TOL = 1e-12
+# A cell of the midpoint table is (t_i + abc_i * mu3) / 8 with t_i >= -lo
+# (abc = +1) or t_i >= hi (abc = -1), so at mu3 = (lo + hi) / 2 every cell is
+# >= (hi - lo) / 16 >= -VIOLATION_SLACK / 8 whenever the interval is not
+# empty; where the midpoint is clamped to +-1, no bound lies more than the
+# slack past it, which keeps the same bound. When the interval is empty, every
+# mu3 in [-1, 1] leaves a cell below it. So "valid at the default mu3" and
+# "exists" are one decision.
+TRIPLE_TOL = VIOLATION_SLACK / 8
+MASS_FLOOR = 1e-12  # smallest mass a table is conditioned or glued on
 QUAD_TOL = 1e-9
 MARGINAL_TOL = 1e-9
 
@@ -96,15 +104,10 @@ class Mu3Interval(Value):
 
     @property
     def empty(self) -> bool:
-        # The verdicts' slack, doubled: in the symmetric case lo - hi is twice
-        # an inequality's lhs excess. Within it the midpoint table has no cell
-        # below -VIOLATION_SLACK / 8, so TripleDist.valid accepts it.
-        return self.lo > self.hi + 2.0 * VIOLATION_SLACK
-
-    def contains(self, v: float) -> bool:
-        # Half the slack of empty on each side: some v is contained iff the
-        # interval is not empty.
-        return self.lo - VIOLATION_SLACK <= v <= self.hi + VIOLATION_SLACK
+        # Each bound, lo and hi, takes the verdicts' slack, so lo - hi takes it
+        # doubled: in the symmetric case lo - hi is twice an inequality's lhs
+        # excess. mu3 itself stays in [-1, 1].
+        return self.lo > self.hi + 2.0 * VIOLATION_SLACK or max(self.lo, -self.hi) > 1.0 + VIOLATION_SLACK
 
     @property
     def midpoint(self) -> float:
@@ -184,17 +187,15 @@ def mu3_interval(m_a, m_b, m_c, m_ab, m_bc, m_ca) -> Mu3Interval:
     return Mu3Interval(lo, hi)
 
 
-def default_mu3(interval: Mu3Interval, symmetric: bool) -> float:
-    """Default third moment: 0 in the symmetric case; otherwise the midpoint
-    of the feasible interval when non-empty, else 0."""
-    if symmetric or interval.empty:
-        return 0.0
-    return interval.midpoint
+def default_mu3(interval: Mu3Interval) -> float:
+    """Default third moment: the midpoint of the feasible interval when
+    non-empty, else 0. With first moments exactly 0 the interval is [-h, h],
+    so this is exactly +0.0."""
+    return 0.0 if interval.empty else interval.midpoint
 
 
 class ExistenceResult(Value):
     exists: bool
-    exact: bool  # True when the verdict is necessary and sufficient
     verdicts: dict[str, InequalityVerdict]
 
 
@@ -218,7 +219,7 @@ def existence_check_3(m_a, m_b, m_c, m_ab, m_bc, m_ca, symmetric: bool = False) 
         "abs_minus": abs_minus,
     }
     exists = all(v.satisfied for v in verdicts.values())
-    return ExistenceResult(exists=exists, exact=bool(symmetric), verdicts=verdicts)
+    return ExistenceResult(exists=exists, verdicts=verdicts)
 
 
 def qm_triple(a: Direction, b: Direction, c: Direction) -> TripleDist:
@@ -243,7 +244,7 @@ def triple_conditional(t: TripleDist, given: str, value: int) -> PairDist:
     k = _idx(value)
     slab = [v for index, v in zip(itertools.product((0, 1), repeat=3), t.cells) if index[axis] == k]
     norm = math.fsum(slab)
-    if norm <= TRIPLE_TOL:
+    if norm <= MASS_FLOOR:
         raise UndefinedConditionalError(f"P[{given}={value}] = {norm} is not positive")
     return PairDist([v / norm for v in slab])
 
@@ -314,9 +315,9 @@ def _glued_witness(m_a, m_b, m_c, m_d, c_ab, c_ac, c_db, c_dc) -> Optional[QuadD
     q = []
     for a, b, c, d in itertools.product((0, 1), repeat=4):
         bc = 2 * b + c
-        # A (B, C) cell of probability at most TRIPLE_TOL carries no mass;
+        # A (B, C) cell of probability at most MASS_FLOOR carries no mass;
         # dividing by it would only amplify rounding.
-        v = q_abc[4 * a + bc] * q_dbc[4 * d + bc] / p_bc[bc] if p_bc[bc] > TRIPLE_TOL else 0.0
+        v = q_abc[4 * a + bc] * q_dbc[4 * d + bc] / p_bc[bc] if p_bc[bc] > MASS_FLOOR else 0.0
         q.append(0.0 if -QUAD_TOL <= v <= 0.0 else v)  # rounding and -0.0 only; larger negatives stay visible
     total = math.fsum(q)
     return QuadDist([v / total for v in q])

@@ -16,7 +16,7 @@ import pytest
 import eprbell
 from eprbell import cli, verify
 from eprbell.cli import main
-from eprbell.inequalities import violation_scan
+from eprbell.inequalities import VIOLATION_SLACK, violation_scan
 from eprbell.information import INFO_MAX_POINTS
 
 from conftest import CONTRA_AB, CONTRA_BC, CONTRA_CA
@@ -375,15 +375,26 @@ class TestJoint3:
         assert doc["mu3_interval"]["empty"] is True
 
     def test_exists_agrees_with_interval_near_the_boundary(self, capsys, tmp_path):
-        # Symmetric tables with <AB> = <BC> = <CA> = -1/3 - d: lo - hi runs from
-        # 0 to 6 d across the slack. The verdict, the interval and the
-        # inequalities must agree on every one, lo - hi in (1e-12, 2e-12] too.
+        # Symmetric tables with <AB> = <BC> = <CA> = -1/3 - d, d = 0 ... 3e-12:
+        # lo - hi runs from 0 to 6 d, across the slack and on past 1.6e-11.
+        # The verdict, the interval and the inequalities agree on every one,
+        # lo - hi in (1e-12, 2e-12] too, and so does the table at the default
+        # mu3: valid where a joint exists, with a negative cell where none does.
+        # Only lo - hi within 1e-15 of the doubled slack, where rounding alone
+        # decides, is left out of the second check.
         path = tmp_path / "pairs.json"
-        for k in range(31):
-            table = cov_table(-1.0 / 3.0 - k * (6e-13 / 30))
+        skipped = 0
+        for k in range(151):
+            table = cov_table(-1.0 / 3.0 - k * 2e-14)
             path.write_text(json.dumps({"pairs": {"AB": table, "BC": table, "CA": table}}))
             doc = run_json(capsys, "joint3", "--pairs", str(path))
             assert doc["exists"] == (not doc["mu3_interval"]["empty"]) == doc["necessary_conditions_hold"], k
+            iv = doc["mu3_interval"]
+            if abs(iv["lo"] - iv["hi"] - 2.0 * VIOLATION_SLACK) <= 1e-15:
+                skipped += 1
+                continue
+            assert doc["valid"] == doc["exists"] == (doc["negative_cells"] == []), k
+        assert skipped <= 1
 
     def test_missing_file(self, capsys, tmp_path):
         assert run(capsys, "joint3", "--pairs", str(tmp_path / "absent.json"))[0] == 65

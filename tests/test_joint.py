@@ -218,15 +218,15 @@ class TestMu3Interval:
         )
         moments = (m.m_a, m.m_b, m.m_c, m.m_ab, m.m_bc, m.m_ca)
         iv = mu3_interval(*moments)
-        assert iv.lo > iv.hi and not iv.empty and iv.contains(iv.midpoint)
-        assert triple_from_moments(MomentSet3(*moments, 0.5 * (iv.lo + iv.hi))).valid
+        assert iv.lo > iv.hi and not iv.empty
+        assert triple_from_moments(MomentSet3(*moments, iv.midpoint)).valid
         # The slack is the verdicts' own, doubled as lo - hi is twice an lhs excess.
         assert joint.Mu3Interval(2.0 * VIOLATION_SLACK, 0.0).empty is False
         assert joint.Mu3Interval(math.nextafter(2.0 * VIOLATION_SLACK, 1.0), 0.0).empty is True
 
     def test_half_correlations(self):
         iv = mu3_interval(0, 0, 0, 0.5, 0.5, 0.5)
-        assert not iv.empty and iv.contains(0.0)
+        assert not iv.empty and triple_from_moments(MomentSet3(0, 0, 0, 0.5, 0.5, 0.5, iv.midpoint)).valid
         assert grid_oracle_exists(0.5, 0.5, 0.5)
 
     def test_matches_grid_oracle(self, rng):
@@ -237,15 +237,104 @@ class TestMu3Interval:
 
     def test_default_mu3(self):
         iv = mu3_interval(0.2, 0.1, 0.0, 0.3, 0.2, 0.1)
-        assert default_mu3(iv, symmetric=False) == pytest.approx(0.5 * (iv.lo + iv.hi))
-        assert default_mu3(iv, symmetric=True) == 0.0
-        assert default_mu3(mu3_interval(0, 0, 0, 1, -1, 1), symmetric=False) == 0.0
+        assert default_mu3(iv) == iv.midpoint == pytest.approx(0.5 * (iv.lo + iv.hi))
+        assert default_mu3(mu3_interval(0, 0, 0, 1, -1, 1)) == 0.0
+
+    def test_default_mu3_is_plus_zero_for_zero_first_moments(self, rng):
+        # With first moments exactly 0 the cells pair up as (a, b, c) and
+        # (-a, -b, -c) with one t and opposite abc, so the interval is [-h, h]
+        # bit for bit and its midpoint +0.0: the tables `joint3 --qm` and
+        # symmetric `joint3 --pairs` print keep mu3 = 0.
+        pairs = rng.uniform(-1, 1, (2000, 3)).tolist()
+        for u, v in rng.uniform(-2 * math.pi, 2 * math.pi, (500, 2)).tolist():
+            a, b, c = (Direction.from_angle(phi) for phi in (0.0, u, u + v))
+            pairs.append((a.cos_to(b), b.cos_to(c), c.cos_to(a)))
+        for m_ab, m_bc, m_ca in pairs:
+            mu3 = default_mu3(mu3_interval(0.0, 0.0, 0.0, m_ab, m_bc, m_ca))
+            assert mu3 == 0.0 and math.copysign(1.0, mu3) == 1.0, (m_ab, m_bc, m_ca)
+
+    def test_bound_past_one_is_empty(self):
+        # Pair tables that sum to 1 + 7.5e-13, within PairDist's tolerance,
+        # whose moments put lo at 1 + 1.5e-12 and hi at 1: lo - hi is within
+        # the doubled slack, but mu3 stops at 1, where the ppp cell is
+        # -1.9e-13. No mu3 in [-1, 1] makes a valid table, so it is empty.
+        assert joint.Mu3Interval(1.0 + 1.5e-12, 1.0).empty and joint.Mu3Interval(-1.0, -1.0 - 1.5e-12).empty
+        assert not joint.Mu3Interval(1.0 + VIOLATION_SLACK, 1.0).empty
+        q = (1.0 + 7.5e-13) / 3.0
+        m = moments_from_pairs(*(PairDist([0.0, q, q, q]) for _ in range(3)))
+        moments = (m.m_a, m.m_b, m.m_c, m.m_ab, m.m_bc, m.m_ca)
+        iv = mu3_interval(*moments)
+        assert iv.lo > 1.0 + VIOLATION_SLACK and iv.hi == 1.0 and iv.empty
+        assert not triple_from_moments(MomentSet3(*moments, 1.0)).valid
+
+
+# a, b, c, ab, bc, ca of each cell of an (A, B, C) table, in C order.
+_MOMENT_SIGNS = np.array([(a, b, c, a * b, b * c, c * a) for a, b, c in itertools.product((1, -1), repeat=3)])
+
+
+def near_boundary_moments(rng, n, k_max=40, step=2.5e-13):
+    """Asymmetric moments around the edge of existence: the six lower moments
+    of a random joint, with <BC> bisected towards -1 or +1 to where lo = hi,
+    then stepped by k * step for |k| <= k_max, so lo - hi runs past 1.6e-11
+    and lands on the doubled slack at about one k per draw."""
+    for _ in range(n):
+        m_a, m_b, m_c, m_ab, inside, m_ca = (rng.dirichlet(np.ones(8)) @ _MOMENT_SIGNS).tolist()
+        outside = 1.0 if rng.random() < 0.5 else -1.0
+
+        def crossed(m_bc):
+            iv = mu3_interval(m_a, m_b, m_c, m_ab, m_bc, m_ca)
+            return iv.lo > iv.hi
+
+        if not crossed(outside):
+            continue
+        while True:
+            mid = 0.5 * (inside + outside)
+            if mid in (inside, outside):
+                break
+            inside, outside = (inside, mid) if crossed(mid) else (mid, outside)
+        for k in range(-k_max, k_max + 1):
+            if abs(inside + k * step) <= 1.0:
+                yield m_a, m_b, m_c, m_ab, inside + k * step, m_ca
+
+
+def assert_valid_iff_exists(inputs) -> int:
+    """At the default mu3, and at the interval's midpoint, which no mu3 betters
+    on the two cells that set lo and hi, the table is valid where the interval
+    is not empty and has a negative cell where it is. Inputs whose lo - hi is
+    within 1e-15 of the doubled slack, where rounding alone decides, are
+    skipped and counted."""
+    skipped = 0
+    for moments in inputs:
+        iv = mu3_interval(*moments)
+        if abs(iv.lo - iv.hi - 2.0 * VIOLATION_SLACK) <= 1e-15:
+            skipped += 1
+            continue
+        for mu3 in (default_mu3(iv), iv.midpoint):
+            t = triple_from_moments(MomentSet3(*moments, mu3))
+            assert t.valid == (not iv.empty) == (not t.negative_cells()), (moments, mu3, iv)
+    print(f"{skipped} inputs skipped in the rounding band")
+    return skipped
+
+
+class TestValidIffExists:
+    def test_asymmetric_near_the_boundary(self, rng):
+        inputs = list(near_boundary_moments(rng, 300))
+        assert len(inputs) > 10_000
+        assert assert_valid_iff_exists(inputs) <= 300
+
+    def test_near_symmetric(self, rng):
+        # First moments within MARGINAL_TOL of 0 move the interval off 0 by
+        # ~1e-9, far more than its width here; the symmetric sweep's pair
+        # moments put lo - hi within +-1.8e-11 of 0.
+        first = rng.uniform(-1e-9, 1e-9, (20_000, 3))
+        pairs = -1.0 / 3.0 - rng.uniform(-3e-12, 3e-12, (20_000, 3))
+        assert assert_valid_iff_exists(np.hstack([first, pairs]).tolist()) <= 10
 
 
 class TestExistenceCheck:
     def test_contradictory_moments(self):
         res = existence_check_3(0, 0, 0, 1, -1, 1, symmetric=True)
-        assert not res.exists and res.exact
+        assert not res.exists
         assert res.verdicts["abs_plus"].lhs == pytest.approx(3.0)
         assert not res.verdicts["abs_plus"].satisfied
         assert res.verdicts["abs_minus"].satisfied

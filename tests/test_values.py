@@ -46,7 +46,7 @@ VALUES = [
     (Mu3Interval, {"lo": -0.5, "hi": 0.25}),
     (MomentSet3, {"m_a": 0.1, "m_b": 0.2, "m_c": 0.3, "m_ab": 0.4, "m_bc": 0.5, "m_ca": 0.6, "m_abc": 0.7}),
     (PairMoments, {"m_a": 0.1, "m_b": 0.2, "m_c": 0.3, "m_ab": 0.4, "m_bc": 0.5, "m_ca": 0.6}),
-    (ExistenceResult, {"exists": True, "exact": False, "verdicts": VERDICTS}),
+    (ExistenceResult, {"exists": True, "verdicts": VERDICTS}),
     (QuadFeasibility, {"feasible": False, "witness": None, "verdicts": VERDICTS, "failed": "sum"}),
     (CovarianceTriple, {"c_ab": 0.1, "c_ac": 0.2, "c_bc": -0.3}),
     (CovarianceQuad, {"c_ab": 0.1, "c_ac": 0.2, "c_db": -0.3, "c_dc": 0.4}),
@@ -74,7 +74,7 @@ SIGNATURES = {
     MomentSet3: "(m_a: 'float' = 0.0, m_b: 'float' = 0.0, m_c: 'float' = 0.0, m_ab: 'float' = 0.0,"
                 " m_bc: 'float' = 0.0, m_ca: 'float' = 0.0, m_abc: 'float' = 0.0)",
     PairMoments: "(m_a: 'float', m_b: 'float', m_c: 'float', m_ab: 'float', m_bc: 'float', m_ca: 'float')",
-    ExistenceResult: "(exists: 'bool', exact: 'bool', verdicts: 'dict[str, InequalityVerdict]')",
+    ExistenceResult: "(exists: 'bool', verdicts: 'dict[str, InequalityVerdict]')",
     QuadFeasibility: "(feasible: 'bool', witness: 'Optional[QuadDist]', verdicts: 'dict[str, InequalityVerdict]',"
                      " failed: 'Optional[str]')",
     CovarianceTriple: "(c_ab: 'float', c_ac: 'float', c_bc: 'float')",

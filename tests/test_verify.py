@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from types import SimpleNamespace
 
@@ -89,6 +90,13 @@ def test_memory_independent_of_trials(monkeypatch):
             tracemalloc.stop()
 
     # A full chunk and one more trial: first-use imports, caches and the
-    # allocations of a full chunk stay out of the peaks.
-    verify.run_all(trials=verify.CHUNK + 1)
-    assert peak(4 * verify.CHUNK) <= 1.5 * peak(verify.CHUNK)
+    # allocations of a full chunk stay out of the peaks. A full collection
+    # empties the interpreter's tuple free lists, and tracemalloc counts their
+    # refill (~280 KB, bounded) as live memory; so whether one fell inside a
+    # traced run depended on what earlier tests left. None runs here.
+    gc.disable()
+    try:
+        verify.run_all(trials=verify.CHUNK + 1)
+        assert peak(4 * verify.CHUNK) <= 1.5 * peak(verify.CHUNK)
+    finally:
+        gc.enable()
