@@ -37,8 +37,7 @@ _PUBLIC = {
     "born": ("singlet_pair_probs", "spin_projector"),
     "hvsim": (
         "BLOCK_SIZE", "PartitionSpec", "SimReport", "block_rng", "classify",
-        "mixture_pair_dist", "p_c_analytic", "product_rule_demo", "sample_lambda",
-        "sample_pair_given_c", "simulate",
+        "product_rule_demo", "sample_lambda", "sample_pair_given_c", "simulate",
     ),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}

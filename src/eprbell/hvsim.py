@@ -33,7 +33,8 @@ functions ``block_rng``, ``sample_lambda``, ``classify`` and
 ``sample_pair_given_c``, chained on the threshold of
 ``PartitionSpec.for_directions``, are its reference route and give the same
 counts through numpy's ``uniform`` and ``integers``; the tests compare the
-two.
+two. The kernel's exact law is ``_kernel_pair_dist``, which ``verify``'s
+mixture check compares with the closed form ``local_pair_dist``.
 """
 
 from __future__ import annotations
@@ -93,27 +94,12 @@ def classify(lam: np.ndarray, part: PartitionSpec) -> np.ndarray:
     return np.where(lam[:, 2] >= part.cos_threshold, 1, -1)
 
 
-def p_c_analytic(a: Direction, b: Direction) -> dict[int, float]:
-    """P[C = c] = (1 + c * a.b) / 2, the cap-area ratio."""
-    x = a.cos_to(b)
-    return {1: 0.5 * (1.0 + x), -1: 0.5 * (1.0 - x)}
-
-
 def sample_pair_given_c(c, rng: np.random.Generator):
     """Draw (A(a), A(b)) from the C-conditional table: A(a) is a fair sign
     and A(b) = A(a) * C, so A(a)*A(b) = C always."""
     c = np.asarray(c)
     s = np.where(rng.integers(0, 2, c.shape) == 1, 1, -1)
     return s, s * c
-
-
-def mixture_pair_dist(a: Direction, b: Direction) -> PairDist:
-    """Analytic mixture sum over C of P[pair | C] * P[C]; equals the
-    single-device table entrywise."""
-    pc = p_c_analytic(a, b)
-    equal = 0.5 * pc[1]
-    unequal = 0.5 * pc[-1]
-    return PairDist((equal, unequal, unequal, equal))
 
 
 class SimReport(Value):
@@ -142,6 +128,17 @@ def _z_word_bound(cos_threshold: float) -> int:
     p, q = cos_threshold.as_integer_ratio()
     k = -(-((p + q) << 52) // q)
     return (k << 11) - 1
+
+
+def _kernel_pair_dist(a: Direction, b: Direction) -> PairDist:
+    """Exact law of one local-mode sample of ``_simulate_block``, each word
+    uniform and independent: C = +1 for the 2**64 - 1 - bound z words above
+    bound = ``_z_word_bound(_cos_threshold(a, b))``, A(a) = -1 for 2**31 of
+    the 2**32 halves, and A(b) = A(a) * C. Each cell is its word count over
+    2**65, rounded once (the scaling is exact), and none is taken as 1 - p."""
+    bound = _z_word_bound(_cos_threshold(a, b))
+    equal, unequal = (2**64 - 1 - bound) * 2.0**-65, (bound + 1) * 2.0**-65
+    return PairDist((equal, unequal, unequal, equal))
 
 
 def _simulate_block(seed: int, block_index: int, count: int, z_word_bound: int, singlet: bool) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from .born import singlet_pair_probs
 from .errors import InvalidInputError
 from .geometry import Direction
-from .hvsim import mixture_pair_dist, sample_lambda
+from .hvsim import _kernel_pair_dist, sample_lambda
 from .spincore import apply_property_I, local_pair_dist, qm_pair_dist
 from .value import Value
 
@@ -72,16 +72,17 @@ def _round_trip_routes(pairs):
 
 
 def _mixture_routes(pairs):
-    rows = np.array([mixture_pair_dist(u, v).cells + local_pair_dist(u, v).cells
+    rows = np.array([_kernel_pair_dist(u, v).cells + local_pair_dist(u, v).cells
                      for u, v in pairs])
     return rows[:, :4], rows[:, 4:]
 
 
-# (name, FAIL text, routes) of each check, in run order. The Born-rule
-# wave-function probabilities equal the closed-form two-device table on all
-# four outcome cells of every trial; the sign flip A(a) = -B(a) maps the
-# one-device table to the two-device table and back; the analytic mixture
-# over the hidden lambda equals the one-device table.
+# (name, FAIL text, routes) of each check, in run order: the Born-rule
+# probabilities (``born.singlet_pair_probs``) against the closed-form
+# two-device table (``qm_pair_dist``) on all four cells of every trial; the
+# sign flip A(a) = -B(a) (``apply_property_I``) from ``local_pair_dist`` to
+# ``qm_pair_dist`` and back; the exact law of the simulator's sampling kernel
+# (``hvsim._kernel_pair_dist``) against ``local_pair_dist``.
 CHECKS = (
     ("born_vs_qm_pair_dist", "qm_pair_dist disagrees with wave-function route", _born_routes),
     ("equivalence_round_trip", "round trip fails", _round_trip_routes),

@@ -874,9 +874,9 @@ class TestVerify:
     # sha256 of stdout, recorded with numpy 2.4.6 on a 2-vCPU Intel Xeon
     # (the sphere draws go through numpy's cos and sin).
     @pytest.mark.parametrize("args, digest", [
-        ((), "614500b884db27792eb49fb7104ba7c87c9bf1732a2ad99dbd51eb71791130d5"),
+        ((), "031c25536a359338a65550e57eb6fce7eb6529e4b3c7106b0e881e525bd26d7d"),
         (("--trials", "50", "--seed", "1"),
-         "9cb9352f6ea46deb8ff36fa38c2c7647bfcc54cda8675f0ae59633c58ad986ba"),
+         "57d03b4a619344eb95fa0a0bf21b8fec712bdc016daf126a3f9c209961a29e57"),
     ])
     def test_golden_bytes(self, capsys, args, digest):
         code, out, _ = run(capsys, "verify", *args)

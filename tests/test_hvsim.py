@@ -11,14 +11,13 @@ from eprbell import (
     block_rng,
     classify,
     local_pair_dist,
-    mixture_pair_dist,
-    p_c_analytic,
     product_rule_demo,
     qm_pair_dist,
     sample_lambda,
     sample_pair_given_c,
     simulate,
 )
+from eprbell.hvsim import _kernel_pair_dist
 
 import pcg64_ref
 from conftest import random_direction
@@ -73,12 +72,14 @@ class TestPartition:
             part = PartitionSpec.for_directions(a, b)
             lam = sample_lambda(block_rng(7, 0), 200_000)
             frac = np.mean(classify(lam, part) == 1)
-            assert frac == pytest.approx(p_c_analytic(a, b)[1], abs=0.005)
+            # P[C = +1] is the sum of the law's two equal cells.
+            assert frac == pytest.approx(2 * _kernel_pair_dist(a, b).cells[0], abs=0.005)
 
-    def test_p_c_analytic_extremes(self):
+    def test_kernel_law_extremes(self):
+        # b = a puts every z word in the cap, b = -a none.
         a = Direction(1, 0, 0)
-        assert p_c_analytic(a, a) == {1: 1.0, -1: 0.0}
-        assert p_c_analytic(a, -a) == {1: 0.0, -1: 1.0}
+        assert _kernel_pair_dist(a, a).cells == (0.5, 0.0, 0.0, 0.5)
+        assert _kernel_pair_dist(a, -a).cells == (0.0, 0.5, 0.5, 0.0)
 
 
 class TestPairGivenC:
@@ -96,10 +97,11 @@ class TestPairGivenC:
 
 class TestMixtureIdentity:
     def test_matches_local_table(self, rng):
+        # The kernel's exact law over the hidden lambda is the one-device table.
         for _ in range(200):
             a, b = random_direction(rng), random_direction(rng)
             assert np.max(
-                np.abs(mixture_pair_dist(a, b).table - local_pair_dist(a, b).table)
+                np.abs(_kernel_pair_dist(a, b).table - local_pair_dist(a, b).table)
             ) < 1e-12
 
 

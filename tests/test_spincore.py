@@ -15,11 +15,11 @@ from eprbell import (
     covariance,
     local_conditional,
     local_pair_dist,
-    p_c_analytic,
     qm_conditional,
     qm_marginal,
     qm_pair_dist,
 )
+from eprbell.hvsim import _kernel_pair_dist
 from eprbell.joint import QuadDist
 from eprbell.spincore import PairDist
 
@@ -196,8 +196,9 @@ class TestMarginalsConditionals:
 
     def test_opposite_directions_read_clamped_cosine(self, rng):
         # a.dot(-a) rounds to -1 - 2^-52 for many random a; every pair
-        # quantity reads the cosine clamped to [-1, 1], so none goes negative
-        # and such a pair has zero conditional entropy.
+        # quantity reads the cosine clamped to [-1, 1], so none goes negative,
+        # the simulator kernel's law does not raise from acos, and such a
+        # pair has zero conditional entropy.
         rounded = 0
         for _ in range(2000):
             a = random_direction(rng)
@@ -206,7 +207,7 @@ class TestMarginalsConditionals:
                 assert conditional_entropy(a, -a) == 0.0
                 assert qm_pair_dist(a, -a).cells == (0.5, 0.0, 0.0, 0.5)
             values = [*qm_conditional(a, a, 1).values(), *local_conditional(a, -a, 1).values(),
-                      *p_c_analytic(a, a).values(), *p_c_analytic(a, -a).values()]
+                      *_kernel_pair_dist(a, a).cells, *_kernel_pair_dist(a, -a).cells]
             assert min(values) >= 0.0
         assert rounded > 0
 

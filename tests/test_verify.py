@@ -70,6 +70,22 @@ def test_planted_local_defect_fails_its_own_check(monkeypatch, call, failing):
     assert r.detail == f"{verify.CHECKS[failing][1]} at a={a}, b={b}"
 
 
+def test_planted_kernel_defect_fails_mixture_check(monkeypatch):
+    # The mixture check reads the sampler's own cap threshold: with its sign
+    # flipped the cap has area 2*pi*(1 - a.b), so the law's cells move by
+    # |a.b| / 2, nearly 1/2 at the worst of 1,000 trials. The closed-form
+    # tables the other checks compare do not read the threshold.
+    from eprbell import hvsim
+
+    real = hvsim._cos_threshold
+    monkeypatch.setattr(hvsim, "_cos_threshold", lambda a, b: -real(a, b))
+    results = verify.run_all(1000, 0)
+    assert [r.passed for r in results] == [True, True, False]
+    r = results[2]
+    assert r.max_dev == pytest.approx(0.5, abs=1e-3)
+    assert r.detail.startswith(f"{verify.CHECKS[2][1]} at a=")
+
+
 def test_clean_run_reports_worst_deviation():
     results = verify.run_all(trials=200, seed=5)
     assert [r.name for r in results] == [
