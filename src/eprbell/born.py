@@ -2,58 +2,45 @@
 
 Probabilities come from the quadratic form <psi| P_a(alpha) x P_b(beta) |psi>
 with P_n(s) = (I + s * n.sigma) / 2 and the singlet amplitudes
-(0, 1, -1, 0)/sqrt(2) over the (up-up, up-down, down-up, down-down) basis.
-This route shares no formula with the closed-form pair tables and is used to
-cross-validate them; ``singlet_pair_probs`` evaluates it for many
-orientation pairs and all four outcome pairs at once.
+(0, 1, -1, 0)/sqrt(2) over the (up-up, up-down, down-up, down-down) basis,
+in plain complex arithmetic. This route never reads a.b, so it shares no
+formula with the closed-form pair tables and is used to cross-validate them;
+``singlet_pair_probs`` evaluates it for all four outcome pairs of one
+orientation pair.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .errors import InvalidInputError
 from .geometry import Direction
 from .spincore import SIGNS, _idx
 
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
-_PAULI = np.stack([_SIGMA_X, _SIGMA_Y, _SIGMA_Z])
-_SIGN_VALUES = np.array(SIGNS, dtype=float)
-# The singlet amplitudes, indexed psi[first spin, second spin] with 0 as up.
-_PSI = (np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2.0)).reshape(2, 2)
+# The singlet's nonzero amplitudes as ((first spin, second spin), amplitude), 0 as up.
+_PSI = (((0, 1), 1 / math.sqrt(2.0)), ((1, 0), -1 / math.sqrt(2.0)))
 
 
-def _projectors(n: np.ndarray) -> np.ndarray:
-    """Projectors (I + s * n.sigma) / 2 for unit vectors ``n`` of shape
-    (k, 3), stacked as (k, 2, 2, 2): trial, sign index (0 is +1), row,
-    column."""
-    n_sigma = (n @ _PAULI.reshape(3, 4)).reshape(-1, 1, 2, 2)
-    return 0.5 * (_I2 + _SIGN_VALUES[:, None, None] * n_sigma)
+def spin_projector(n: Direction, s: int) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """Rows of the 2x2 projector (I + s * n.sigma) / 2 onto spin s along
+    direction n, with n.sigma = [[z, x - iy], [x + iy, -z]]."""
+    h = 0.5 * SIGNS[_idx(s)]  # _idx rejects a spin other than +1 and -1
+    return ((complex(0.5 + h * n.z), h * complex(n.x, -n.y)),
+            (h * complex(n.x, n.y), complex(0.5 - h * n.z)))
 
 
-def spin_projector(n: Direction, s: int) -> np.ndarray:
-    """2x2 projector (I + s * n.sigma) / 2 onto spin s along direction n."""
-    return _projectors(n.as_array()[None])[0, _idx(s)]
-
-
-def singlet_pair_probs(a, b) -> np.ndarray:
-    """Born-rule probabilities of all four outcome pairs at k orientation
-    pairs. ``a`` and ``b`` are (k, 3) arrays of unit vectors; entry
-    [i, j, l] of the (k, 2, 2) result is the probability of outcomes
-    (alpha, beta) at orientations (a[i], b[i]), where index 0 is +1 and
-    index 1 is -1, as in ``PairDist``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[1:] != (3,) or a.shape != b.shape:
-        raise InvalidInputError(f"need two (k, 3) direction arrays, got shapes {a.shape} and {b.shape}")
-    # <psi| P_a(alpha) x P_b(beta) |psi> for every trial and outcome pair.
-    value = np.einsum("xy,ksxu,ktyv,uv->kst", _PSI.conj(), _projectors(a), _projectors(b), _PSI)
-    residue = float(np.max(np.abs(value.imag), initial=0.0))
-    if residue > 1e-12:
-        raise RuntimeError(f"probability has imaginary residue {residue}")
-    return value.real
+def singlet_pair_probs(a: Direction, b: Direction) -> tuple[float, float, float, float]:
+    """Born-rule probabilities of the four outcome pairs (alpha, beta) at
+    orientations (a, b), in ``PairDist`` order: (+1, +1), (+1, -1),
+    (-1, +1), (-1, -1)."""
+    cells = []
+    for pa in (spin_projector(a, 1), spin_projector(a, -1)):
+        for pb in (spin_projector(b, 1), spin_projector(b, -1)):
+            # <psi| P_a x P_b |psi>, summed over the nonzero amplitudes, which are real.
+            value = 0j
+            for (x, y), cx in _PSI:
+                for (u, v), cu in _PSI:
+                    value += cx * pa[x][u] * pb[y][v] * cu
+            if abs(value.imag) > 1e-12:
+                raise RuntimeError(f"probability has imaginary residue {abs(value.imag)}")
+            cells.append(value.real)
+    return tuple(cells)

@@ -10,7 +10,7 @@ that cannot be written, 1 for a failed ``verify`` check.
 One loading rule: this module loads only the numpy-free core that every
 command shares (``errors``, ``geometry``, ``spincore``), and each handler
 imports the module it computes with when it runs. So ``dist`` loads nothing
-more, and only ``scan``, ``simulate`` and ``verify`` load numpy.
+more, and only ``scan`` and ``simulate`` load numpy.
 """
 
 from __future__ import annotations

@@ -35,14 +35,16 @@ functions ``block_rng``, ``sample_lambda``, ``classify`` and
 counts through numpy's ``uniform`` and ``integers``; the tests compare the
 two. The kernel's exact law is ``_kernel_pair_dist``, which ``verify``'s
 mixture check compares with the closed form ``local_pair_dist``.
+
+numpy loads inside the array functions only. The contract's integer helpers
+``_cos_threshold``, ``_z_word_bound`` and ``_kernel_pair_dist`` use ``math``
+and Python integers, so ``verify`` reads them without loading numpy.
 """
 
 from __future__ import annotations
 
 import math
 import os
-
-import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import Direction
@@ -55,6 +57,8 @@ CONTRACT = 2  # version of the reproducibility contract; 2 puts the cap on +z
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
     """Independent generator for one sample block of a seeded run."""
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block_index))))
 
 
@@ -64,6 +68,8 @@ def sample_lambda(rng: np.random.Generator, n: int = 1) -> np.ndarray:
     z is uniform on [-1, 1] and the azimuth uniform on [0, 2*pi); draw order
     (z first, then azimuth) is part of the reproducibility contract.
     """
+    import numpy as np
+
     z = rng.uniform(-1.0, 1.0, n)
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
     r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
@@ -90,6 +96,8 @@ class PartitionSpec(Value):
 
 def classify(lam: np.ndarray, part: PartitionSpec) -> np.ndarray:
     """C = +1 where lambda lies in the cap (boundary counts as inside), else -1."""
+    import numpy as np
+
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
     return np.where(lam[:, 2] >= part.cos_threshold, 1, -1)
 
@@ -97,6 +105,8 @@ def classify(lam: np.ndarray, part: PartitionSpec) -> np.ndarray:
 def sample_pair_given_c(c, rng: np.random.Generator):
     """Draw (A(a), A(b)) from the C-conditional table: A(a) is a fair sign
     and A(b) = A(a) * C, so A(a)*A(b) = C always."""
+    import numpy as np
+
     c = np.asarray(c)
     s = np.where(rng.integers(0, 2, c.shape) == 1, 1, -1)
     return s, s * c
@@ -149,6 +159,8 @@ def _simulate_block(seed: int, block_index: int, count: int, z_word_bound: int, 
     ``z_word_bound`` is ``_z_word_bound`` of the cap's cosine threshold. The
     cap test needs z alone, so the azimuth words are skipped with ``advance``.
     """
+    import numpy as np
+
     words = block_rng(seed, block_index).bit_generator
     # The z words are compared and dropped at once: holding them while the
     # sign words were drawn made the block about twice as slow.
@@ -189,6 +201,8 @@ def simulate(
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
     if mode not in ("local", "singlet"):
         raise InvalidInputError(f"mode must be 'local' or 'singlet', got {mode!r}")
+    import numpy as np
+
     z_word_bound = _z_word_bound(_cos_threshold(a, b))
     singlet = mode == "singlet"
 
@@ -240,6 +254,8 @@ class ProductRuleEstimate(Value):
 
 
 def _orthogonal_to(a: Direction) -> Direction:
+    import numpy as np
+
     v = a.as_array()
     helper = np.array([0.0, 0.0, 1.0]) if abs(v[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     w = np.cross(v, helper)

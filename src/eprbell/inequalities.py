@@ -141,6 +141,8 @@ def bell_local_model_covariance(
     """Monte Carlo estimate of <A(a)B(b)> = E_lambda[ <A|lambda,a> <B|lambda,b> ]."""
     if n_samples < 1:
         raise InvalidInputError(f"n_samples must be >= 1, got {n_samples}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     import numpy as np
 
     from .hvsim import sample_lambda

@@ -77,8 +77,8 @@ def test_criterion_03_wavefunction_oracle_agreement():
     worst = 0.0
     for _ in range(1000):
         a, b = random_direction(rng), random_direction(rng)
-        probs = singlet_pair_probs(a.as_array()[None], b.as_array()[None])[0]
-        dev = np.max(np.abs(probs.reshape(4) - qm_pair_dist(a, b).cells))
+        probs = singlet_pair_probs(a, b)
+        dev = np.max(np.abs(np.subtract(probs, qm_pair_dist(a, b).cells)))
         worst = max(worst, float(dev))
     report(3, f"1000 random Born-rule tables, all four cells within 1e-12 (max dev {worst:.2e})", worst < 1e-12)
 

@@ -14,12 +14,17 @@ from eprbell.errors import InvalidInputError
 from conftest import random_direction
 
 
+def projector(n, s):
+    """``spin_projector``'s rows as a 2x2 array, for the matrix algebra."""
+    return np.array(spin_projector(n, s))
+
+
 class TestSpinProjector:
     def test_idempotent_hermitian(self, rng):
         for _ in range(50):
             n = random_direction(rng)
             for s in (1, -1):
-                p = spin_projector(n, s)
+                p = projector(n, s)
                 assert np.allclose(p @ p, p, atol=1e-12)
                 assert np.allclose(p, p.conj().T, atol=1e-12)
                 assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
@@ -27,22 +32,22 @@ class TestSpinProjector:
     def test_completeness(self, rng):
         for _ in range(50):
             n = random_direction(rng)
-            total = spin_projector(n, 1) + spin_projector(n, -1)
+            total = projector(n, 1) + projector(n, -1)
             assert np.allclose(total, np.eye(2), atol=1e-12)
 
     def test_orthogonality(self, rng):
         n = random_direction(rng)
-        prod = spin_projector(n, 1) @ spin_projector(n, -1)
+        prod = projector(n, 1) @ projector(n, -1)
         assert np.allclose(prod, 0.0, atol=1e-12)
 
     def test_z_axis(self):
-        up = spin_projector(Direction(0, 0, 1), 1)
+        up = projector(Direction(0, 0, 1), 1)
         assert np.allclose(up, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def one_trial(a, b):
-    """The (2, 2) Born probabilities at one orientation pair: k = 1."""
-    return singlet_pair_probs(a.as_array()[None], b.as_array()[None])[0]
+    """The Born probabilities at one orientation pair as a 2x2 array."""
+    return np.array(singlet_pair_probs(a, b)).reshape(2, 2)
 
 
 class TestSingletPairProb:
@@ -69,26 +74,26 @@ class TestSingletPairProb:
                     assert probs[i, j] == pytest.approx(d.prob(alpha, beta), abs=1e-12)
 
 
-def direction_arrays(rng, k):
-    """k random direction pairs, as Directions and as (k, 3) arrays."""
-    pairs = [(random_direction(rng), random_direction(rng)) for _ in range(k)]
-    a = np.array([(u.x, u.y, u.z) for u, _ in pairs])
-    b = np.array([(v.x, v.y, v.z) for _, v in pairs])
-    return pairs, a, b
-
-
 class TestSingletPairProbs:
     def test_matches_closed_form_all_cells(self, rng):
-        pairs, a, b = direction_arrays(rng, 500)
-        probs = singlet_pair_probs(a, b)
-        assert probs.shape == (500, 2, 2)
+        pairs = [(random_direction(rng), random_direction(rng)) for _ in range(500)]
+        probs = np.array([singlet_pair_probs(u, v) for u, v in pairs])
+        assert probs.shape == (500, 4)
         closed = np.array([qm_pair_dist(u, v).cells for u, v in pairs])
-        assert np.max(np.abs(probs.reshape(-1, 4) - closed)) < 1e-12
+        assert np.max(np.abs(probs - closed)) < 1e-12
 
-    @pytest.mark.parametrize("a_shape, b_shape", [((3,), (3,)), ((4, 3), (5, 3)), ((4, 2), (4, 2))])
-    def test_rejects_bad_shapes(self, a_shape, b_shape):
-        with pytest.raises(InvalidInputError):
-            singlet_pair_probs(np.zeros(a_shape), np.zeros(b_shape))
+    def test_never_reads_the_dot_product(self, rng, monkeypatch):
+        # The route must stay independent of the closed form, which reads a.b.
+        pairs = [(random_direction(rng), random_direction(rng)) for _ in range(200)]
+        closed = [qm_pair_dist(u, v).cells for u, v in pairs]
+
+        def forbidden(self, other):
+            raise AssertionError("the Born route read a.b")
+
+        monkeypatch.setattr(Direction, "dot", forbidden)
+        monkeypatch.setattr(Direction, "cos_to", forbidden)
+        for (u, v), cells in zip(pairs, closed):
+            assert max(abs(p - c) for p, c in zip(singlet_pair_probs(u, v), cells)) < 1e-12
 
     def test_rejects_bad_sign(self):
         with pytest.raises(InvalidInputError):

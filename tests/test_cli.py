@@ -670,7 +670,7 @@ def test_numpy_never_loaded(tmp_path):
 # every command shares, then the module it computes with.
 CORE_MODULES = ["eprbell.cli", "eprbell.errors", "eprbell.geometry", "eprbell.spincore", "eprbell.value"]
 # The subcommands that load no numpy, which loads inspect.
-NUMPY_FREE = ["dist", "ineq", "joint3", "joint4", "info"]
+NUMPY_FREE = ["dist", "ineq", "joint3", "joint4", "info", "verify"]
 
 
 @pytest.mark.parametrize("argv, own_modules", [
@@ -694,6 +694,7 @@ def test_modules_loaded(tmp_path, argv, own_modules):
     # np.unique loads numpy.ma unless asked for an index array; only a
     # simulate on more than one worker starts a thread pool.
     assert not {"numpy.ma", "concurrent.futures"} & set(seen["command"])
+    assert ("numpy" in seen["command"]) == (argv[0] not in NUMPY_FREE)
     # No command loads dataclasses, only info writes CSV with csv, and only
     # numpy loads inspect.
     stdlib = [name for name in seen["command"] if name in SLOW_STDLIB]
@@ -748,7 +749,7 @@ def test_exit_path(capsys, how, argv):
 
 
 def test_short_commands_without_numpy(capsys, tmp_path):
-    argvs = [with_golden_files(tmp_path, args) for args in SHORT_COMMANDS.values()]
+    argvs = [with_golden_files(tmp_path, args) for args in SHORT_COMMANDS.values()] + [["verify", "--trials", "10"]]
     expected = "".join(run(capsys, *argv)[1] for argv in argvs)
     proc = run_probe(BLOCKED_PROBE, "numpy", json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
@@ -871,8 +872,8 @@ class TestVerify:
         assert code == 0 and out == ""
         assert path.read_text() == expected
 
-    # sha256 of stdout, recorded with numpy 2.4.6 on a 2-vCPU Intel Xeon
-    # (the sphere draws go through numpy's cos and sin).
+    # sha256 of stdout, recorded on a 2-vCPU Intel Xeon (the sphere draws go
+    # through Python's math.cos and math.sin).
     @pytest.mark.parametrize("args, digest", [
         ((), "031c25536a359338a65550e57eb6fce7eb6529e4b3c7106b0e881e525bd26d7d"),
         (("--trials", "50", "--seed", "1"),

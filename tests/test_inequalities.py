@@ -218,6 +218,12 @@ class TestLocalModel:
         with pytest.raises(InvalidModelError, match="shape"):
             bell_local_model_covariance(bad, Direction.from_angle(0.0), Direction.from_angle(1.0), 1000, seed=0)
 
+    def test_rejects_negative_seed(self):
+        # The same typed error as simulate and verify.run_all, not numpy's bare ValueError.
+        zero = LocalModel(mean_a=lambda lams, a: 0.0, mean_b=lambda lams, b: 0.0)
+        with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
+            bell_local_model_covariance(zero, Direction.from_angle(0.0), Direction.from_angle(1.0), 100, seed=-1)
+
     def test_random_models_satisfy_chsh(self, rng):
         # any factorized model yields CHSH-satisfying covariance quadruples
         n = 20_000

@@ -1,10 +1,12 @@
 import gc
+import math
 import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 
 from eprbell import verify
+from eprbell.errors import InvalidInputError
 
 
 def plant(monkeypatch, defects, name="qm_pair_dist", balance=False):
@@ -37,6 +39,8 @@ def plant(monkeypatch, defects, name="qm_pair_dist", balance=False):
 def test_planted_defect_fails_born_check(monkeypatch, cell):
     # One cell of one trial off by 1e-9: the Born check compares all four
     # cells of every trial, so whichever cell it is, the check fails there.
+    # verify.qm_pair_dist serves the Born check in even calls, so call 700
+    # is trial 350's.
     calls = plant(monkeypatch, [(700, cell, 1e-9)])
     r = verify.run_all(1000, 0)[0]
     assert not r.passed
@@ -45,21 +49,31 @@ def test_planted_defect_fails_born_check(monkeypatch, cell):
     assert r.detail.endswith(f"at a={a}, b={b}")
 
 
-def test_detail_names_worst_trial_across_chunks(monkeypatch):
-    worst = verify.CHUNK + 5
-    calls = plant(monkeypatch, [(3, 0, 1e-9), (worst, 2, -3e-9), (worst + 1, 1, 2e-9)])
-    r = verify.run_all(verify.CHUNK + 10, 0)[0]
+def test_nan_deviation_counts_as_infinite(monkeypatch):
+    # A NaN fails every compare, so a plain max over the cells would pass it.
+    calls = plant(monkeypatch, [(700, 1, math.nan)])
+    r = verify.run_all(1000, 0)[0]
+    assert not r.passed and r.max_dev == math.inf
+    a, b = calls[700]
+    assert r.detail.endswith(f"at a={a}, b={b}")
+
+
+def test_detail_names_worst_of_three_planted_defects(monkeypatch):
+    # Even calls are the Born check's: trials 3, 500 and 501.
+    worst = 1000
+    calls = plant(monkeypatch, [(6, 0, 1e-9), (worst, 2, -3e-9), (worst + 2, 1, 2e-9)])
+    r = verify.run_all(1000, 0)[0]
     assert not r.passed
     assert r.max_dev == pytest.approx(3e-9, rel=1e-6)
     a, b = calls[worst]
     assert r.detail == f"qm_pair_dist disagrees with wave-function route at a={a}, b={b}"
 
 
-@pytest.mark.parametrize("call, failing", [(500, 1), (1500, 2)])
+@pytest.mark.parametrize("call, failing", [(500, 1), (1501, 2)])
 def test_planted_local_defect_fails_its_own_check(monkeypatch, call, failing):
-    # With 1,000 trials, verify.local_pair_dist serves the round trip in
-    # calls 0-999 and the mixture identity in calls 1000-1999. Both rebuild
-    # a PairDist from the planted cells, so the shift keeps the sum at one.
+    # Trial i calls verify.local_pair_dist twice: the round trip in call 2i
+    # and the mixture identity in call 2i + 1. Both rebuild a PairDist from
+    # the planted cells, so the shift keeps the sum at one.
     calls = plant(monkeypatch, [(call, 3, 1e-9)], name="local_pair_dist", balance=True)
     results = verify.run_all(1000, 0)
     assert len(calls) == 2000
@@ -93,10 +107,19 @@ def test_clean_run_reports_worst_deviation():
     assert all(r.passed and r.detail == "" and 0.0 <= r.max_dev <= verify.TOL for r in results)
 
 
-def test_memory_independent_of_trials(monkeypatch):
-    # A smaller chunk keeps the traced runs short; the loop is the same.
-    monkeypatch.setattr(verify, "CHUNK", 256)
+@pytest.mark.parametrize("trials, seed, error", [
+    (0, 0, InvalidInputError),
+    (10, -1, InvalidInputError),
+    # random.Random itself would seed from a float or a string.
+    (10, 1.5, TypeError),
+    (10, "x", TypeError),
+])
+def test_rejects_bad_arguments(trials, seed, error):
+    with pytest.raises(error):
+        verify.run_all(trials, seed)
 
+
+def test_memory_independent_of_trials():
     def peak(trials):
         tracemalloc.start()
         try:
@@ -105,14 +128,14 @@ def test_memory_independent_of_trials(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    # A full chunk and one more trial: first-use imports, caches and the
-    # allocations of a full chunk stay out of the peaks. A full collection
-    # empties the interpreter's tuple free lists, and tracemalloc counts their
-    # refill (~280 KB, bounded) as live memory; so whether one fell inside a
-    # traced run depended on what earlier tests left. None runs here.
+    # tracemalloc counts the refill of the interpreter's free lists (bounded)
+    # as live memory, and the first traced runs after start-up refill them,
+    # alongside first-use imports and caches: the least of three peaks is the
+    # run's own. A full collection empties the tuple free lists again, so
+    # whether one fell inside a traced run depended on what earlier tests
+    # left. None runs here.
     gc.disable()
     try:
-        verify.run_all(trials=verify.CHUNK + 1)
-        assert peak(4 * verify.CHUNK) <= 1.5 * peak(verify.CHUNK)
+        assert min(peak(1024) for _ in range(3)) <= 1.5 * min(peak(256) for _ in range(3))
     finally:
         gc.enable()
