@@ -3,8 +3,8 @@ feasibility analysis, and a stochastic hidden-variable simulator.
 
 One loading rule: ``import eprbell`` loads none of its modules. Each public
 name below is looked up in the module that defines it on first access, so a
-caller loads only what it uses. The exact tables and verdicts are plain
-Python floats and load no numpy; the Born-rule route and the simulator do.
+caller loads only what it uses. Only array code loads numpy: the
+simulator's array functions, the scan and the Monte Carlo local model.
 """
 
 import importlib

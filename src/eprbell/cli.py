@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import itertools
 import json
 import math
@@ -125,7 +124,7 @@ def _emit(out, args):
     of strings) as it comes."""
     if isinstance(out, dict):
         if getattr(args, "format", "json") == "csv":
-            out = _csv(list(out), [list(out.values())])
+            out = _csv_row(out) + _csv_row(out.values())
         else:
             out = json.dumps(out, indent=2) + "\n"
     chunks = (out,) if isinstance(out, str) else out
@@ -140,14 +139,11 @@ def _emit(out, args):
         raise DataError(f"cannot write {args.output}: {exc}")
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_row(cells) -> str:
+    """One CSV line: the cells' ``str`` (a float's ``repr``) joined by commas.
+    The CLI's cells are numbers and fixed ASCII names, which need no quoting,
+    so this is the text ``csv.writer`` gives."""
+    return ",".join(map(str, cells)) + "\n"
 
 
 def _verdict(v) -> dict:
@@ -227,7 +223,7 @@ _SCAN_WINDOW_ROWS = _SCAN_CHUNK_ROWS << 4
 
 def _scan_csv(result):
     """Header, violation rows and the max row of a scan, chunk by chunk, in
-    the text csv.writer gives (floats as repr).
+    the text of ``_csv_row`` (floats as repr).
 
     Each text is formatted once and looked up. Angles take only n values.
     Violation rows hold few distinct lhs values, so each window of
@@ -243,7 +239,7 @@ def _scan_csv(result):
     degrees = np.array([repr(math.degrees(g)) + "," for g in result.grid.tolist()], dtype=object)
     first = "violation," + degrees  # object array: elementwise str +
     dims = result.violation_index.shape[1]
-    yield ",".join(["kind", "phi_b_deg", "phi_c_deg", "phi_d_deg"][:dims + 1] + ["lhs"]) + "\n"
+    yield _csv_row(["kind", "phi_b_deg", "phi_c_deg", "phi_d_deg"][:dims + 1] + ["lhs"])
     for window in range(0, len(result.violation_lhs), _SCAN_WINDOW_ROWS):
         window_index = result.violation_index[window:window + _SCAN_WINDOW_ROWS]
         window_lhs = result.violation_lhs[window:window + _SCAN_WINDOW_ROWS]
@@ -257,8 +253,7 @@ def _scan_csv(result):
                 cells[:, col] = degrees[index[:, col]]
             cells[:, dims] = text[inverse[start:start + _SCAN_CHUNK_ROWS]]
             yield "".join(cells.ravel().tolist())
-    max_row = [repr(math.degrees(v)) for v in result.argmax_angles] + [repr(result.max_lhs)]
-    yield ",".join(["max"] + max_row) + "\n"
+    yield _csv_row(["max", *map(math.degrees, result.argmax_angles), result.max_lhs])
 
 
 def _cmd_scan(args):
@@ -328,11 +323,11 @@ def _cmd_simulate(args) -> dict:
     }
 
 
-def _cmd_info(args) -> str:
+def _cmd_info(args) -> list[str]:
     from .information import info_curve
 
-    rows = [[p.x, p.mutual_information_bits, p.conditional_entropy_bits] for p in info_curve(args.step)]
-    return _csv(["x", "mi_bits", "cond_entropy_bits"], rows)
+    rows = ((p.x, p.mutual_information_bits, p.conditional_entropy_bits) for p in info_curve(args.step))
+    return [_csv_row(["x", "mi_bits", "cond_entropy_bits"]), *map(_csv_row, rows)]
 
 
 def _cmd_verify(args) -> tuple[list[str], int]:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one count check."""
+
+import operator
 
 
 class EprBellError(Exception):
@@ -31,3 +33,12 @@ class QuasiDistributionError(EprBellError, ValueError):
 
 class UndefinedConditionalError(EprBellError, ValueError):
     """Conditioning event has zero probability."""
+
+
+def check_count(name: str, value, least: int) -> int:
+    """A count, seed or thread argument as an int: TypeError unless ``operator.index``
+    takes it (a bool is 0 or 1; 1.5 and "x" fail), InvalidInputError below ``least``."""
+    value = operator.index(value)
+    if value < least:
+        raise InvalidInputError(f"{name} must be >= {least}, got {value}")
+    return value

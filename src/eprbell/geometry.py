@@ -32,6 +32,8 @@ class Direction(Value):
     @classmethod
     def from_angle(cls, theta: float) -> "Direction":
         """Direction at planar angle theta (radians) in the x-y plane."""
+        if not math.isfinite(theta):  # math.cos(inf) raises a bare ValueError
+            raise InvalidDirectionError(f"angle must be finite, got {theta}")
         return cls(math.cos(theta), math.sin(theta), 0.0)
 
     @classmethod

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import os
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count
 from .geometry import Direction
 from .spincore import PairDist, cell_keys, local_pair_dist, qm_pair_dist
 from .value import Value
@@ -193,12 +193,8 @@ def simulate(
     (A(a), B(b)). Output is bit-identical for any ``threads`` value; at most
     min(threads, blocks, CPUs) worker threads run.
     """
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    if threads < 1:
-        raise InvalidInputError(f"threads must be >= 1, got {threads}")
+    n, seed = check_count("n", n, 1), check_count("seed", seed, 0)
+    threads = check_count("threads", threads, 1)
     if mode not in ("local", "singlet"):
         raise InvalidInputError(f"mode must be 'local' or 'singlet', got {mode!r}")
     import numpy as np

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidGeometryError, InvalidInputError, InvalidModelError
+from .errors import InvalidGeometryError, InvalidInputError, InvalidModelError, check_count
 from .geometry import Direction, clamp_unit
 from .value import Value
 
@@ -139,10 +139,7 @@ def bell_local_model_covariance(
     seed: int = 0,
 ) -> float:
     """Monte Carlo estimate of <A(a)B(b)> = E_lambda[ <A|lambda,a> <B|lambda,b> ]."""
-    if n_samples < 1:
-        raise InvalidInputError(f"n_samples must be >= 1, got {n_samples}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    n_samples, seed = check_count("n_samples", n_samples, 1), check_count("seed", seed, 0)
     import numpy as np
 
     from .hvsim import sample_lambda

@@ -12,11 +12,10 @@ count.
 from __future__ import annotations
 
 import math
-import operator
 import random
 
 from .born import singlet_pair_probs
-from .errors import InvalidInputError
+from .errors import check_count
 from .geometry import Direction
 from .hvsim import _kernel_pair_dist
 from .spincore import apply_property_I, local_pair_dist, qm_pair_dist
@@ -72,12 +71,8 @@ CHECKS = (
 def run_all(trials: int = 1000, seed: int = 0) -> list[CheckResult]:
     """Every check in ``CHECKS`` on the same ``trials`` direction pairs, drawn
     from ``random.Random(seed)``."""
-    if trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    # random.Random would also take a float or a string.
-    rng = random.Random(operator.index(seed))
+    trials = check_count("trials", trials, 1)
+    rng = random.Random(check_count("seed", seed, 0))
     worst = [(-1.0, None)] * len(CHECKS)
     for _ in range(trials):
         pair = _direction(rng), _direction(rng)

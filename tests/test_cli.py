@@ -413,6 +413,14 @@ class TestJoint3:
         assert code == 65 and out == ""
         assert err.startswith("error:") and "UTF-8" in err
 
+    def test_entries_outside_unit_interval(self, capsys, tmp_path):
+        table = {"pp": 1.5, "pm": -0.5, "mp": 0.0, "mm": 0.0}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": {"AB": table, "BC": table, "CA": table}}))
+        code, out, err = run(capsys, "joint3", "--pairs", str(path))
+        assert code == 65 and out == ""
+        assert err.startswith("error:") and "pair table 'AB': pair table entries outside [0, 1]" in err
+
     def test_string_cell(self, capsys, tmp_path):
         table = {"pp": "0.25", "pm": 0.25, "mp": 0.25, "mm": 0.25}
         path = tmp_path / "pairs.json"
@@ -695,10 +703,10 @@ def test_modules_loaded(tmp_path, argv, own_modules):
     # simulate on more than one worker starts a thread pool.
     assert not {"numpy.ma", "concurrent.futures"} & set(seen["command"])
     assert ("numpy" in seen["command"]) == (argv[0] not in NUMPY_FREE)
-    # No command loads dataclasses, only info writes CSV with csv, and only
-    # numpy loads inspect.
+    # No command loads dataclasses or csv (CSV rows are joined text), and
+    # only numpy loads inspect.
     stdlib = [name for name in seen["command"] if name in SLOW_STDLIB]
-    assert stdlib == ["csv"] * (argv[0] == "info") + ["inspect"] * (argv[0] not in NUMPY_FREE)
+    assert stdlib == ["inspect"] * (argv[0] not in NUMPY_FREE)
 
 
 def test_public_names():

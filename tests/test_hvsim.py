@@ -196,6 +196,15 @@ class TestSimulate:
             simulate(a, a, 100, seed=-1)
         with pytest.raises(InvalidInputError):
             simulate(a, a, 100, seed=0, threads=0)
+        # Counts and seeds must be integers, checked before any block runs:
+        # within one block, as past it.
+        for n in (10, BLOCK_SIZE + 1):
+            with pytest.raises(TypeError):
+                simulate(a, a, n, seed=0, threads=2.0)
+        with pytest.raises(TypeError):
+            simulate(a, a, 1.5, seed=0)
+        report = simulate(a, a, 10, seed=True)
+        assert report.seed == 1 and type(report.seed) is int
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_memory_independent_of_n(self, monkeypatch, threads):

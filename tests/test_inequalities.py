@@ -224,6 +224,15 @@ class TestLocalModel:
         with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
             bell_local_model_covariance(zero, Direction.from_angle(0.0), Direction.from_angle(1.0), 100, seed=-1)
 
+    @pytest.mark.parametrize("n_samples, error, match", [
+        (0, InvalidInputError, "n_samples must be >= 1, got 0"),
+        (1.5, TypeError, None),
+    ])
+    def test_rejects_bad_sample_count(self, n_samples, error, match):
+        zero = LocalModel(mean_a=lambda lams, a: 0.0, mean_b=lambda lams, b: 0.0)
+        with pytest.raises(error, match=match):
+            bell_local_model_covariance(zero, Direction.from_angle(0.0), Direction.from_angle(1.0), n_samples)
+
     def test_random_models_satisfy_chsh(self, rng):
         # any factorized model yields CHSH-satisfying covariance quadruples
         n = 20_000
@@ -266,6 +275,10 @@ class TestViolationScan:
             violation_scan("bell", 0.0)
         with pytest.raises(InvalidInputError):
             violation_scan("bell", math.pi / 4)
+
+    def test_unknown_inequality(self):
+        with pytest.raises(InvalidInputError, match="inequality must be 'bell' or 'chsh', got 'x'"):
+            violation_scan("x", 0.1)
 
     def test_grid_limit(self, monkeypatch):
         from eprbell import inequalities

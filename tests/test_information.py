@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from eprbell import (
     Direction,
     InvalidInputError,
+    binary_entropy,
     conditional_entropy,
     info_curve,
     local_pair_dist,
@@ -67,6 +68,13 @@ class TestMutualInformation:
 
         t = np.array([[u, v], [w, 1.0]])
         assert mutual_information(PairDist(t / t.sum())) >= 0.0
+
+
+class TestBinaryEntropy:
+    @pytest.mark.parametrize("p", [1.5, -0.5, math.nan])
+    def test_rejects_non_probability(self, p):
+        with pytest.raises(InvalidInputError, match="probability out of range"):
+            binary_entropy(p)
 
 
 class TestConditionalEntropy:

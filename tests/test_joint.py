@@ -433,6 +433,10 @@ class TestTripleConditional:
             for value in (1, -1):
                 assert np.allclose(triple_conditional(t, var, value).table, 0.25)
 
+    def test_unknown_variable(self):
+        with pytest.raises(InvalidInputError, match="given must be 'A', 'B' or 'C', got 'D'"):
+            triple_conditional(triple_from_moments(MomentSet3()), "D", 1)
+
     def test_quasi_distribution_rejected(self):
         t = qm_triple(
             Direction.from_angle(0.0),

@@ -45,6 +45,11 @@ class TestDirection:
         d = Direction.from_angle(math.pi / 2)
         assert d.y == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_from_angle_rejects_non_finite(self, theta):
+        with pytest.raises(InvalidDirectionError, match="angle must be finite"):
+            Direction.from_angle(theta)
+
     @given(st.floats(-10, 10), st.floats(-10, 10))
     def test_angle_to_matches_dot(self, t1, t2):
         a, b = Direction.from_angle(t1), Direction.from_angle(t2)
@@ -112,6 +117,11 @@ class TestPairDist:
         with pytest.raises(InvalidInputError, match="2x2"):
             PairDist(values)
 
+    def test_rejects_entries_outside_unit_interval(self):
+        # The cells sum to 1, so only the range check rejects them.
+        with pytest.raises(InvalidInputError, match=r"pair table entries outside \[0, 1\]"):
+            PairDist((1.5, -0.5, 0.0, 0.0))
+
     def test_clip_matches_numpy(self):
         raw = [-0.0, -1e-13, 0.0, 1.0 + 1e-13]
         cells = PairDist(raw).cells
@@ -164,6 +174,11 @@ class TestMarginalsConditionals:
                 m = qm_marginal(d, which)
                 assert m[1] == pytest.approx(0.5, abs=1e-12)
                 assert m[-1] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("func", [qm_marginal, apply_property_I])
+    def test_rejects_unknown_side(self, func):
+        with pytest.raises(InvalidInputError, match="which must be 'first' or 'second', got 'x'"):
+            func(PairDist([0.25] * 4), "x")
 
     def test_aligned_forces_opposite(self):
         a, b = from_angles(0.0)

@@ -110,6 +110,9 @@ def test_clean_run_reports_worst_deviation():
 @pytest.mark.parametrize("trials, seed, error", [
     (0, 0, InvalidInputError),
     (10, -1, InvalidInputError),
+    # Counts and seeds must be integers: the type is checked before the range.
+    (1.5, 0, TypeError),
+    (0.5, 0, TypeError),
     # random.Random itself would seed from a float or a string.
     (10, 1.5, TypeError),
     (10, "x", TypeError),
