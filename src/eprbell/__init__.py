@@ -4,7 +4,7 @@ feasibility analysis, and a stochastic hidden-variable simulator.
 One loading rule: ``import eprbell`` loads none of its modules. Each public
 name below is looked up in the module that defines it on first access, so a
 caller loads only what it uses. Only array code loads numpy: the
-simulator's array functions, the scan and the Monte Carlo local model.
+simulator's array functions and the scan.
 """
 
 import importlib
@@ -14,27 +14,24 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "errors": (
         "EprBellError", "InconsistentMarginalsError", "InvalidDirectionError",
-        "InvalidGeometryError", "InvalidInputError", "InvalidModelError",
-        "QuasiDistributionError", "UndefinedConditionalError",
+        "InvalidGeometryError", "InvalidInputError",
     ),
     "geometry": ("Direction",),
     "information": ("InfoCurvePoint", "binary_entropy", "conditional_entropy", "info_curve", "mutual_information"),
     "inequalities": (
-        "CovarianceQuad", "CovarianceTriple", "InequalityVerdict", "LocalModel", "ScanResult",
-        "bell_1964", "bell_local_model_covariance", "bell_pair_inequalities", "chsh",
-        "chsh_to_bell_reduction", "qm_bell_lhs", "violation_scan",
+        "CovarianceQuad", "CovarianceTriple", "InequalityVerdict", "ScanResult", "bell_1964",
+        "bell_pair_inequalities", "chsh", "chsh_to_bell_reduction", "qm_bell_lhs", "violation_scan",
     ),
     "joint": (
         "ExistenceResult", "MomentSet3", "Mu3Interval", "PairMoments", "QuadDist", "QuadFeasibility",
-        "TripleDist", "chsh_family_verdicts", "default_mu3", "existence_check_3", "marginal",
-        "moments_from_pairs", "mu3_interval", "qm_triple", "quad_feasibility", "triple_conditional",
-        "triple_from_moments",
+        "TripleDist", "default_mu3", "existence_check_3", "marginal", "moments_from_pairs",
+        "mu3_interval", "qm_triple", "quad_feasibility", "triple_from_moments",
     ),
     "spincore": (
-        "PairDist", "apply_property_I", "covariance", "local_conditional", "local_pair_dist",
-        "qm_conditional", "qm_marginal", "qm_pair_dist",
+        "PairDist", "apply_property_I", "covariance", "local_pair_dist", "qm_conditional",
+        "qm_marginal", "qm_pair_dist",
     ),
-    "born": ("singlet_pair_probs", "spin_projector"),
+    "born": ("singlet_pair_probs",),
     "hvsim": (
         "BLOCK_SIZE", "PartitionSpec", "SimReport", "block_rng", "classify",
         "product_rule_demo", "sample_lambda", "sample_pair_given_c", "simulate",

@@ -20,7 +20,7 @@ from .spincore import SIGNS, _idx
 _PSI = (((0, 1), 1 / math.sqrt(2.0)), ((1, 0), -1 / math.sqrt(2.0)))
 
 
-def spin_projector(n: Direction, s: int) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+def _spin_projector(n: Direction, s: int) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
     """Rows of the 2x2 projector (I + s * n.sigma) / 2 onto spin s along
     direction n, with n.sigma = [[z, x - iy], [x + iy, -z]]."""
     h = 0.5 * SIGNS[_idx(s)]  # _idx rejects a spin other than +1 and -1
@@ -33,8 +33,8 @@ def singlet_pair_probs(a: Direction, b: Direction) -> tuple[float, float, float,
     orientations (a, b), in ``PairDist`` order: (+1, +1), (+1, -1),
     (-1, +1), (-1, -1)."""
     cells = []
-    for pa in (spin_projector(a, 1), spin_projector(a, -1)):
-        for pb in (spin_projector(b, 1), spin_projector(b, -1)):
+    for pa in (_spin_projector(a, 1), _spin_projector(a, -1)):
+        for pb in (_spin_projector(b, 1), _spin_projector(b, -1)):
             # <psi| P_a x P_b |psi>, summed over the nonzero amplitudes, which are real.
             value = 0j
             for (x, y), cx in _PSI:

@@ -15,24 +15,12 @@ class InvalidGeometryError(EprBellError, ValueError):
     """An angle triple cannot be realized by coplanar unit vectors."""
 
 
-class InvalidModelError(EprBellError, ValueError):
-    """A local hidden-variable model returned conditional means outside [-1, 1]."""
-
-
 class InvalidInputError(EprBellError, ValueError):
     """An argument violates a documented precondition."""
 
 
 class InconsistentMarginalsError(EprBellError, ValueError):
     """Pair tables sharing a variable disagree on its single-variable marginal."""
-
-
-class QuasiDistributionError(EprBellError, ValueError):
-    """An operation requiring a valid distribution was given one with negative entries."""
-
-
-class UndefinedConditionalError(EprBellError, ValueError):
-    """Conditioning event has zero probability."""
 
 
 def check_count(name: str, value, least: int) -> int:

@@ -1,5 +1,5 @@
-"""Bell-1964 and CHSH inequality evaluation, their reduction, local-model
-covariances, and grid search for violating coplanar orientations.
+"""Bell-1964 and CHSH inequality evaluation, their reduction, and grid
+search for violating coplanar orientations.
 
 Covariance conventions follow the two-device tables: the singlet covariance
 for orientations at angle theta is -cos(theta). Coplanar configurations are
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidGeometryError, InvalidInputError, InvalidModelError, check_count
-from .geometry import Direction, clamp_unit
+from .errors import InvalidGeometryError, InvalidInputError
+from .geometry import clamp_unit
 from .value import Value
 
 VIOLATION_SLACK = 1e-12
@@ -117,43 +117,6 @@ def chsh_to_bell_reduction(t: CovarianceTriple) -> tuple[float, float]:
     Returns (chsh_lhs_with_d_eq_b, bell_lhs).
     """
     return chsh(CovarianceQuad(t.c_ab, t.c_ac, -1.0, t.c_bc)).lhs, bell_1964(t).lhs
-
-
-class LocalModel(Value):
-    """A factorized hidden-variable model: independent outcomes given lambda.
-
-    ``mean_a(lams, a)`` and ``mean_b(lams, b)`` return conditional means in
-    [-1, 1], of shape (n,) or a scalar, for an (n, 3) array of unit vectors
-    lambda, drawn uniformly on the sphere (``hvsim.sample_lambda``).
-    """
-
-    mean_a: Callable[[np.ndarray, Direction], np.ndarray]
-    mean_b: Callable[[np.ndarray, Direction], np.ndarray]
-
-
-def bell_local_model_covariance(
-    model: LocalModel,
-    a: Direction,
-    b: Direction,
-    n_samples: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo estimate of <A(a)B(b)> = E_lambda[ <A|lambda,a> <B|lambda,b> ]."""
-    n_samples, seed = check_count("n_samples", n_samples, 1), check_count("seed", seed, 0)
-    import numpy as np
-
-    from .hvsim import sample_lambda
-
-    lams = sample_lambda(np.random.default_rng(seed), n_samples)
-    ma = np.asarray(model.mean_a(lams, a), dtype=float)
-    mb = np.asarray(model.mean_b(lams, b), dtype=float)
-    for name, m in (("mean_a", ma), ("mean_b", mb)):
-        if m.shape not in ((), (n_samples,)):  # an (n, 1) mean would broadcast to n x n
-            raise InvalidModelError(f"{name} returned shape {m.shape}, not () or ({n_samples},)")
-        # Written so that NaN, which fails every compare, fails the check too.
-        if m.size and not (m.min() >= -1.0 - 1e-12 and m.max() <= 1.0 + 1e-12):
-            raise InvalidModelError(f"{name} returned values outside [-1, 1]")
-    return float(np.mean(ma * mb))
 
 
 # Cells of one phi_b slab of the scan grid; a single phi_b row larger than

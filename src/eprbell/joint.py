@@ -28,15 +28,10 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import (
-    InconsistentMarginalsError,
-    InvalidInputError,
-    QuasiDistributionError,
-    UndefinedConditionalError,
-)
+from .errors import InconsistentMarginalsError, InvalidInputError
 from .geometry import Direction, clamp_unit
 from .inequalities import VIOLATION_SLACK, InequalityVerdict, _check_unit, bell_pair_inequalities
-from .spincore import SIGNS, PairDist, SignedTable, _idx, covariance
+from .spincore import SIGNS, PairDist, SignedTable, covariance
 from .value import Value
 
 # A cell of the midpoint table is (t_i + abc_i * mu3) / 8 with t_i >= -lo
@@ -47,7 +42,7 @@ from .value import Value
 # mu3 in [-1, 1] leaves a cell below it. So "valid at the default mu3" and
 # "exists" are one decision.
 TRIPLE_TOL = VIOLATION_SLACK / 8
-MASS_FLOOR = 1e-12  # smallest mass a table is conditioned or glued on
+MASS_FLOOR = 1e-12  # smallest mass a table is glued on
 QUAD_TOL = 1e-9
 MARGINAL_TOL = 1e-9
 
@@ -228,31 +223,10 @@ def qm_triple(a: Direction, b: Direction, c: Direction) -> TripleDist:
     return triple_from_moments(MomentSet3(m_ab=a.cos_to(b), m_bc=b.cos_to(c), m_ca=c.cos_to(a)))
 
 
-def triple_conditional(t: TripleDist, given: str, value: int) -> PairDist:
-    """Pair table for the remaining two variables conditioned on one.
-
-    Raises QuasiDistributionError when the triple has negative entries (the
-    unconditional pair marginals still exist, but this conditional does not).
-    """
-    if not t.valid:
-        raise QuasiDistributionError(
-            f"cannot condition: triple table has negative entries {t.negative_cells()}"
-        )
-    axis = {"A": 0, "B": 1, "C": 2}.get(given)
-    if axis is None:
-        raise InvalidInputError(f"given must be 'A', 'B' or 'C', got {given!r}")
-    k = _idx(value)
-    slab = [v for index, v in zip(itertools.product((0, 1), repeat=3), t.cells) if index[axis] == k]
-    norm = math.fsum(slab)
-    if norm <= MASS_FLOOR:
-        raise UndefinedConditionalError(f"P[{given}={value}] = {norm} is not positive")
-    return PairDist([v / norm for v in slab])
-
-
 # --- fourth-order feasibility (CHSH pair pattern) ---
 
 
-def chsh_family_verdicts(c_ab, c_ac, c_db, c_dc) -> dict[str, InequalityVerdict]:
+def _chsh_family_verdicts(c_ab, c_ac, c_db, c_dc) -> dict[str, InequalityVerdict]:
     """The four absolute-value covariance conditions (eight one-sided
     inequalities) necessary for a fourth-order joint over the CHSH pattern:
     |s1*c_ab + s2*c_ac + s3*c_db + s4*c_dc| <= 2 over all sign choices with
@@ -342,7 +316,7 @@ def quad_feasibility(
     d2, c2, c_dc = _pair_moments(p_dc)
     m_a, m_b, m_c, m_d = _agreed_moments(A=(a1, a2), B=(b1, b2), C=(c1, c2), D=(d1, d2))
 
-    verdicts = chsh_family_verdicts(c_ab, c_ac, c_db, c_dc)
+    verdicts = _chsh_family_verdicts(c_ab, c_ac, c_db, c_dc)
     failed = next((k for k, v in verdicts.items() if not v.satisfied), None)
     if failed is not None:
         return QuadFeasibility(feasible=False, witness=None, verdicts=verdicts, failed=failed)

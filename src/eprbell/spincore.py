@@ -190,12 +190,6 @@ def qm_conditional(a: Direction, b: Direction, given: int) -> dict[int, float]:
     return {s: 2.0 * d.prob(given, s) for s in SIGNS}
 
 
-def local_conditional(a: Direction, b: Direction, given: int) -> dict[int, float]:
-    """P[A(b)=s | A(a)=given] = (1 + s*given * a.b) / 2: twice a row of the pair table."""
-    d = local_pair_dist(a, b)
-    return {s: 2.0 * d.prob(given, s) for s in SIGNS}
-
-
 def covariance(d: PairDist) -> float:
     """Sum of alpha*beta * p(alpha, beta); equals -a.b for qm_pair_dist."""
     pp, pm, mp, mm = d.cells

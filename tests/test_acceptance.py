@@ -19,7 +19,6 @@ from eprbell import (
     PairDist,
     apply_property_I,
     chsh,
-    chsh_family_verdicts,
     chsh_to_bell_reduction,
     conditional_entropy,
     existence_check_3,
@@ -39,7 +38,7 @@ from eprbell import (
 from eprbell.cli import main as cli_main
 from eprbell.hvsim import _kernel_pair_dist
 from eprbell.inequalities import CovarianceQuad, CovarianceTriple
-from eprbell.joint import QUAD_TOL
+from eprbell.joint import QUAD_TOL, _chsh_family_verdicts
 
 from conftest import CHSH_AXES, CONTRA_AB, CONTRA_BC, CONTRA_CA, lp_witness, random_direction
 
@@ -190,7 +189,7 @@ def test_criterion_09_fine_consistency():
         args = (tables["AB"], tables["AC"], tables["DB"], tables["DC"])
         res = quad_feasibility(*args)
         lp = lp_witness(*args)
-        ineq = all(v.satisfied for v in chsh_family_verdicts(*cs).values())
+        ineq = all(v.satisfied for v in _chsh_family_verdicts(*cs).values())
         if (lp is not None) != ineq or res.feasible != ineq:
             disagreements += 1
         for witness in (res.witness, lp):

@@ -3,20 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from eprbell import (
-    Direction,
-    qm_pair_dist,
-    singlet_pair_probs,
-    spin_projector,
-)
+from eprbell import Direction, qm_pair_dist, singlet_pair_probs
+from eprbell.born import _spin_projector
 from eprbell.errors import InvalidInputError
 
 from conftest import random_direction
 
 
 def projector(n, s):
-    """``spin_projector``'s rows as a 2x2 array, for the matrix algebra."""
-    return np.array(spin_projector(n, s))
+    """``_spin_projector``'s rows as a 2x2 array, for the matrix algebra."""
+    return np.array(_spin_projector(n, s))
 
 
 class TestSpinProjector:
@@ -97,4 +93,4 @@ class TestSingletPairProbs:
 
     def test_rejects_bad_sign(self):
         with pytest.raises(InvalidInputError):
-            spin_projector(Direction(0, 0, 1), 2)
+            _spin_projector(Direction(0, 0, 1), 2)

@@ -17,7 +17,6 @@ import eprbell
 from eprbell import cli, verify
 from eprbell.cli import main
 from eprbell.inequalities import VIOLATION_SLACK, violation_scan
-from eprbell.information import INFO_MAX_POINTS
 
 from conftest import CONTRA_AB, CONTRA_BC, CONTRA_CA
 
@@ -709,14 +708,37 @@ def test_modules_loaded(tmp_path, argv, own_modules):
     assert stdlib == ["inspect"] * (argv[0] not in NUMPY_FREE)
 
 
+# eprbell.__all__, sorted: adding or removing a public name changes this list.
+PUBLIC_NAMES = [
+    "BLOCK_SIZE", "CovarianceQuad", "CovarianceTriple", "Direction", "EprBellError", "ExistenceResult",
+    "InconsistentMarginalsError", "InequalityVerdict", "InfoCurvePoint", "InvalidDirectionError",
+    "InvalidGeometryError", "InvalidInputError", "MomentSet3", "Mu3Interval", "PairDist", "PairMoments",
+    "PartitionSpec", "QuadDist", "QuadFeasibility", "ScanResult", "SimReport", "TripleDist",
+    "apply_property_I", "bell_1964", "bell_pair_inequalities", "binary_entropy", "block_rng", "chsh",
+    "chsh_to_bell_reduction", "classify", "conditional_entropy", "covariance", "default_mu3",
+    "existence_check_3", "info_curve", "local_pair_dist", "marginal", "moments_from_pairs", "mu3_interval",
+    "mutual_information", "product_rule_demo", "qm_bell_lhs", "qm_conditional", "qm_marginal",
+    "qm_pair_dist", "qm_triple", "quad_feasibility", "sample_lambda", "sample_pair_given_c", "simulate",
+    "singlet_pair_probs", "triple_from_moments", "violation_scan",
+]
+# Names that left the surface: removed, or private to their one caller.
+FORMER_NAMES = [
+    "InvalidModelError", "LocalModel", "QuasiDistributionError", "UndefinedConditionalError",
+    "bell_local_model_covariance", "chsh_family_verdicts", "local_conditional", "spin_projector",
+    "triple_conditional",
+]
+
+
 def test_public_names():
     """Every name of the one lazy table is the object its module holds, and
     only those names are served."""
+    assert eprbell.__all__ == PUBLIC_NAMES
     for name, module in eprbell._MODULE_OF.items():
         assert getattr(eprbell, name) is getattr(importlib.import_module(f"eprbell.{module}"), name), name
     assert set(eprbell._MODULE_OF) <= set(dir(eprbell))
-    with pytest.raises(AttributeError, match="no_such_name"):
-        eprbell.no_such_name
+    for name in ["no_such_name", *FORMER_NAMES]:
+        with pytest.raises(AttributeError, match=name):
+            getattr(eprbell, name)
 
 
 # Runs the command line sys.argv[2:] as a user does, after registering an
@@ -845,17 +867,17 @@ class TestInfo:
         assert run(capsys, "info", "--step", "2")[0] == 64
 
     # 2 / step rounds to the interval count; the curve has one point more.
+    # The documented cap is literal here: step 2**-15 gives 2**16 + 1 points.
     @pytest.mark.parametrize("intervals, code", [
-        (INFO_MAX_POINTS - 1, 0), (INFO_MAX_POINTS - 0.6, 0),
-        (INFO_MAX_POINTS - 0.4, 64), (1e6, 64),
+        (2**16, 0), (2**16 + 0.4, 0), (2**16 + 0.6, 64), (1e6, 64),
     ])
     def test_point_cap(self, capsys, intervals, code):
         got, out, err = run(capsys, "info", "--step", repr(2.0 / intervals))
         assert got == code
         if code:
-            assert out == "" and err.startswith("error: step") and str(INFO_MAX_POINTS) in err
+            assert out == "" and err.startswith("error: step") and "more than 65537 points" in err
         else:
-            assert out.count("\n") == 1 + INFO_MAX_POINTS
+            assert out.count("\n") == 1 + 65537
 
 
 class TestVerify:

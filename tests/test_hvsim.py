@@ -476,6 +476,24 @@ class TestFusedBlock:
             expected = _staged_block(seed, k, count, PartitionSpec(t), singlet)
             assert np.array_equal(got, expected), (seed, k, count, t, singlet)
 
+    def test_word_on_the_bound_is_outside(self):
+        """A drawn z word w whose low 11 bits are all ones is the bound of the
+        threshold t one z step above it: _z_word_bound(t) == w, so w lies just
+        below the cap. Random thresholds almost never put a drawn word on the
+        bound; here the kernel, the staged route and the contract's words read
+        by tests/pcg64_ref.py must all count that sample outside."""
+        from eprbell.hvsim import _simulate_block, _z_word_bound
+
+        seed, k, count = 2, 0, 4_096
+        words = pcg64_ref.PCG64(pcg64_ref.SeedSequence((seed, k))).random_raw(2 * count + (count + 1) // 2)
+        w = next(x for x in words[:count] if x & 0x7FF == 0x7FF)
+        t = -1.0 + ((w >> 11) + 1) * 2.0**-52
+        assert _z_word_bound(t) == w
+        for singlet in (False, True):
+            got = _simulate_block(seed, k, count, w, singlet)
+            assert got.tolist() == _read_block(words, count, t, singlet)
+            assert np.array_equal(got, _staged_block(seed, k, count, PartitionSpec(t), singlet))
+
 
 # (++, +-, -+, --) cell probabilities of the exact tables, row-major as in PairDist.
 def _exact_cells(theta_deg, mode):

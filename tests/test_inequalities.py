@@ -9,13 +9,9 @@ from hypothesis import given, strategies as st
 from eprbell import (
     CovarianceQuad,
     CovarianceTriple,
-    Direction,
     InvalidGeometryError,
     InvalidInputError,
-    InvalidModelError,
-    LocalModel,
     bell_1964,
-    bell_local_model_covariance,
     bell_pair_inequalities,
     chsh,
     chsh_to_bell_reduction,
@@ -159,101 +155,6 @@ class TestReduction:
                             lambda c_ab, c_ac, c_db, c_dc: quad(c_ab, c_ac, -c_db, c_dc))
         triples = [CovarianceTriple(*rng.uniform(-1, 1, 3)) for _ in range(1_000)]
         assert not any(reduction_agrees(t) for t in triples)
-
-
-class TestLocalModel:
-    def test_sign_model_covariance(self):
-        # <A> = sign(lam.a), <B> = -sign(lam.b): covariance is -1 + 2*theta/pi
-        model = LocalModel(
-            mean_a=lambda lams, a: np.sign(lams @ a.as_array()),
-            mean_b=lambda lams, b: -np.sign(lams @ b.as_array()),
-        )
-        theta = 1.0
-        a, b = Direction.from_angle(0.0), Direction.from_angle(theta)
-        c = bell_local_model_covariance(model, a, b, n_samples=1_000_000, seed=3)
-        assert c == pytest.approx(-1.0 + 2.0 * theta / math.pi, abs=0.01)
-
-    def test_default_sampler_pinned(self):
-        # The default sampler is hvsim.sample_lambda; this fixed-seed value
-        # pins its draws bit for bit.
-        model = LocalModel(
-            mean_a=lambda lams, a: np.tanh(2.0 * (lams @ a.as_array())),
-            mean_b=lambda lams, b: np.tanh(-(lams @ b.as_array())),
-        )
-        a, b = Direction(0.36, -0.48, 0.8), Direction.from_angle(1.0)
-        assert bell_local_model_covariance(model, a, b, 50_000, seed=21) == 0.06981375355097116
-
-    def test_constant_models(self):
-        zero = LocalModel(
-            mean_a=lambda lams, a: np.zeros(len(lams)),
-            mean_b=lambda lams, b: np.zeros(len(lams)),
-        )
-        a, b = Direction.from_angle(0.0), Direction.from_angle(1.0)
-        assert bell_local_model_covariance(zero, a, b, 1000, seed=0) == 0.0
-
-        det = LocalModel(
-            mean_a=lambda lams, a: np.ones(len(lams)),
-            mean_b=lambda lams, b: -np.ones(len(lams)),
-        )
-        assert bell_local_model_covariance(det, a, b, 1000, seed=0) == -1.0
-
-        scalar = LocalModel(mean_a=lambda lams, a: 0.5, mean_b=lambda lams, b: -0.5)
-        assert bell_local_model_covariance(scalar, a, b, 1000, seed=0) == -0.25
-
-    def test_rejects_out_of_range(self):
-        for value in (2.0, math.nan):  # NaN fails every compare, in range or out
-            bad = LocalModel(
-                mean_a=lambda lams, a: value * np.ones(len(lams)),
-                mean_b=lambda lams, b: np.zeros(len(lams)),
-            )
-            with pytest.raises(InvalidModelError):
-                bell_local_model_covariance(
-                    bad, Direction.from_angle(0.0), Direction.from_angle(1.0), 100, seed=0
-                )
-
-    @pytest.mark.parametrize("shape", [(1000, 1), (1001,), (1, 1000)])
-    def test_rejects_wrong_shape(self, shape):
-        # An (n, 1) mean times an (n,) one would broadcast to an n x n product.
-        bad = LocalModel(mean_a=lambda lams, a: np.zeros(shape), mean_b=lambda lams, b: np.zeros(len(lams)))
-        with pytest.raises(InvalidModelError, match="shape"):
-            bell_local_model_covariance(bad, Direction.from_angle(0.0), Direction.from_angle(1.0), 1000, seed=0)
-
-    def test_rejects_negative_seed(self):
-        # The same typed error as simulate and verify.run_all, not numpy's bare ValueError.
-        zero = LocalModel(mean_a=lambda lams, a: 0.0, mean_b=lambda lams, b: 0.0)
-        with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
-            bell_local_model_covariance(zero, Direction.from_angle(0.0), Direction.from_angle(1.0), 100, seed=-1)
-
-    @pytest.mark.parametrize("n_samples, error, match", [
-        (0, InvalidInputError, "n_samples must be >= 1, got 0"),
-        (1.5, TypeError, None),
-    ])
-    def test_rejects_bad_sample_count(self, n_samples, error, match):
-        zero = LocalModel(mean_a=lambda lams, a: 0.0, mean_b=lambda lams, b: 0.0)
-        with pytest.raises(error, match=match):
-            bell_local_model_covariance(zero, Direction.from_angle(0.0), Direction.from_angle(1.0), n_samples)
-
-    def test_random_models_satisfy_chsh(self, rng):
-        # any factorized model yields CHSH-satisfying covariance quadruples
-        n = 20_000
-        angles = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4]
-        a, d, b, c = (Direction.from_angle(t) for t in angles)
-        sigma_bound = 4 * 3.0 / math.sqrt(n)  # 3 sigma per term, 4 terms
-        for trial in range(100):
-            w1, w2 = rng.uniform(-1, 1, 2)
-
-            def mk(w):
-                return lambda lams, n_dir: np.tanh(w * (lams @ n_dir.as_array()))
-
-            model = LocalModel(mean_a=mk(w1), mean_b=mk(w2))
-            covs = {
-                key: bell_local_model_covariance(model, u, v, n, seed=trial)
-                for key, (u, v) in {
-                    "ab": (a, b), "ac": (a, c), "db": (d, b), "dc": (d, c)
-                }.items()
-            }
-            lhs = abs(covs["ab"] - covs["ac"]) + abs(covs["db"] + covs["dc"])
-            assert lhs <= 2.0 + sigma_bound
 
 
 class TestViolationScan:

@@ -14,10 +14,7 @@ from eprbell import (
     MomentSet3,
     PairDist,
     QuadDist,
-    QuasiDistributionError,
     TripleDist,
-    UndefinedConditionalError,
-    chsh_family_verdicts,
     covariance,
     default_mu3,
     existence_check_3,
@@ -28,11 +25,11 @@ from eprbell import (
     qm_pair_dist,
     qm_triple,
     quad_feasibility,
-    triple_conditional,
     triple_from_moments,
 )
 from eprbell import joint
 from eprbell.inequalities import VIOLATION_SLACK
+from eprbell.joint import _chsh_family_verdicts
 
 from conftest import CHSH_AXES, CONTRA_AB, CONTRA_BC, CONTRA_CA, lp_witness, random_direction
 
@@ -421,39 +418,6 @@ class TestQmTriple:
             ) < 1e-12
 
 
-class TestTripleConditional:
-    def test_uniform(self):
-        t = triple_from_moments(MomentSet3())
-        cond = triple_conditional(t, "C", 1)
-        assert np.allclose(cond.table, 0.25, atol=1e-12)
-
-    def test_orthogonal_qm(self):
-        t = qm_triple(Direction(1, 0, 0), Direction(0, 1, 0), Direction(0, 0, 1))
-        for var in ("A", "B", "C"):
-            for value in (1, -1):
-                assert np.allclose(triple_conditional(t, var, value).table, 0.25)
-
-    def test_unknown_variable(self):
-        with pytest.raises(InvalidInputError, match="given must be 'A', 'B' or 'C', got 'D'"):
-            triple_conditional(triple_from_moments(MomentSet3()), "D", 1)
-
-    def test_quasi_distribution_rejected(self):
-        t = qm_triple(
-            Direction.from_angle(0.0),
-            Direction.from_angle(math.pi / 8),
-            Direction.from_angle(math.pi / 4),
-        )
-        with pytest.raises(QuasiDistributionError):
-            triple_conditional(t, "C", 1)
-
-    def test_zero_marginal(self):
-        # A and C perfectly anti-correlated leaves P[C=1, A=1] slab summing fine
-        # but a fully concentrated variable has a zero-probability side
-        t = triple_from_moments(MomentSet3(m_a=1.0))
-        with pytest.raises(UndefinedConditionalError):
-            triple_conditional(t, "A", -1)
-
-
 def pair_from_cov(c):
     return PairDist(0.25 * np.array([[1 + c, 1 - c], [1 - c, 1 + c]]))
 
@@ -512,7 +476,7 @@ def boundary_quads(draw):
         cs.append(sum(cs) - 2.0 - VIOLATION_SLACK)  # minus_dc lhs = 2 + slack
         assume(cs[3] >= -1.0)
         tables = [pair_from_cov(c) for c in cs]
-        verdicts = chsh_family_verdicts(*(covariance(t) for t in tables))
+        verdicts = _chsh_family_verdicts(*(covariance(t) for t in tables))
         assume(all(v.satisfied for v in verdicts.values()))  # rounding can push lhs past the slack
         return tables
     if kind == "deterministic":
@@ -581,7 +545,7 @@ class TestQuadFeasibility:
     def test_fine_consistency_asymmetric(self, tables):
         # Glued witness == LP == Fine's eight inequalities on inputs with
         # nonzero first moments
-        verdicts = chsh_family_verdicts(*(covariance(t) for t in tables))
+        verdicts = _chsh_family_verdicts(*(covariance(t) for t in tables))
         # Within 1e-9 of the bound the two routes' tolerances (1e-12 slack,
         # 1e-10 LP feasibility) decide differently, so the verdict is not compared there.
         assume(abs(max(v.lhs for v in verdicts.values()) - 2.0) > 1e-9)
@@ -617,7 +581,7 @@ class TestQuadFeasibility:
             tables = [pair_from_cov(c) for c in cs]
             res = quad_feasibility(*tables)
             lp = lp_witness(*tables)
-            all_hold = all(v.satisfied for v in chsh_family_verdicts(*cs).values())
+            all_hold = all(v.satisfied for v in _chsh_family_verdicts(*cs).values())
             assert res.feasible == all_hold
             assert (lp is not None) == all_hold
             for witness in (res.witness, lp):

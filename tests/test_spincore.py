@@ -13,7 +13,6 @@ from eprbell import (
     apply_property_I,
     conditional_entropy,
     covariance,
-    local_conditional,
     local_pair_dist,
     qm_conditional,
     qm_marginal,
@@ -32,8 +31,11 @@ def from_angles(theta):
 
 class TestDirection:
     def test_normalizes_close_input(self):
-        d = Direction(1.0 + 5e-7, 0.0, 0.0)
-        assert d.x == pytest.approx(1.0, abs=1e-12)
+        for axis in range(3):
+            v = [0.0, 0.0, 0.0]
+            v[axis] = 1.0 + 5e-7
+            d = Direction(*v)
+            assert (d.x, d.y, d.z)[axis] == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_unit(self):
         with pytest.raises(InvalidDirectionError):
@@ -221,16 +223,10 @@ class TestMarginalsConditionals:
                 rounded += 1
                 assert conditional_entropy(a, -a) == 0.0
                 assert qm_pair_dist(a, -a).cells == (0.5, 0.0, 0.0, 0.5)
-            values = [*qm_conditional(a, a, 1).values(), *local_conditional(a, -a, 1).values(),
-                      *_kernel_pair_dist(a, a).cells, *_kernel_pair_dist(a, -a).cells]
+            values = [*qm_conditional(a, a, 1).values(), *_kernel_pair_dist(a, a).cells,
+                      *_kernel_pair_dist(a, -a).cells]
             assert min(values) >= 0.0
         assert rounded > 0
-
-    def test_local_conditional_aligned(self):
-        a, b = from_angles(0.0)
-        assert local_conditional(a, b, given=1)[1] == pytest.approx(1.0, abs=1e-12)
-        a, b = from_angles(math.pi)
-        assert local_conditional(a, b, given=1)[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCovariance:

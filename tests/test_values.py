@@ -14,7 +14,6 @@ from eprbell import (
     InequalityVerdict,
     InfoCurvePoint,
     InvalidInputError,
-    LocalModel,
     MomentSet3,
     Mu3Interval,
     PairDist,
@@ -50,7 +49,6 @@ VALUES = [
     (QuadFeasibility, {"feasible": False, "witness": None, "verdicts": VERDICTS, "failed": "sum"}),
     (CovarianceTriple, {"c_ab": 0.1, "c_ac": 0.2, "c_bc": -0.3}),
     (CovarianceQuad, {"c_ab": 0.1, "c_ac": 0.2, "c_db": -0.3, "c_dc": 0.4}),
-    (LocalModel, {"mean_a": abs, "mean_b": round}),
     (PartitionSpec, {"cos_threshold": 0.5}),
     (SimReport, {"n_samples": 4, "seed": 1, "mode": "local", "theta_ab_rad": 0.5, "empirical": EMPIRICAL,
                  "theoretical": PairDist([0.25] * 4), "max_abs_dev": 0.0, "chi_square": 0.0, "contract": 2}),
@@ -79,8 +77,6 @@ SIGNATURES = {
                      " failed: 'Optional[str]')",
     CovarianceTriple: "(c_ab: 'float', c_ac: 'float', c_bc: 'float')",
     CovarianceQuad: "(c_ab: 'float', c_ac: 'float', c_db: 'float', c_dc: 'float')",
-    LocalModel: "(mean_a: 'Callable[[np.ndarray, Direction], np.ndarray]',"
-                " mean_b: 'Callable[[np.ndarray, Direction], np.ndarray]')",
     ScanResult: "(inequality: 'str', resolution: 'float', max_lhs: 'float', argmax_angles: 'tuple[float, ...]',"
                 " grid: 'np.ndarray', violation_index: 'np.ndarray', violation_lhs: 'np.ndarray')",
     PartitionSpec: "(cos_threshold: 'float')",
