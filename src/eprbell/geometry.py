@@ -36,20 +36,6 @@ class Direction(Value):
             raise InvalidDirectionError(f"angle must be finite, got {theta}")
         return cls(math.cos(theta), math.sin(theta), 0.0)
 
-    @classmethod
-    def from_array(cls, v) -> "Direction":
-        import numpy as np
-
-        v = np.asarray(v, dtype=float)
-        if v.shape != (3,):
-            raise InvalidDirectionError(f"expected a 3-vector, got shape {v.shape}")
-        return cls(float(v[0]), float(v[1]), float(v[2]))
-
-    def as_array(self):
-        import numpy as np
-
-        return np.array([self.x, self.y, self.z])
-
     def dot(self, other: "Direction") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 

@@ -250,12 +250,11 @@ class ProductRuleEstimate(Value):
 
 
 def _orthogonal_to(a: Direction) -> Direction:
-    import numpy as np
-
-    v = a.as_array()
-    helper = np.array([0.0, 0.0, 1.0]) if abs(v[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    w = np.cross(v, helper)
-    return Direction.from_array(w / np.linalg.norm(w))
+    """a x h normalized, with h = z-hat, or x-hat where a is near a pole."""
+    h = (0.0, 0.0, 1.0) if abs(a.z) < 0.9 else (1.0, 0.0, 0.0)
+    w = (a.y * h[2] - a.z * h[1], a.z * h[0] - a.x * h[2], a.x * h[1] - a.y * h[0])
+    norm = math.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+    return Direction(w[0] / norm, w[1] / norm, w[2] / norm)
 
 
 def product_rule_demo(a: Direction, n: int = 1_000_000, seed: int = 0) -> list[ProductRuleEstimate]:

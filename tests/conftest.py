@@ -22,6 +22,16 @@ def random_direction(rng: np.random.Generator) -> Direction:
     return Direction(*sample_lambda(rng, 1)[0].tolist())
 
 
+def as_array(d: Direction) -> np.ndarray:
+    """The direction's (x, y, z) as a float array."""
+    return np.array([d.x, d.y, d.z])
+
+
+def direction_from_array(v) -> Direction:
+    """The Direction whose components are those of the 3-vector v."""
+    return Direction(*np.asarray(v, dtype=float).tolist())
+
+
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random rotation matrix from the QR decomposition of a Gaussian."""
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))

@@ -4,41 +4,47 @@ import numpy as np
 import pytest
 
 from eprbell import Direction, qm_pair_dist, singlet_pair_probs
-from eprbell.born import _spin_projector
-from eprbell.errors import InvalidInputError
+from eprbell.born import _eigenspinors
 
 from conftest import random_direction
 
 
-def projector(n, s):
-    """``_spin_projector``'s rows as a 2x2 array, for the matrix algebra."""
-    return np.array(_spin_projector(n, s))
+def sigma_dot(n, u):
+    """(n.sigma) u, with n.sigma = [[z, x - iy], [x + iy, -z]]."""
+    return (n.z * u[0] + complex(n.x, -n.y) * u[1], complex(n.x, n.y) * u[0] - n.z * u[1])
 
 
-class TestSpinProjector:
-    def test_idempotent_hermitian(self, rng):
-        for _ in range(50):
-            n = random_direction(rng)
-            for s in (1, -1):
-                p = projector(n, s)
-                assert np.allclose(p @ p, p, atol=1e-12)
-                assert np.allclose(p, p.conj().T, atol=1e-12)
-                assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
+# Where the chart switches (z = +0.0, -0.0 and just below 0), both poles, a
+# hair from each pole, where a chart used on its wrong side loses all but a
+# few digits, and a direction with its negation.
+CHART_EDGES = [
+    Direction.from_angle(0.7), -Direction.from_angle(0.7), Direction(1, 0, -1e-300),
+    Direction(0, 0, 1), Direction(0, 0, -1), Direction(3e-8, 4e-8, 1), -Direction(3e-8, 4e-8, 1),
+    Direction(0.0, -0.6, 0.8), -Direction(0.0, -0.6, 0.8),
+]
 
-    def test_completeness(self, rng):
-        for _ in range(50):
-            n = random_direction(rng)
-            total = projector(n, 1) + projector(n, -1)
-            assert np.allclose(total, np.eye(2), atol=1e-12)
 
-    def test_orthogonality(self, rng):
-        n = random_direction(rng)
-        prod = projector(n, 1) @ projector(n, -1)
-        assert np.allclose(prod, 0.0, atol=1e-12)
+class TestEigenspinors:
+    def check(self, n):
+        up, down = _eigenspinors(n)
+        for s, u in ((1, up), (-1, down)):
+            assert abs(abs(u[0]) ** 2 + abs(u[1]) ** 2 - 1.0) <= 1e-15
+            assert all(abs(got - s * want) <= 1e-15 for got, want in zip(sigma_dot(n, u), u))
+        assert abs(up[0].conjugate() * down[0] + up[1].conjugate() * down[1]) <= 1e-15
 
-    def test_z_axis(self):
-        up = projector(Direction(0, 0, 1), 1)
-        assert np.allclose(up, np.diag([1.0, 0.0]), atol=1e-12)
+    def test_random_directions(self, rng):
+        for _ in range(500):
+            self.check(random_direction(rng))
+
+    @pytest.mark.parametrize("n", CHART_EDGES, ids=repr)
+    def test_chart_edges(self, n):
+        self.check(n)
+
+    def test_chart_edges_against_closed_form(self):
+        for a in CHART_EDGES:
+            for b in CHART_EDGES + [-a]:
+                cells = qm_pair_dist(a, b).cells
+                assert max(abs(p - c) for p, c in zip(singlet_pair_probs(a, b), cells)) <= 1e-15
 
 
 def one_trial(a, b):
@@ -90,7 +96,3 @@ class TestSingletPairProbs:
         monkeypatch.setattr(Direction, "cos_to", forbidden)
         for (u, v), cells in zip(pairs, closed):
             assert max(abs(p - c) for p, c in zip(singlet_pair_probs(u, v), cells)) < 1e-12
-
-    def test_rejects_bad_sign(self):
-        with pytest.raises(InvalidInputError):
-            _spin_projector(Direction(0, 0, 1), 2)

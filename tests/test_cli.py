@@ -905,9 +905,9 @@ class TestVerify:
     # sha256 of stdout, recorded on a 2-vCPU Intel Xeon (the sphere draws go
     # through Python's math.cos and math.sin).
     @pytest.mark.parametrize("args, digest", [
-        ((), "031c25536a359338a65550e57eb6fce7eb6529e4b3c7106b0e881e525bd26d7d"),
+        ((), "397ea3dbdc58a32a49475f014eb4166784bc397133d067c8abbc827f8f1d61a9"),
         (("--trials", "50", "--seed", "1"),
-         "57d03b4a619344eb95fa0a0bf21b8fec712bdc016daf126a3f9c209961a29e57"),
+         "39a216a92efb6b7dc7f95e377cbde1f4ba0a83b0489d539ee3efff17771b42d0"),
     ])
     def test_golden_bytes(self, capsys, args, digest):
         code, out, _ = run(capsys, "verify", *args)

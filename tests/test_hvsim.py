@@ -20,7 +20,7 @@ from eprbell import (
 from eprbell.hvsim import _kernel_pair_dist
 
 import pcg64_ref
-from conftest import random_direction
+from conftest import as_array, direction_from_array, random_direction
 
 
 class TestSampleLambda:
@@ -407,7 +407,7 @@ def _staged_block(seed, k, count, part, singlet, classify=classify):
 
 def _sweep_axes():
     rng = np.random.default_rng(4)
-    unit = lambda *v: Direction.from_array(np.array(v) / np.linalg.norm(v))
+    unit = lambda *v: direction_from_array(np.array(v) / np.linalg.norm(v))
     return [
         Direction(1, 0, 0), -Direction(1, 0, 0), Direction(0, 1, 0), Direction(0, 0, -1),
         unit(0.6, -0.8, 0.0), unit(1.0, 0.0, -1.0), unit(0.0, -2.0, 1.0),
@@ -421,9 +421,9 @@ SWEEP_DOTS = [-1.0, -0.5, 0.0, 0.3, 1.0] + np.random.default_rng(5).uniform(-1.0
 
 def _direction_at_dot(a, x):
     """A direction b with a.b = x (to rounding)."""
-    v = a.as_array()
+    v = as_array(a)
     w = np.cross(v, [0.0, 0.0, 1.0] if abs(v[2]) < 0.9 else [1.0, 0.0, 0.0])
-    return Direction.from_array(x * v + math.sqrt(1.0 - x * x) * w / np.linalg.norm(w))
+    return direction_from_array(x * v + math.sqrt(1.0 - x * x) * w / np.linalg.norm(w))
 
 
 def _edge_cases():
@@ -536,7 +536,7 @@ class TestContractV2Law:
 
         def classify_on_a(lam, part):
             """Contract 1's cap: the same threshold, centred on a."""
-            return np.where(lam @ a.as_array() >= part.cos_threshold, 1, -1)
+            return np.where(lam @ as_array(a) >= part.cos_threshold, 1, -1)
 
         part = PartitionSpec.for_directions(a, b)
         v1 = sum(_staged_block(1000, k, BLOCK_SIZE, part, singlet, classify_on_a) for k in range(blocks))

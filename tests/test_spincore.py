@@ -22,7 +22,7 @@ from eprbell.hvsim import _kernel_pair_dist
 from eprbell.joint import QuadDist
 from eprbell.spincore import PairDist
 
-from conftest import random_direction, random_rotation
+from conftest import as_array, direction_from_array, random_direction, random_rotation
 
 
 def from_angles(theta):
@@ -158,8 +158,8 @@ class TestQmPairDist:
         for _ in range(50):
             a, b = random_direction(rng), random_direction(rng)
             rot = random_rotation(rng)
-            ar = Direction.from_array(rot @ a.as_array())
-            br = Direction.from_array(rot @ b.as_array())
+            ar = direction_from_array(rot @ as_array(a))
+            br = direction_from_array(rot @ as_array(b))
             assert np.allclose(
                 qm_pair_dist(a, b).table, qm_pair_dist(ar, br).table, atol=1e-12
             )
