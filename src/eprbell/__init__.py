@@ -19,8 +19,8 @@ _PUBLIC = {
     "geometry": ("Direction",),
     "information": ("InfoCurvePoint", "binary_entropy", "conditional_entropy", "info_curve", "mutual_information"),
     "inequalities": (
-        "CovarianceQuad", "CovarianceTriple", "InequalityVerdict", "ScanResult", "bell_1964",
-        "bell_pair_inequalities", "chsh", "chsh_to_bell_reduction", "qm_bell_lhs", "violation_scan",
+        "CovarianceQuad", "CovarianceTriple", "InequalityVerdict", "ScanResult", "bell_1964", "chsh",
+        "chsh_to_bell_reduction", "qm_bell_lhs", "violation_scan",
     ),
     "joint": (
         "ExistenceResult", "MomentSet3", "Mu3Interval", "PairMoments", "QuadDist", "QuadFeasibility",
@@ -32,10 +32,7 @@ _PUBLIC = {
         "qm_marginal", "qm_pair_dist",
     ),
     "born": ("singlet_pair_probs",),
-    "hvsim": (
-        "BLOCK_SIZE", "PartitionSpec", "SimReport", "block_rng", "classify",
-        "product_rule_demo", "sample_lambda", "sample_pair_given_c", "simulate",
-    ),
+    "hvsim": ("BLOCK_SIZE", "SimReport", "block_rng", "product_rule_demo", "simulate"),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
 __all__ = sorted(_MODULE_OF)

@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 from .errors import EprBellError, InvalidInputError
@@ -54,6 +55,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.register("action", None, _StoreOnce)  # the default action, argparse's "store"
+        # A token that starts with - and a digit, or -. and a digit, is a
+        # value: argparse's own pattern misses -0.7,0.7 and -1e-3.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def parse_known_args(self, args=None, namespace=None):
         self._stored = set()  # dests given so far in this parse

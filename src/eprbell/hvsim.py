@@ -28,13 +28,15 @@ Totals are integer counts summed over blocks, so results are bit-identical
 for any worker count.
 
 The fused kernel ``_simulate_block`` reads these words with ``random_raw``
-and decides the cap from them in exact integer arithmetic. The staged public
-functions ``block_rng``, ``sample_lambda``, ``classify`` and
-``sample_pair_given_c``, chained on the threshold of
-``PartitionSpec.for_directions``, are its reference route and give the same
-counts through numpy's ``uniform`` and ``integers``; the tests compare the
-two. The kernel's exact law is ``_kernel_pair_dist``, which ``verify``'s
-mixture check compares with the closed form ``local_pair_dist``.
+and decides the cap from them in exact integer arithmetic. Its reference
+route is the staged functions ``block_rng``, ``sample_lambda``, ``classify``
+and ``sample_pair_given_c``, chained on the threshold of
+``PartitionSpec.for_directions``: they give the same counts through numpy's
+``uniform`` and ``integers``, and the tests compare the two. Only
+``block_rng`` is exported from ``eprbell``; the tests and the benchmark's
+tracer read the others and ``PartitionSpec`` from this module. The kernel's
+exact law is ``_kernel_pair_dist``, which ``verify``'s mixture check
+compares with the closed form ``local_pair_dist``.
 
 numpy loads inside the array functions only. The contract's integer helpers
 ``_cos_threshold``, ``_z_word_bound`` and ``_kernel_pair_dist`` use ``math``
@@ -98,16 +100,14 @@ def classify(lam: np.ndarray, part: PartitionSpec) -> np.ndarray:
     """C = +1 where lambda lies in the cap (boundary counts as inside), else -1."""
     import numpy as np
 
-    lam = np.atleast_2d(np.asarray(lam, dtype=float))
     return np.where(lam[:, 2] >= part.cos_threshold, 1, -1)
 
 
-def sample_pair_given_c(c, rng: np.random.Generator):
+def sample_pair_given_c(c: np.ndarray, rng: np.random.Generator):
     """Draw (A(a), A(b)) from the C-conditional table: A(a) is a fair sign
     and A(b) = A(a) * C, so A(a)*A(b) = C always."""
     import numpy as np
 
-    c = np.asarray(c)
     s = np.where(rng.integers(0, 2, c.shape) == 1, 1, -1)
     return s, s * c
 

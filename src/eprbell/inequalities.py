@@ -74,15 +74,6 @@ def chsh(q: CovarianceQuad) -> InequalityVerdict:
     return InequalityVerdict(_chsh_lhs(q.c_ab, q.c_ac, q.c_db, q.c_dc), 2.0)
 
 
-def bell_pair_inequalities(c_ab: float, c_ac: float, c_bc: float) -> tuple[InequalityVerdict, InequalityVerdict]:
-    """The single-device covariance pair: |c_ab + c_ac| - c_bc <= 1 and
-    |c_ab - c_ac| + c_bc <= 1. Both must hold for a third-order joint to exist."""
-    CovarianceTriple(c_ab, c_ac, c_bc)  # checks each covariance
-    first = InequalityVerdict(_bell_lhs(c_ab, -c_ac, c_bc), 1.0)
-    second = InequalityVerdict(_bell_lhs(c_ab, c_ac, -c_bc), 1.0)
-    return first, second
-
-
 def _wrap_angle(theta: float) -> float:
     """Reduce to the geometric angle between two unit vectors, in [0, pi]."""
     return math.acos(clamp_unit(math.cos(theta)))

@@ -30,7 +30,7 @@ import math
 
 from .errors import InconsistentMarginalsError, InvalidInputError
 from .geometry import Direction, clamp_unit
-from .inequalities import VIOLATION_SLACK, InequalityVerdict, _check_unit, bell_pair_inequalities
+from .inequalities import VIOLATION_SLACK, InequalityVerdict, _bell_lhs, _check_unit
 from .spincore import SIGNS, PairDist, SignedTable, covariance
 from .value import Value
 
@@ -195,8 +195,9 @@ class ExistenceResult(Value):
 
 
 def existence_check_3(m_a, m_b, m_c, m_ab, m_bc, m_ca, symmetric: bool = False) -> ExistenceResult:
-    """Evaluate the four pair-sum inequalities (and their two condensed
-    absolute-value forms) on the second moments.
+    """Evaluate the four pair-sum inequalities and their two condensed
+    forms, |m_ab + m_ca| - m_bc <= 1 and |m_ab - m_ca| + m_bc <= 1, on the
+    second moments.
 
     The conjunction is necessary for a valid third-order joint; when
     ``symmetric`` is set (all odd moments zero) it is also sufficient.
@@ -204,14 +205,13 @@ def existence_check_3(m_a, m_b, m_c, m_ab, m_bc, m_ca, symmetric: bool = False) 
     MomentSet3(m_a, m_b, m_c, m_ab, m_bc, m_ca)  # checks each moment
     if symmetric and max(abs(m_a), abs(m_b), abs(m_c)) > MARGINAL_TOL:
         raise InvalidInputError("symmetric flag set but first moments are non-zero")
-    abs_plus, abs_minus = bell_pair_inequalities(m_ab, m_ca, m_bc)
     verdicts = {
         "sum": InequalityVerdict(-(m_ab + m_bc + m_ca), 1.0),
         "flip_a": InequalityVerdict(-(m_ab - m_bc - m_ca), 1.0),
         "flip_b": InequalityVerdict(-(-m_ab + m_bc - m_ca), 1.0),
         "flip_c": InequalityVerdict(-(-m_ab - m_bc + m_ca), 1.0),
-        "abs_plus": abs_plus,
-        "abs_minus": abs_minus,
+        "abs_plus": InequalityVerdict(_bell_lhs(m_ab, -m_ca, m_bc), 1.0),
+        "abs_minus": InequalityVerdict(_bell_lhs(m_ab, m_ca, -m_bc), 1.0),
     }
     exists = all(v.satisfied for v in verdicts.values())
     return ExistenceResult(exists=exists, verdicts=verdicts)

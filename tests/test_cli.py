@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tomllib
@@ -249,6 +250,9 @@ class TestScan:
     ["ineq", "chsh", "--radians", "--angles", "1e308,1e308,1e308"],
     ["ineq", "bell", "--radians", "--angles", "1e308,1e308"],
     ["joint3", "--qm", "--radians", "--angles", "1e308,1e308"],
+    # An option, or a minus sign with no digit after it, is not a value.
+    ["dist", "--theta", "--local"],
+    ["dist", "--theta", "-x"],
 ])
 def test_boundary_usage_errors(capsys, tmp_path, argv):
     code, out, err = run(capsys, *with_golden_files(tmp_path, argv))
@@ -713,26 +717,27 @@ PUBLIC_NAMES = [
     "BLOCK_SIZE", "CovarianceQuad", "CovarianceTriple", "Direction", "EprBellError", "ExistenceResult",
     "InconsistentMarginalsError", "InequalityVerdict", "InfoCurvePoint", "InvalidDirectionError",
     "InvalidGeometryError", "InvalidInputError", "MomentSet3", "Mu3Interval", "PairDist", "PairMoments",
-    "PartitionSpec", "QuadDist", "QuadFeasibility", "ScanResult", "SimReport", "TripleDist",
-    "apply_property_I", "bell_1964", "bell_pair_inequalities", "binary_entropy", "block_rng", "chsh",
-    "chsh_to_bell_reduction", "classify", "conditional_entropy", "covariance", "default_mu3",
-    "existence_check_3", "info_curve", "local_pair_dist", "marginal", "moments_from_pairs", "mu3_interval",
-    "mutual_information", "product_rule_demo", "qm_bell_lhs", "qm_conditional", "qm_marginal",
-    "qm_pair_dist", "qm_triple", "quad_feasibility", "sample_lambda", "sample_pair_given_c", "simulate",
+    "QuadDist", "QuadFeasibility", "ScanResult", "SimReport", "TripleDist", "apply_property_I",
+    "bell_1964", "binary_entropy", "block_rng", "chsh", "chsh_to_bell_reduction", "conditional_entropy",
+    "covariance", "default_mu3", "existence_check_3", "info_curve", "local_pair_dist", "marginal",
+    "moments_from_pairs", "mu3_interval", "mutual_information", "product_rule_demo", "qm_bell_lhs",
+    "qm_conditional", "qm_marginal", "qm_pair_dist", "qm_triple", "quad_feasibility", "simulate",
     "singlet_pair_probs", "triple_from_moments", "violation_scan",
 ]
-# Names that left the surface: removed, or private to their one caller.
+# Names that left the surface: removed, private to their one caller, or kept
+# in their module unexported (the simulator kernel's staged reference route).
 FORMER_NAMES = [
-    "InvalidModelError", "LocalModel", "QuasiDistributionError", "UndefinedConditionalError",
-    "bell_local_model_covariance", "chsh_family_verdicts", "local_conditional", "spin_projector",
-    "triple_conditional",
+    "InvalidModelError", "LocalModel", "PartitionSpec", "QuasiDistributionError",
+    "UndefinedConditionalError", "bell_local_model_covariance", "bell_pair_inequalities",
+    "chsh_family_verdicts", "classify", "local_conditional", "sample_lambda", "sample_pair_given_c",
+    "spin_projector", "triple_conditional",
 ]
 
 
 def test_public_names():
     """Every name of the one lazy table is the object its module holds, and
     only those names are served."""
-    assert eprbell.__all__ == PUBLIC_NAMES
+    assert eprbell.__all__ == PUBLIC_NAMES and len(PUBLIC_NAMES) == 48
     for name, module in eprbell._MODULE_OF.items():
         assert getattr(eprbell, name) is getattr(importlib.import_module(f"eprbell.{module}"), name), name
     assert set(eprbell._MODULE_OF) <= set(dir(eprbell))
@@ -1006,6 +1011,42 @@ def test_radians_give_the_same_bytes(capsys, argv, degrees):
     deg = run(capsys, *argv, ",".join(map(repr, degrees)))
     rad = run(capsys, *argv, ",".join(repr(math.radians(d)) for d in degrees), "--radians")
     assert deg[0] == 0 and deg == rad
+
+
+# Values that start with - and a digit or -. and a digit, which argparse's own
+# pattern took for options; the last two entries are the option and its value.
+@pytest.mark.parametrize("argv", [
+    ["ineq", "chsh", "--cov", "-0.7,0.7,-0.7,-0.7"],
+    ["ineq", "bell", "--angles", "-30,45"],
+    ["dist", "--a", "1,0,0", "--b", "-1,0,0"],
+    ["dist", "--theta", "-1e-3"],
+    ["dist", "--theta", "-.5"],
+])
+def test_negative_values(capsys, argv):
+    joined = (*argv[:-2], f"{argv[-2]}={argv[-1]}")
+    spaced = run(capsys, *argv)
+    assert spaced[0] == 0, spaced[2]
+    assert spaced == run(capsys, *joined)
+    # The --cov line's joined spelling is one of TestShortGolden's.
+    golden = dict(TestShortGolden.GOLDEN).get(joined)
+    assert golden is None or hashlib.sha256(spaced[1].encode()).hexdigest() == golden
+
+
+def readme_commands() -> list[list[str]]:
+    """Each ``eprbell ...`` line of README's command-line block, as argv."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = next(b for b in text.split("```sh\n")[1:] if b.startswith("eprbell "))
+    lines = block.split("```")[0].splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_commands_run(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pairs.json").write_text(json.dumps({"pairs": GOLDEN_PAIRS["sym3"]}))
+    quad_file(tmp_path, TSIRELSON_COVS)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out, err
 
 
 def help_text(capsys, *argv) -> str:

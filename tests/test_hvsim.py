@@ -7,17 +7,13 @@ from eprbell import (
     BLOCK_SIZE,
     Direction,
     InvalidInputError,
-    PartitionSpec,
     block_rng,
-    classify,
     local_pair_dist,
     product_rule_demo,
     qm_pair_dist,
-    sample_lambda,
-    sample_pair_given_c,
     simulate,
 )
-from eprbell.hvsim import _kernel_pair_dist
+from eprbell.hvsim import PartitionSpec, _kernel_pair_dist, classify, sample_lambda, sample_pair_given_c
 
 import pcg64_ref
 from conftest import as_array, direction_from_array, random_direction
@@ -397,7 +393,7 @@ class TestSpecRoute:
 
 
 def _staged_block(seed, k, count, part, singlet, classify=classify):
-    """One block through the public staged functions, the fused kernel's oracle."""
+    """One block through the staged functions, the fused kernel's oracle."""
     rng = block_rng(seed, k)
     first, second = sample_pair_given_c(classify(sample_lambda(rng, count), part), rng)
     if singlet:

@@ -12,9 +12,9 @@ from eprbell import (
     InvalidGeometryError,
     InvalidInputError,
     bell_1964,
-    bell_pair_inequalities,
     chsh,
     chsh_to_bell_reduction,
+    existence_check_3,
     qm_bell_lhs,
     violation_scan,
 )
@@ -77,14 +77,22 @@ class TestChsh:
         assert v.lhs == pytest.approx(2.0) and v.satisfied
 
 
+def bell_pair(c_ab, c_ac, c_bc):
+    """The single-device covariance pair |c_ab + c_ac| - c_bc <= 1 and
+    |c_ab - c_ac| + c_bc <= 1, as ``existence_check_3`` evaluates it on the
+    moments m_ab = c_ab, m_ca = c_ac, m_bc = c_bc."""
+    verdicts = existence_check_3(0, 0, 0, c_ab, c_bc, c_ac).verdicts
+    return verdicts["abs_plus"], verdicts["abs_minus"]
+
+
 class TestBellPair17:
     def test_contradictory_moments_moments(self):
-        first, second = bell_pair_inequalities(1.0, 1.0, -1.0)
+        first, second = bell_pair(1.0, 1.0, -1.0)
         assert first.lhs == pytest.approx(3.0) and not first.satisfied
         assert second.lhs == pytest.approx(-1.0) and second.satisfied
 
     def test_zeros(self):
-        first, second = bell_pair_inequalities(0, 0, 0)
+        first, second = bell_pair(0, 0, 0)
         assert first.satisfied and second.satisfied
 
     def test_matches_two_device_form(self):
@@ -92,7 +100,7 @@ class TestBellPair17:
         # the two-device inequality after flipping signs of B(b), B(c)
         t_ab = t_bc = math.pi / 4
         t_ac = t_ab + t_bc
-        _, second = bell_pair_inequalities(math.cos(t_ab), math.cos(t_ac), math.cos(t_bc))
+        _, second = bell_pair(math.cos(t_ab), math.cos(t_ac), math.cos(t_bc))
         assert second.lhs == pytest.approx(qm_bell_lhs(t_ab, t_ac, t_bc), abs=1e-12)
 
 

@@ -18,7 +18,6 @@ from eprbell import (
     Mu3Interval,
     PairDist,
     PairMoments,
-    PartitionSpec,
     QuadDist,
     QuadFeasibility,
     ScanResult,
@@ -26,7 +25,7 @@ from eprbell import (
     TripleDist,
     violation_scan,
 )
-from eprbell.hvsim import CONTRACT, ProductRuleEstimate
+from eprbell.hvsim import CONTRACT, PartitionSpec, ProductRuleEstimate
 from eprbell.spincore import SignedTable
 from eprbell.verify import CheckResult
 
