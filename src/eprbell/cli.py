@@ -3,9 +3,10 @@
 ``build_parser`` declares what a command line means; ``_resolve`` checks
 companion options and converts degrees to radians, once. Each ``_cmd_*``
 handler takes the parsed values, computes, and returns its output; ``main``
-alone writes it and maps errors to exit codes by type: 64 for an
-``InvalidInputError`` (usage), 65 for any other ``EprBellError`` or a stdout
-that cannot be written, 1 for a failed ``verify`` check.
+alone writes it and maps errors, all of the package's own types, to exit
+codes by type: 64 for an ``InvalidInputError`` (a bad command line), 65 for
+any other ``EprBellError`` (a file that cannot be read or used or written) or
+a stdout that cannot be written, 1 for a failed ``verify`` check.
 
 One loading rule: this module loads only the numpy-free core that every
 command shares (``errors``, ``geometry``, ``spincore``), and each handler
@@ -33,14 +34,6 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 
-class UsageError(InvalidInputError):
-    """A bad command line: exit 64."""
-
-
-class DataError(EprBellError):
-    """A file that cannot be read or used, or output that cannot be written: exit 65."""
-
-
 class _StoreOnce(argparse.Action):
     """``store`` for every option that takes a value: a second value is a usage error."""
 
@@ -64,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
     def error(self, message):  # argparse would exit(2); we want 64
-        raise UsageError(message)
+        raise InvalidInputError(message)
 
     def _print_message(self, message, file=None):
         # argparse drops a write error here, so `--help > /dev/full` would
@@ -99,7 +92,7 @@ def _finite_degrees(text: str) -> float:
 
 def _count(values: tuple[float, ...], n: int, what: str) -> tuple[float, ...]:
     if len(values) != n:
-        raise UsageError(f"{what}: expected {n} values, got {len(values)}")
+        raise InvalidInputError(f"{what}: expected {n} values, got {len(values)}")
     return values
 
 
@@ -110,7 +103,7 @@ def _coplanar_phis(angles: tuple[float, ...], n: int) -> tuple[float, ...]:
     an infinity, which no cosine takes: a usage error."""
     phis = tuple(itertools.accumulate(_count(angles, n, "--angles")))
     if not all(map(math.isfinite, phis)):
-        raise UsageError(f"--angles: the angles must sum to a finite value, got {phis[-1]!r}")
+        raise InvalidInputError(f"--angles: the angles must sum to a finite value, got {phis[-1]!r}")
     return phis
 
 
@@ -119,7 +112,7 @@ def _direction(values: tuple[float, ...], what: str) -> Direction:
     try:
         return Direction(x, y, z)
     except EprBellError as exc:
-        raise UsageError(f"{what}: {exc}")
+        raise InvalidInputError(f"{what}: {exc}")
 
 
 def _emit(out, args):
@@ -140,7 +133,7 @@ def _emit(out, args):
         with open(args.output, "w") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        raise DataError(f"cannot write {args.output}: {exc}")
+        raise EprBellError(f"cannot write {args.output}: {exc}")
 
 
 def _csv_row(cells) -> str:
@@ -164,25 +157,25 @@ def _load_pair_file(path: str, keys: tuple[str, ...]) -> dict[str, PairDist]:
         with open(path, "rb") as fh:
             data = fh.read(_PAIR_FILE_MAX_BYTES + 1)
         if len(data) > _PAIR_FILE_MAX_BYTES:
-            raise DataError(f"{path} is longer than {_PAIR_FILE_MAX_BYTES} bytes")
+            raise EprBellError(f"{path} is longer than {_PAIR_FILE_MAX_BYTES} bytes")
         doc = json.loads(data.decode("utf-8"))
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}")
+        raise EprBellError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8 text: {exc}")
+        raise EprBellError(f"{path} is not UTF-8 text: {exc}")
     except (ValueError, RecursionError) as exc:  # also too deep or too long a number
-        raise DataError(f"{path} is not valid JSON: {exc}")
+        raise EprBellError(f"{path} is not valid JSON: {exc}")
     pairs = doc.get("pairs") if isinstance(doc, dict) else None
     if not isinstance(pairs, dict):
-        raise DataError(f'{path}: expected an object with a "pairs" key')
+        raise EprBellError(f'{path}: expected an object with a "pairs" key')
     out = {}
     for key in keys:
         if key not in pairs:
-            raise DataError(f"{path}: missing pair table {key!r}")
+            raise EprBellError(f"{path}: missing pair table {key!r}")
         try:
             out[key] = PairDist.from_mapping(pairs[key])
         except EprBellError as exc:
-            raise DataError(f"{path}: pair table {key!r}: {exc}")
+            raise EprBellError(f"{path}: pair table {key!r}: {exc}")
     return out
 
 
@@ -428,7 +421,7 @@ def _resolve(args):
     given = {dest for dest, value in vars(args).items() if value is not None and value is not False}
     for option, companion in args.requires:
         if option in given and companion not in given:
-            raise UsageError(f"--{option} requires --{companion}")
+            raise InvalidInputError(f"--{option} requires --{companion}")
     if args.degrees and not args.radians:
         for dest in args.degrees:
             value = getattr(args, dest)

@@ -10,7 +10,7 @@ Two families of 2x2 tables over outcomes in {-1,+1}:
 * ``local_pair_dist``: the single-device (A(a), A(b)) table, entry =
   (1 + alpha*beta * a.b) / 4.
 
-The two are related by flipping the sign of one variable
+The two are related by flipping the sign of the second variable
 (``apply_property_I``), reflecting total-spin conservation A(a) = -B(a).
 """
 
@@ -93,8 +93,12 @@ class SignedTable(Value):
     def __init__(self, cells: tuple[float, ...]):
         name = type(self).__name__
         t = cells_of(cells, self.DIMS, name)
-        if abs(math.fsum(t) - 1.0) > self.TOL:
-            raise InvalidInputError(f"{name} sums to {math.fsum(t)}, not 1")
+        try:
+            total = math.fsum(t)
+        except OverflowError:  # a partial sum passed the float range; scaled by 2**-DIMS, none can
+            total = math.fsum(x * 0.5 ** self.DIMS for x in t) * 2 ** self.DIMS  # inf if the sum is past it
+        if abs(total - 1.0) > self.TOL:
+            raise InvalidInputError(f"{name} sums to {total}, not 1")
         vars(self)["cells"] = t
 
     @cached_property
@@ -196,15 +200,10 @@ def covariance(d: PairDist) -> float:
     return pp - pm - mp + mm
 
 
-def apply_property_I(d: PairDist, which: str = "second") -> PairDist:
-    """Flip the sign of one variable (relabeling A(b) <-> -B(b)).
-
-    Maps local_pair_dist(a, b) to qm_pair_dist(a, b) and back (the
-    equivalence between the one-device and two-device descriptions).
+def apply_property_I(d: PairDist) -> PairDist:
+    """Property I: flip the sign of the second outcome (relabeling A(b) <->
+    -B(b)). It maps local_pair_dist(a, b) to qm_pair_dist(a, b), and, being
+    its own inverse, back: the one-device and two-device descriptions agree.
     """
     pp, pm, mp, mm = d.cells
-    if which == "first":
-        return PairDist((mp, mm, pp, pm))
-    if which == "second":
-        return PairDist((pm, pp, mm, mp))
-    raise InvalidInputError(f"which must be 'first' or 'second', got {which!r}")
+    return PairDist((pm, pp, mm, mp))

@@ -46,7 +46,7 @@ def _born_routes(a, b):
 
 def _round_trip_routes(a, b):
     qm, loc = qm_pair_dist(a, b), local_pair_dist(a, b)
-    return apply_property_I(loc).cells + apply_property_I(qm).cells, qm.cells + loc.cells
+    return apply_property_I(loc).cells, qm.cells
 
 
 def _mixture_routes(a, b):
@@ -57,7 +57,8 @@ def _mixture_routes(a, b):
 # probabilities (``born.singlet_pair_probs``) against the closed-form
 # two-device table (``qm_pair_dist``) on all four cells; the sign flip
 # A(a) = -B(a) (``apply_property_I``) from ``local_pair_dist`` to
-# ``qm_pair_dist`` and back; the exact law of the simulator's sampling kernel
+# ``qm_pair_dist`` (the flip is its own inverse, so the way back compares the
+# same four cell pairs); the exact law of the simulator's sampling kernel
 # (``hvsim._kernel_pair_dist``) against ``local_pair_dist``. ``routes(a, b)``
 # returns two cell sequences that should agree; the library routes are looked
 # up when called, so a patched module name is seen.

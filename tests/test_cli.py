@@ -495,6 +495,19 @@ class TestJoint4:
         assert code == 65 and out == "" and "longer than" in err
 
 
+@pytest.mark.parametrize("command, keys", [("joint3", ("AB", "BC", "CA")), ("joint4", ("AB", "AC", "DB", "DC"))])
+def test_pair_table_sum_past_float_range(capsys, tmp_path, command, keys):
+    # Two finite cells whose sum is not: this used to end in an
+    # OverflowError traceback from math.fsum, with exit 1.
+    pairs = {k: cov_table(0.0) for k in keys}
+    pairs["AB"] = {"pp": 1e308, "pm": 1e308, "mp": 0, "mm": 0}
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"pairs": pairs}))
+    code, out, err = run(capsys, command, "--pairs", str(path))
+    assert (code, out) == (65, "")
+    assert err == f"error: {path}: pair table 'AB': PairDist sums to inf, not 1\n"
+
+
 def independent_table(p, q):
     """Pair table of two independent signs with P(+) = p and q."""
     return {"pp": p * q, "pm": p * (1 - q), "mp": (1 - p) * q, "mm": (1 - p) * (1 - q)}

@@ -115,7 +115,9 @@ JOINT4 = st.lists(WEIGHT, min_size=16, max_size=16).map(_normalized).map(
 CELL = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),  # json writes NaN and Infinity
     st.integers(-10 ** 400, 10 ** 400),
-    st.sampled_from([0.25, 0, 1, -0.25, 1.5, "0.25", True, None, [0.25], {"x": 1}]),
+    # Huge cells of one sign, so that two of them in one table overflow its sum.
+    st.sampled_from([0.25, 0, 1, -0.25, 1.5, 1e308, -1e308, sys.float_info.max, "0.25", True, None,
+                     [0.25], {"x": 1}]),
 )
 TABLE = st.one_of(
     st.lists(WEIGHT, min_size=4, max_size=4).map(_normalized).map(
@@ -129,6 +131,9 @@ DOC = st.one_of(
     JOINT3.map(lambda p: {"pairs": p}),
     JOINT4.map(lambda p: {"pairs": p}),
     PAIRS.map(lambda p: {"pairs": p}),
+    # A joint's tables with AB, which both commands read first, replaced by any
+    # TABLE: the command reaches that table whatever it holds.
+    st.tuples(st.one_of(JOINT3, JOINT4), TABLE).map(lambda pt: {"pairs": {**pt[0], "AB": pt[1]}}),
     st.one_of(st.none(), st.integers(), st.lists(st.integers(), max_size=2), PAIRS,
               st.just({"pairs": [1, 2]}), st.just({"pairs": "AB"})),
 )

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -101,6 +102,23 @@ class TestTableValidation:
         assert cls([1.0, 0.5 * cls.TOL, *rest]).valid
         with pytest.raises(InvalidInputError, match="sums to"):
             cls([1.0, 2.0 * cls.TOL, *rest])
+
+    @pytest.mark.parametrize("cls", [PairDist, TripleDist, QuadDist])
+    def test_sum_past_float_range(self, cls):
+        # Finite cells whose partial sums pass the float range: math.fsum
+        # raises OverflowError, which used to leave the constructor. A table
+        # whose sum is past the range sums to inf; one whose sum comes back
+        # into it has that exact sum.
+        n = 2 ** cls.DIMS
+        with pytest.raises(InvalidInputError, match=f"{cls.__name__} sums to inf, not 1"):
+            cls([1e308] * n)
+        with pytest.raises(InvalidInputError, match=f"{cls.__name__} sums to inf, not 1"):
+            cls([sys.float_info.max] * n)
+        with pytest.raises(InvalidInputError, match=rf"{cls.__name__} sums to 1e\+308, not 1"):
+            cls([1e308, 1e308, -1e308] + [0.0] * (n - 3))
+        if cls is not PairDist:  # a pair table's cells lie in [0, 1]
+            cells = [1e308, 1e308, -1e308, -1e308, 1.0] + [0.0] * (n - 5)
+            assert cls(cells).cells == tuple(cells)
 
     @pytest.mark.parametrize("cls", [TripleDist, QuadDist])
     def test_marginal_rejects_bad_axes(self, cls):

@@ -134,6 +134,12 @@ class TestPairDist:
         m = {"pp": 1, "pm": 0.0, "mp": np.float64(0.0), "mm": 0}
         assert PairDist.from_mapping(m).to_mapping() == {"pp": 1.0, "pm": 0.0, "mp": 0.0, "mm": 0.0}
 
+    def test_from_mapping_rejects_sum_past_float_range(self):
+        # Each cell is finite, but their sum is not: this used to raise
+        # OverflowError from math.fsum.
+        with pytest.raises(InvalidInputError, match="PairDist sums to inf, not 1"):
+            PairDist.from_mapping({"pp": 1e308, "pm": 1e308, "mp": 0, "mm": 0})
+
 
 class TestQmPairDist:
     def test_aligned_equal_outcomes_impossible(self):
@@ -177,7 +183,7 @@ class TestMarginalsConditionals:
                 assert m[1] == pytest.approx(0.5, abs=1e-12)
                 assert m[-1] == pytest.approx(0.5, abs=1e-12)
 
-    @pytest.mark.parametrize("func", [qm_marginal, apply_property_I])
+    @pytest.mark.parametrize("func", [qm_marginal])
     def test_rejects_unknown_side(self, func):
         with pytest.raises(InvalidInputError, match="which must be 'first' or 'second', got 'x'"):
             func(PairDist([0.25] * 4), "x")
@@ -265,8 +271,13 @@ class TestPropertyI:
         from conftest import random_pair_dist
 
         d = random_pair_dist(rng)
-        twice = apply_property_I(apply_property_I(d, "first"), "first")
+        twice = apply_property_I(apply_property_I(d))
         assert np.array_equal(twice.table, d.table)
+
+    def test_flips_the_second_outcome(self):
+        # An asymmetric table: a flip of the first outcome gives
+        # (0.3, 0.4, 0.1, 0.2) instead.
+        assert apply_property_I(PairDist((0.1, 0.2, 0.3, 0.4))).cells == (0.2, 0.1, 0.4, 0.3)
 
     def test_uniform_fixed_point(self):
         u = PairDist(np.full((2, 2), 0.25))

@@ -100,6 +100,26 @@ def test_planted_kernel_defect_fails_mixture_check(monkeypatch):
     assert r.detail.startswith(f"{verify.CHECKS[2][1]} at a=")
 
 
+def test_wrong_flip_fails_round_trip_check(monkeypatch):
+    # A permutation that is no sign flip: the check compares the permuted
+    # local table with qm_pair_dist, and no other check reads the flip. The
+    # cells differ by |a.b| / 2, nearly 1/2 at the worst of 1,000 trials.
+    # (Both singlet tables are symmetric, pp = mm and pm = mp, so a flip of
+    # the first outcome would pass here; test_spincore pins the side.)
+    from eprbell.spincore import PairDist
+
+    def rotate(d):
+        pp, pm, mp, mm = d.cells
+        return PairDist((pm, mp, mm, pp))
+
+    monkeypatch.setattr(verify, "apply_property_I", rotate)
+    results = verify.run_all(1000, 0)
+    assert [r.passed for r in results] == [True, False, True]
+    r = results[1]
+    assert r.max_dev == pytest.approx(0.5, abs=1e-2)
+    assert r.detail.startswith(f"{verify.CHECKS[1][1]} at a=")
+
+
 def test_clean_run_reports_worst_deviation():
     results = verify.run_all(trials=200, seed=5)
     assert [r.name for r in results] == [
