@@ -49,7 +49,7 @@ def main():
     print("(total-spin conservation: the far device reads the opposite sign):")
     flipped = apply_property_I(local_pair_dist(a, b))
     print("  max |flip(local) - singlet| =",
-          abs(flipped.table - qm_pair_dist(a, b).table).max())
+          max(abs(x - y) for x, y in zip(flipped.cells, qm_pair_dist(a, b).cells)))
 
 
 if __name__ == "__main__":

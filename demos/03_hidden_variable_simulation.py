@@ -27,7 +27,7 @@ def main():
     print("\nSame run with 8 worker threads is bit-identical "
           "(fixed 65,536-sample blocks, per-block seeded streams):")
     rep8 = simulate(a, b, 1_000_000, seed=7, mode="singlet", threads=8)
-    print("  identical:", (rep.empirical == rep8.empirical).all())
+    print("  identical:", rep == rep8)
 
     print("\nWhy the model is irreducibly nonlocal - the conditional")
     print("P[A(a)=+1 | B(b)=+1] for three choices of the remote direction b:")

@@ -38,9 +38,11 @@ tracer read the others and ``PartitionSpec`` from this module. The kernel's
 exact law is ``_kernel_pair_dist``, which ``verify``'s mixture check
 compares with the closed form ``local_pair_dist``.
 
-numpy loads inside the array functions only. The contract's integer helpers
-``_cos_threshold``, ``_z_word_bound`` and ``_kernel_pair_dist`` use ``math``
-and Python integers, so ``verify`` reads them without loading numpy.
+numpy loads inside the array functions only, and ``simulate`` counts the
+blocks with it: its ``SimReport`` holds Python numbers, so reports compare and
+hash like any other value. The contract's integer helpers ``_cos_threshold``,
+``_z_word_bound`` and ``_kernel_pair_dist`` use ``math`` and Python integers,
+so ``verify`` reads them without loading numpy.
 """
 
 from __future__ import annotations
@@ -117,14 +119,14 @@ class SimReport(Value):
     seed: int
     mode: str
     theta_ab_rad: float
-    empirical: np.ndarray  # 2x2 frequency table, same indexing as PairDist
+    empirical: tuple[float, ...]  # the four frequencies in PairDist's cell order
     theoretical: PairDist
     max_abs_dev: float
     chi_square: float
     contract: int = CONTRACT
 
     def empirical_mapping(self) -> dict[str, float]:
-        return dict(zip(cell_keys(2), self.empirical.ravel().tolist()))
+        return dict(zip(cell_keys(2), self.empirical))
 
 
 def _z_word_bound(cos_threshold: float) -> int:
@@ -222,14 +224,15 @@ def simulate(
             counts = sum(f.result() for f in stripes)
     else:
         counts = stripe(0)
-    counts = counts.reshape(2, 2)
+    counts = counts.tolist()
 
     theoretical = qm_pair_dist(a, b) if singlet else local_pair_dist(a, b)
-    empirical = counts / n
-    max_abs_dev = float(np.max(np.abs(empirical - theoretical.table)))
-    expected = n * theoretical.table
-    drawn = expected > 0
-    chi_square = float(((counts - expected)[drawn] ** 2 / expected[drawn]).sum())
+    empirical = tuple(c / n for c in counts)
+    max_abs_dev = max(abs(e - p) for e, p in zip(empirical, theoretical.cells))
+    chi_square = 0.0  # left to right with d * d: sum() compensates from Python 3.12, d ** 2 calls pow()
+    for c, expected in zip(counts, (n * p for p in theoretical.cells)):
+        if expected > 0:
+            chi_square += (c - expected) * (c - expected) / expected
     return SimReport(
         n_samples=n,
         seed=seed,
@@ -266,9 +269,8 @@ def product_rule_demo(a: Direction, n: int = 1_000_000, seed: int = 0) -> list[P
     for label, b, target in cases:
         rep = simulate(a, b, n, seed, mode="singlet")
         # P[A(a)=1 | B(b)=1] from counts: cell (+,+) over column B=+1.
-        pp = rep.empirical[0, 0]
-        mp = rep.empirical[1, 0]
+        pp, _, mp, _ = rep.empirical
         denom = pp + mp
-        estimate = float(pp / denom) if denom > 0 else float("nan")
+        estimate = pp / denom if denom > 0 else float("nan")
         out.append(ProductRuleEstimate(label, b, estimate, target))
     return out

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from functools import cached_property
 
 from .errors import InvalidInputError
 from .geometry import Direction
@@ -80,10 +79,10 @@ def cells_of(values, dims: int, what: str) -> tuple[float, ...]:
 class SignedTable(Value):
     """Signed table over {-1,+1}^DIMS whose cells sum to one within TOL.
     ``cells`` holds the 2^DIMS entries in C order of (A, B, C, ...), index
-    0 = +1; it is built from any 2 x ... x 2 nested sequence or array, or
-    from the flat cells. ``table[i, j, ...]`` is the entry for (SIGNS[i],
-    SIGNS[j], ...), as a read-only ndarray. Negative entries are kept: a
-    table with one certifies that no joint has its pair marginals."""
+    0 = +1, and is the table's one representation; it is built from any
+    2 x ... x 2 nested sequence or array, or from the flat cells. Negative
+    entries are kept: a table with one certifies that no joint has its pair
+    marginals."""
 
     DIMS: ClassVar[int]
     TOL: ClassVar[float]
@@ -101,17 +100,15 @@ class SignedTable(Value):
             raise InvalidInputError(f"{name} sums to {total}, not 1")
         vars(self)["cells"] = t
 
-    @cached_property
-    def table(self):
-        # numpy loads here, on the first access.
+    @property
+    def q(self):
+        # The cells as a read-only (2,) * DIMS ndarray, built on each access for
+        # perfbench/child.py alone; it goes once that reads cells (ROADMAP item 1a).
         import numpy as np
 
         a = np.array(self.cells, dtype=float).reshape((2,) * self.DIMS)
         a.flags.writeable = False
         return a
-
-    # The former name of ``table``; perfbench/child.py still reads it.
-    q = property(lambda self: self.table)
 
     @property
     def valid(self) -> bool:

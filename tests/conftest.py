@@ -41,6 +41,11 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def cell_dev(p, q) -> float:
+    """The largest absolute difference between two tables' cells."""
+    return max(abs(x - y) for x, y in zip(p.cells, q.cells))
+
+
 def random_pair_dist(rng: np.random.Generator) -> PairDist:
     t = rng.uniform(0.0, 1.0, size=(2, 2))
     return PairDist(t / t.sum())

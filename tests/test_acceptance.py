@@ -40,7 +40,9 @@ from eprbell.hvsim import _kernel_pair_dist
 from eprbell.inequalities import CovarianceQuad, CovarianceTriple
 from eprbell.joint import QUAD_TOL, _chsh_family_verdicts
 
-from conftest import CHSH_AXES, CONTRA_AB, CONTRA_BC, CONTRA_CA, lp_witness, random_direction
+from conftest import (
+    CHSH_AXES, CONTRA_AB, CONTRA_BC, CONTRA_CA, cell_dev, lp_witness, random_direction, random_pair_dist,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -83,14 +85,19 @@ def test_criterion_03_wavefunction_oracle_agreement():
 
 
 def test_criterion_04_equivalence_round_trip():
-    rng = np.random.default_rng(4)
+    rng, tables = np.random.default_rng(4), np.random.default_rng(40)
     worst = 0.0
     for _ in range(1000):
         a, b = random_direction(rng), random_direction(rng)
         loc, qm = local_pair_dist(a, b), qm_pair_dist(a, b)
-        worst = max(worst, float(np.max(np.abs(apply_property_I(loc).table - qm.table))))
-        worst = max(worst, float(np.max(np.abs(apply_property_I(qm).table - loc.table))))
-    report(4, f"sign-flip relabeling round trip within 1e-12 over 1000 pairs (max dev {worst:.2e})", worst < 1e-12)
+        worst = max(worst, cell_dev(apply_property_I(loc), qm))
+        # Both singlet tables are symmetric, so a flip of the first outcome
+        # passes above; on an asymmetric table it does not.
+        d = random_pair_dist(tables)
+        second_flipped = PairDist([d.prob(s, -t) for s in (1, -1) for t in (1, -1)])
+        worst = max(worst, cell_dev(apply_property_I(d), second_flipped))
+    report(4, f"sign-flip relabeling round trip within 1e-12 over 1000 pairs and 1000 asymmetric tables "
+              f"(max dev {worst:.2e})", worst < 1e-12)
 
 
 def test_criterion_05_hidden_variable_reproduces_qm():
@@ -101,9 +108,7 @@ def test_criterion_05_hidden_variable_reproduces_qm():
     mix_dev = 0.0
     for _ in range(100):
         u, v = random_direction(rng), random_direction(rng)
-        mix_dev = max(mix_dev, float(np.max(np.abs(
-            _kernel_pair_dist(u, v).table - local_pair_dist(u, v).table
-        ))))
+        mix_dev = max(mix_dev, cell_dev(_kernel_pair_dist(u, v), local_pair_dist(u, v)))
     ok = rep.max_abs_dev < 0.005 and mix_dev < 1e-12
     report(5, f"simulation at theta=pi/3, n=1e6 within 0.005 (got {rep.max_abs_dev:.4f}); "
               f"sampling kernel's exact law equals the one-device table within 1e-12 "
@@ -165,10 +170,7 @@ def test_criterion_08_triple_marginalization():
         t = qm_triple(a, b, c)
         saw_negative = saw_negative or not t.valid
         for axes, pair in (((0, 1), (a, b)), ((1, 2), (b, c)), ((0, 2), (a, c))):
-            dev = float(np.max(np.abs(
-                marginal(t, *axes).table - local_pair_dist(*pair).table
-            )))
-            worst = max(worst, dev)
+            worst = max(worst, cell_dev(marginal(t, *axes), local_pair_dist(*pair)))
     ok = worst < 1e-12 and saw_negative
     report(8, f"1000 random triples marginalize to the pair tables within 1e-12 "
               f"(max dev {worst:.2e}; negative-entry cases included: {saw_negative})", ok)
@@ -195,13 +197,10 @@ def test_criterion_09_fine_consistency():
         for witness in (res.witness, lp):
             if witness is None:
                 continue
-            if witness.table.min() < -QUAD_TOL:
+            if min(witness.cells) < -QUAD_TOL:
                 disagreements += 1
             for key, table in tables.items():
-                dev = float(np.max(np.abs(
-                    marginal(witness, *CHSH_AXES[key]).table - table.table
-                )))
-                worst_witness_dev = max(worst_witness_dev, dev)
+                worst_witness_dev = max(worst_witness_dev, cell_dev(marginal(witness, *CHSH_AXES[key]), table))
     elapsed = time.monotonic() - start
     ok = disagreements == 0 and worst_witness_dev < 1e-9 and elapsed < 60
     report(9, f"10^3 symmetric quadruples: glued witness == LP == eight inequalities "

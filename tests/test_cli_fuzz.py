@@ -119,21 +119,36 @@ CELL = st.one_of(
     st.sampled_from([0.25, 0, 1, -0.25, 1.5, 1e308, -1e308, sys.float_info.max, "0.25", True, None,
                      [0.25], {"x": 1}]),
 )
-TABLE = st.one_of(
-    st.lists(WEIGHT, min_size=4, max_size=4).map(_normalized).map(
-        lambda c: dict(zip(("pp", "pm", "mp", "mm"), c))),
+MALFORMED = st.one_of(
+    # Finite numbers only, so that the table passes the type checks and
+    # reaches the range and sum checks.
+    st.fixed_dictionaries(dict.fromkeys(("pp", "pm", "mp", "mm"), st.sampled_from(
+        [0.0, 0.25, 0.5, 1.5, -0.25, 5e-324, 1e308, -1e308, sys.float_info.max]))),
     st.fixed_dictionaries(dict.fromkeys(("pp", "pm", "mp", "mm"), CELL)),
     st.dictionaries(st.sampled_from(["pp", "pm", "mp", "mm", "PP", ""]), CELL, max_size=5),
     CELL,
 )
+TABLE = st.one_of(
+    st.lists(WEIGHT, min_size=4, max_size=4).map(_normalized).map(
+        lambda c: dict(zip(("pp", "pm", "mp", "mm"), c))),
+    MALFORMED,
+)
 PAIRS = st.dictionaries(st.sampled_from(["AB", "BC", "CA", "AC", "DB", "DC", "ab"]), TABLE, max_size=6)
+
+
+def broken(joint, keys):
+    """A joint's pair tables with the table under one of ``keys``, the keys a
+    command reads, replaced by a MALFORMED one: every table before it is
+    valid, so the command reads the broken table whichever key it is under."""
+    return st.tuples(joint, st.sampled_from(keys), MALFORMED).map(lambda p: {"pairs": {**p[0], p[1]: p[2]}})
+
+
+BROKEN = {"joint3": broken(JOINT3, ("AB", "BC", "CA")), "joint4": broken(JOINT4, ("AB", "AC", "DB", "DC"))}
 DOC = st.one_of(
     JOINT3.map(lambda p: {"pairs": p}),
     JOINT4.map(lambda p: {"pairs": p}),
     PAIRS.map(lambda p: {"pairs": p}),
-    # A joint's tables with AB, which both commands read first, replaced by any
-    # TABLE: the command reaches that table whatever it holds.
-    st.tuples(st.one_of(JOINT3, JOINT4), TABLE).map(lambda pt: {"pairs": {**pt[0], "AB": pt[1]}}),
+    *BROKEN.values(),
     st.one_of(st.none(), st.integers(), st.lists(st.integers(), max_size=2), PAIRS,
               st.just({"pairs": [1, 2]}), st.just({"pairs": "AB"})),
 )
@@ -269,11 +284,12 @@ def test_top_level_exit_codes(tmp_path_factory):
 
 @pytest.mark.parametrize("name", ["joint3", "joint4"])
 def test_pairs_file_exit_codes(name, tmp_path_factory):
-    """The same bound, with every example reading a generated pair file."""
+    """The same bound, with every example reading a generated pair file, and
+    half of them a file whose one broken table this command reads."""
     directory = tmp_path_factory.mktemp(f"fuzz-pairs-{name}")
 
     @settings(FUZZ, max_examples=300)
-    @given(content=CONTENT)
+    @given(content=st.one_of(CONTENT, BROKEN[name].map(lambda d: PairsFile(json.dumps(d).encode()))))
     def inner(content):
         check([name, "--pairs", content], directory)
 

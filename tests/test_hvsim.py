@@ -16,7 +16,12 @@ from eprbell import (
 from eprbell.hvsim import PartitionSpec, _kernel_pair_dist, classify, sample_lambda, sample_pair_given_c
 
 import pcg64_ref
-from conftest import as_array, direction_from_array, random_direction
+from conftest import as_array, cell_dev, direction_from_array, random_direction
+
+
+def counts_of(rep) -> np.ndarray:
+    """The report's (++, +-, -+, --) counts, from its frequencies."""
+    return np.rint(np.array(rep.empirical) * rep.n_samples)
 
 
 class TestSampleLambda:
@@ -96,9 +101,7 @@ class TestMixtureIdentity:
         # The kernel's exact law over the hidden lambda is the one-device table.
         for _ in range(200):
             a, b = random_direction(rng), random_direction(rng)
-            assert np.max(
-                np.abs(_kernel_pair_dist(a, b).table - local_pair_dist(a, b).table)
-            ) < 1e-12
+            assert cell_dev(_kernel_pair_dist(a, b), local_pair_dist(a, b)) < 1e-12
 
 
 class TestSimulate:
@@ -108,13 +111,14 @@ class TestSimulate:
         a = Direction(0, 0, 1)
         # b = a fills the cap (t = -1, every word inside); b = -a empties it
         # (t = +1, no word inside). The cells that must stay exactly empty
-        # are (+-, -+) when the reported signs always agree, else (++, --).
+        # are (+-, -+), indices 1 and 2, when the reported signs always
+        # agree, else (++, --), indices 0 and 3.
         for b, bound in ((a, -1), (-a, 2**64 - 1)):
             assert _z_word_bound(_cos_threshold(a, b)) == bound
             for mode in ("local", "singlet"):
                 rep = simulate(a, b, 100_000, seed=0, mode=mode)
                 agree = (b == a) == (mode == "local")
-                empty = [(0, 1), (1, 0)] if agree else [(0, 0), (1, 1)]
+                empty = [1, 2] if agree else [0, 3]
                 assert all(rep.empirical[cell] == 0.0 for cell in empty), (b, mode)
                 assert rep.max_abs_dev < 0.01
 
@@ -143,16 +147,17 @@ class TestSimulate:
         b = Direction.from_angle(math.pi / 3)
         rep = simulate(a, b, 1_000_000, seed=42, mode="singlet")
         assert rep.theta_ab_rad == pytest.approx(math.pi / 3, abs=1e-12)
-        assert np.allclose(rep.theoretical.table, qm_pair_dist(a, b).table)
+        assert np.allclose(rep.theoretical.cells, qm_pair_dist(a, b).cells)
         assert rep.max_abs_dev < 0.005
-        assert rep.empirical[0, 1] == pytest.approx(0.375, abs=0.005)
+        assert rep.empirical[1] == pytest.approx(0.375, abs=0.005)  # (+, -)
 
     def test_modes_related_by_column_flip(self):
         a = Direction.from_angle(0.0)
         b = Direction.from_angle(1.0)
         loc = simulate(a, b, 200_000, seed=9, mode="local")
         sing = simulate(a, b, 200_000, seed=9, mode="singlet")
-        assert np.array_equal(loc.empirical, sing.empirical[:, ::-1])
+        pp, pm, mp, mm = sing.empirical
+        assert loc.empirical == (pm, pp, mm, mp)
 
     def test_deterministic_across_threads(self):
         a = Direction.from_angle(0.0)
@@ -162,14 +167,23 @@ class TestSimulate:
             simulate(a, b, n, seed=11, mode="singlet", threads=t) for t in (1, 2, 8)
         ]
         for rep in reports[1:]:
-            assert np.array_equal(rep.empirical, reports[0].empirical)
+            assert rep.empirical == reports[0].empirical
             assert rep.chi_square == reports[0].chi_square
+
+    def test_chi_square_summation_order(self):
+        """chi_square adds its terms left to right, each squared as d * d: at
+        this input math.fsum, a compensated sum() (Python 3.12 and later), a
+        right-to-left or pairwise sum and d ** 2 all give 6.5364583333333135."""
+        a, b = Direction.from_angle(0.0), Direction.from_angle(math.radians(60))
+        rep = simulate(a, b, 4096, seed=415, mode="singlet")
+        assert counts_of(rep).tolist() == [463, 1589, 1531, 513]
+        assert repr(rep.chi_square) == "6.536458333333314"
 
     def test_seed_sensitivity(self):
         a, b = Direction.from_angle(0.0), Direction.from_angle(0.7)
         r1 = simulate(a, b, 10_000, seed=1)
         r2 = simulate(a, b, 10_000, seed=2)
-        assert not np.array_equal(r1.empirical, r2.empirical)
+        assert r1.empirical != r2.empirical
 
     def test_chi_square_calibrated(self, rng):
         stats = pytest.importorskip("scipy.stats")
@@ -178,7 +192,7 @@ class TestSimulate:
         for trial in range(20):
             a, b = random_direction(rng), random_direction(rng)
             rep = simulate(a, b, 1_000_000, seed=trial, mode="singlet")
-            dof = int(np.sum(rep.theoretical.table > 0)) - 1
+            dof = sum(p > 0 for p in rep.theoretical.cells) - 1
             p = stats.chi2.sf(rep.chi_square, dof)
             assert p > 0.001
 
@@ -236,7 +250,7 @@ class TestSimulate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.empirical.ravel().tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert rep.empirical == (1.0, 0.0, 0.0, 0.0)
         assert peak_held[0] <= 2 * threads
         assert peak < 256 * 1024
 
@@ -271,7 +285,7 @@ class TestSimulate:
         a, b = Direction(1, 0, 0), Direction(0, 1, 0)
         rep = simulate(a, b, blocks * BLOCK_SIZE, seed=5, threads=threads)
         assert seen == ([] if workers is None else [workers])
-        assert np.array_equal(rep.empirical, simulate(a, b, blocks * BLOCK_SIZE, seed=5).empirical)
+        assert rep.empirical == simulate(a, b, blocks * BLOCK_SIZE, seed=5).empirical
 
 
 GENERAL_A = Direction(0.36, -0.48, 0.8)
@@ -309,7 +323,7 @@ class TestGoldenCounts:
     @pytest.mark.parametrize("a, b, n, seed, mode, counts", GOLDEN)
     def test_counts(self, a, b, n, seed, mode, counts):
         rep = simulate(a, b, n, seed, mode=mode)
-        assert np.rint(rep.empirical * n).astype(np.int64).ravel().tolist() == counts
+        assert counts_of(rep).astype(np.int64).tolist() == counts
 
 
 def _read_block(words, count, cos_threshold, singlet, z_shift=11, skip_azimuth=True, low_half_first=True):
@@ -494,7 +508,7 @@ class TestFusedBlock:
 # (++, +-, -+, --) cell probabilities of the exact tables, row-major as in PairDist.
 def _exact_cells(theta_deg, mode):
     a, b = Direction.from_angle(0.0), Direction.from_angle(math.radians(theta_deg))
-    return (qm_pair_dist(a, b) if mode == "singlet" else local_pair_dist(a, b)).table.ravel()
+    return np.array((qm_pair_dist(a, b) if mode == "singlet" else local_pair_dist(a, b)).cells)
 
 
 class TestContractV2Law:
@@ -508,7 +522,7 @@ class TestContractV2Law:
         n = 1_000_000
         a, b = Direction.from_angle(0.0), Direction.from_angle(math.radians(theta_deg))
         rep = simulate(a, b, n, seed=theta_deg, mode=mode)
-        counts = np.rint(rep.empirical * n).ravel()
+        counts = counts_of(rep)
         p = _exact_cells(theta_deg, mode)
         empty = p < 1e-12  # theta 0 and 180 leave two cells with probability ~0
         assert np.all(counts[empty] == 0)
@@ -528,7 +542,7 @@ class TestContractV2Law:
         blocks = 8
         n = blocks * BLOCK_SIZE
         rep = simulate(a, b, n, seed=3, mode="singlet" if singlet else "local")
-        v2 = np.rint(rep.empirical * n).ravel()
+        v2 = counts_of(rep)
 
         def classify_on_a(lam, part):
             """Contract 1's cap: the same threshold, centred on a."""
@@ -547,6 +561,10 @@ class TestProductRuleDemo:
         assert by_label["b = a"].estimate == pytest.approx(0.0, abs=1e-12)
         assert by_label["b = -a"].estimate == pytest.approx(1.0, abs=1e-12)
         assert by_label["b orthogonal"].estimate == pytest.approx(0.5, abs=0.01)
+        # The estimate is cell (+, +) over the column B(b) = +1, not the row.
+        rep = simulate(Direction(0, 0, 1), by_label["b orthogonal"].b, 200_000, 0, mode="singlet")
+        pp, pm, mp, _ = rep.empirical
+        assert by_label["b orthogonal"].estimate == pp / (pp + mp) != pp / (pp + pm)
         # three different conditionals for the same a: the outcome at one
         # device depends on the remote setting, not on (lambda, a) alone
         values = sorted(e.target for e in estimates)

@@ -32,7 +32,7 @@ from eprbell import joint
 from eprbell.inequalities import VIOLATION_SLACK
 from eprbell.joint import _chsh_family_verdicts
 
-from conftest import CHSH_AXES, CONTRA_AB, CONTRA_BC, CONTRA_CA, lp_witness, random_direction
+from conftest import CHSH_AXES, CONTRA_AB, CONTRA_BC, CONTRA_CA, cell_dev, lp_witness, random_direction
 
 
 def contradictory_pairs():
@@ -68,8 +68,9 @@ class TestTableValidation:
         q = np.arange(1.0, 2 ** dims + 1) / (2 ** (dims - 1) * (2 ** dims + 1))
         t = cls(q.reshape((2,) * dims))
         assert t.cells == tuple(q.tolist()) and cls(tuple(q.tolist())) == t
-        assert t.table is t.table and not t.table.flags.writeable
-        assert t.table.shape == (2,) * dims and t.table.ravel().tolist() == list(t.cells)
+        array = t.q  # the benchmark's view, built on each access
+        assert not array.flags.writeable
+        assert array.shape == (2,) * dims and array.ravel().tolist() == list(t.cells)
 
     @pytest.mark.parametrize("dims", [3, 4])
     def test_prob_and_negative_cells(self, dims):
@@ -80,8 +81,8 @@ class TestTableValidation:
         if dims == 4:
             t = QuadDist([v / 2 for v in t.cells for _ in range(2)])
             negative = [(cell + (d,), v / 2) for cell, v in negative for d in (1, -1)]
-        for cell in itertools.product((1, -1), repeat=dims):
-            assert t.prob(*cell) == t.table[tuple((1 - s) // 2 for s in cell)]
+        for cell, value in zip(itertools.product((1, -1), repeat=dims), t.cells):
+            assert t.prob(*cell) == value
         assert t.negative_cells() == negative
 
     @pytest.mark.parametrize("cls", [PairDist, TripleDist, QuadDist])
@@ -145,7 +146,7 @@ class TestTableValidation:
 class TestTripleFromMoments:
     def test_uniform(self):
         t = triple_from_moments(MomentSet3())
-        assert np.allclose(t.table, 0.125, atol=1e-15)
+        assert np.allclose(t.cells, 0.125, atol=1e-15)
         assert t.valid
 
     def test_contradictory_negative_cell(self):
@@ -207,12 +208,11 @@ class TestMomentsFromPairs:
             t = triple_from_moments(
                 MomentSet3(m.m_a, m.m_b, m.m_c, m.m_ab, m.m_bc, m.m_ca, mu3)
             )
-            assert np.max(np.abs(marginal(t, 0, 1).table - p_ab.table)) < 1e-12
-            assert np.max(np.abs(marginal(t, 1, 2).table - p_bc.table)) < 1e-12
+            assert cell_dev(marginal(t, 0, 1), p_ab) < 1e-12
+            assert cell_dev(marginal(t, 1, 2), p_bc) < 1e-12
             # marginal over B gives the (A, C) table; p_ca is (C, A)
-            assert np.max(
-                np.abs(marginal(t, 0, 2).table - p_ca.table.T)
-            ) < 1e-12
+            pp, pm, mp, mm = p_ca.cells
+            assert cell_dev(marginal(t, 0, 2), PairDist((pp, mp, pm, mm))) < 1e-12
 
 
 class TestMu3Interval:
@@ -396,7 +396,7 @@ class TestQmTriple:
         b = Direction(0, 1, 0)
         c = Direction(0, 0, 1)
         t = qm_triple(a, b, c)
-        assert np.allclose(t.table, 0.125, atol=1e-15)
+        assert np.allclose(t.cells, 0.125, atol=1e-15)
         assert t.valid
 
     def test_negative_entry_at_pi_over_8(self):
@@ -425,15 +425,9 @@ class TestQmTriple:
         for _ in range(1000):
             a, b, c = (random_direction(rng) for _ in range(3))
             t = qm_triple(a, b, c)
-            assert np.max(
-                np.abs(marginal(t, 0, 1).table - local_pair_dist(a, b).table)
-            ) < 1e-12
-            assert np.max(
-                np.abs(marginal(t, 1, 2).table - local_pair_dist(b, c).table)
-            ) < 1e-12
-            assert np.max(
-                np.abs(marginal(t, 0, 2).table - local_pair_dist(a, c).table)
-            ) < 1e-12
+            assert cell_dev(marginal(t, 0, 1), local_pair_dist(a, b)) < 1e-12
+            assert cell_dev(marginal(t, 1, 2), local_pair_dist(b, c)) < 1e-12
+            assert cell_dev(marginal(t, 0, 2), local_pair_dist(a, c)) < 1e-12
 
 
 def pair_from_cov(c):
@@ -464,8 +458,8 @@ def asymmetric_quads(draw):
     w = draw(st.floats(0.5, 1.0))
     product = biased_product(*(draw(st.floats(-1.0, 1.0)) for _ in range(4)))
     return [
-        PairDist(w * pair_from_cov(TSIRELSON_COVS[k]).table
-                 + (1 - w) * marginal(product, *CHSH_AXES[k]).table)
+        PairDist([w * x + (1 - w) * y
+                  for x, y in zip(pair_from_cov(TSIRELSON_COVS[k]).cells, marginal(product, *CHSH_AXES[k]).cells)])
         for k in CHSH_PAIRS
     ]
 
@@ -515,9 +509,9 @@ def boundary_quads(draw):
 
 
 def assert_valid_witness(witness: QuadDist, tables) -> None:
-    assert witness.table.min() >= -joint.QUAD_TOL
+    assert min(witness.cells) >= -joint.QUAD_TOL
     for key, table in zip(CHSH_PAIRS, tables):
-        assert np.max(np.abs(marginal(witness, *CHSH_AXES[key]).table - table.table)) < 1e-9
+        assert cell_dev(marginal(witness, *CHSH_AXES[key]), table) < 1e-9
 
 
 class TestQuadFeasibility:
@@ -527,7 +521,7 @@ class TestQuadFeasibility:
         assert res.feasible and res.failed is None
         assert res.witness is not None
         for pair in ("AB", "AC", "DB", "DC"):
-            assert np.allclose(marginal(res.witness, *CHSH_AXES[pair]).table, 0.25, atol=1e-9)
+            assert np.allclose(marginal(res.witness, *CHSH_AXES[pair]).cells, 0.25, atol=1e-9)
 
     def test_qm_tsirelson_infeasible(self):
         s = math.sqrt(2) / 2
@@ -548,9 +542,7 @@ class TestQuadFeasibility:
             witness = res.witness
             tables = dict(zip(("AB", "AC", "DB", "DC"), (pair_from_cov(c) for c in cs)))
             for pair, table in tables.items():
-                assert np.max(
-                    np.abs(marginal(witness, *CHSH_AXES[pair]).table - table.table)
-                ) < 1e-9
+                assert cell_dev(marginal(witness, *CHSH_AXES[pair]), table) < 1e-9
 
     def test_marginal_mismatch(self):
         biased = PairDist(np.array([[0.4, 0.2], [0.2, 0.2]]))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from eprbell import (
+    BLOCK_SIZE,
     CovarianceQuad,
     CovarianceTriple,
     Direction,
@@ -23,6 +24,7 @@ from eprbell import (
     ScanResult,
     SimReport,
     TripleDist,
+    simulate,
     violation_scan,
 )
 from eprbell.hvsim import CONTRACT, PartitionSpec, ProductRuleEstimate
@@ -30,7 +32,7 @@ from eprbell.spincore import SignedTable
 from eprbell.verify import CheckResult
 
 VERDICTS = {"sum": InequalityVerdict(0.5, 1.0)}
-EMPIRICAL = np.full((2, 2), 0.25)
+EMPIRICAL = (0.25,) * 4
 
 # Each value type with one set of constructor arguments, by name in field
 # order. ``repr`` shows each of them, and for ``InequalityVerdict`` also the
@@ -56,8 +58,8 @@ VALUES = [
     (InfoCurvePoint, {"x": 0.0, "mutual_information_bits": 0.0, "conditional_entropy_bits": 1.0}),
 ]
 IDS = [cls.__name__ for cls, _ in VALUES]
-# A dict or an ndarray field makes the value unhashable, as it does a tuple.
-UNHASHABLE = {ExistenceResult, QuadFeasibility, SimReport}
+# A dict field makes the value unhashable, as it does a tuple.
+UNHASHABLE = {ExistenceResult, QuadFeasibility}
 
 # inspect.signature of each constructor, without its return annotation.
 SIGNATURES = {
@@ -79,8 +81,9 @@ SIGNATURES = {
     ScanResult: "(inequality: 'str', resolution: 'float', max_lhs: 'float', argmax_angles: 'tuple[float, ...]',"
                 " grid: 'np.ndarray', violation_index: 'np.ndarray', violation_lhs: 'np.ndarray')",
     PartitionSpec: "(cos_threshold: 'float')",
-    SimReport: "(n_samples: 'int', seed: 'int', mode: 'str', theta_ab_rad: 'float', empirical: 'np.ndarray',"
-               " theoretical: 'PairDist', max_abs_dev: 'float', chi_square: 'float', contract: 'int' = 2)",
+    SimReport: "(n_samples: 'int', seed: 'int', mode: 'str', theta_ab_rad: 'float',"
+               " empirical: 'tuple[float, ...]', theoretical: 'PairDist', max_abs_dev: 'float', chi_square: 'float',"
+               " contract: 'int' = 2)",
     ProductRuleEstimate: "(label: 'str', b: 'Direction', estimate: 'float', target: 'float')",
     CheckResult: "(name: 'str', passed: 'bool', max_dev: 'float', detail: 'str' = '')",
     InfoCurvePoint: "(x: 'float', mutual_information_bits: 'float', conditional_entropy_bits: 'float')",
@@ -193,13 +196,20 @@ def test_scan_result_compares_by_identity():
         first.max_lhs = 0.0
 
 
-def test_signed_table_caches_table():
+def test_signed_table_holds_only_cells():
     d = PairDist([0.1, 0.2, 0.3, 0.4])
-    assert d.table is d.table and not d.table.flags.writeable
-    assert d == PairDist([0.1, 0.2, 0.3, 0.4])  # the cache is no field
+    assert vars(d) == {"cells": (0.1, 0.2, 0.3, 0.4)} and not hasattr(d, "table")
+    assert d == PairDist([0.1, 0.2, 0.3, 0.4])
 
 
 @pytest.mark.parametrize("cls", SIGNATURES, ids=lambda cls: cls.__name__)
 def test_constructor_signature(cls):
     signature = inspect.signature(cls)
     assert str(signature.replace(return_annotation=signature.empty)) == SIGNATURES[cls]
+
+
+def test_simulate_reports_compare_and_hash():
+    a, b = Direction.from_angle(0.0), Direction.from_angle(0.7)
+    one, eight = (simulate(a, b, 3 * BLOCK_SIZE + 5, seed=4, mode="singlet", threads=t) for t in (1, 8))
+    assert one == eight and hash(one) == hash(eight)
+    assert type(one.empirical) is tuple and len(one.empirical) == 4
