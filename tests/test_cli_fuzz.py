@@ -24,7 +24,6 @@ from pathlib import Path
 
 import pytest
 
-pytest.importorskip("hypothesis")
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, example, given, settings
 
@@ -119,7 +118,11 @@ CELL = st.one_of(
     st.sampled_from([0.25, 0, 1, -0.25, 1.5, 1e308, -1e308, sys.float_info.max, "0.25", True, None,
                      [0.25], {"x": 1}]),
 )
+HUGE = st.sampled_from([1e308, sys.float_info.max])
 MALFORMED = st.one_of(
+    # Two huge cells of one sign: the table's sum passes the float range.
+    st.builds(lambda keys, x, y, sign: {**dict.fromkeys(keys, 0.0), keys[0]: sign * x, keys[1]: sign * y},
+              st.permutations(("pp", "pm", "mp", "mm")), HUGE, HUGE, st.sampled_from([1.0, -1.0])),
     # Finite numbers only, so that the table passes the type checks and
     # reaches the range and sum checks.
     st.fixed_dictionaries(dict.fromkeys(("pp", "pm", "mp", "mm"), st.sampled_from(

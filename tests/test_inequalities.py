@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from eprbell import (

@@ -1,11 +1,11 @@
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from eprbell import (
@@ -312,6 +312,15 @@ def near_boundary_moments(rng, n, k_max=40, step=2.5e-13):
                 yield m_a, m_b, m_c, m_ab, inside + k * step, m_ca
 
 
+def near_symmetric_moments(rng, n) -> list[list[float]]:
+    """First moments within MARGINAL_TOL of 0, which move the interval off 0
+    by ~1e-9, far more than its width here, and the symmetric sweep's pair
+    moments, which put lo - hi within +-1.8e-11 of 0."""
+    first = rng.uniform(-1e-9, 1e-9, (n, 3))
+    pairs = -1.0 / 3.0 - rng.uniform(-3e-12, 3e-12, (n, 3))
+    return np.hstack([first, pairs]).tolist()
+
+
 def assert_valid_iff_exists(inputs) -> int:
     """At the default mu3, and at the interval's midpoint, which no mu3 betters
     on the two cells that set lo and hi, the table is valid where the interval
@@ -338,12 +347,78 @@ class TestValidIffExists:
         assert assert_valid_iff_exists(inputs) <= 300
 
     def test_near_symmetric(self, rng):
-        # First moments within MARGINAL_TOL of 0 move the interval off 0 by
-        # ~1e-9, far more than its width here; the symmetric sweep's pair
-        # moments put lo - hi within +-1.8e-11 of 0.
-        first = rng.uniform(-1e-9, 1e-9, (20_000, 3))
-        pairs = -1.0 / 3.0 - rng.uniform(-3e-12, 3e-12, (20_000, 3))
-        assert assert_valid_iff_exists(np.hstack([first, pairs]).tolist()) <= 10
+        assert assert_valid_iff_exists(near_symmetric_moments(rng, 20_000)) <= 10
+
+
+def exact_mu3_interval(m_a, m_b, m_c, m_ab, m_bc, m_ca) -> tuple[Fraction, Fraction]:
+    """mu3_interval over Fractions, from the module docstring's cell formula
+    q(a, b, c) = (t + abc <ABC>) / 8 with |<ABC>| <= 1: a cell with abc = +1
+    bounds <ABC> from below, one with abc = -1 from above."""
+    m_a, m_b, m_c, m_ab, m_bc, m_ca = map(Fraction, (m_a, m_b, m_c, m_ab, m_bc, m_ca))
+    lo, hi = Fraction(-1), Fraction(1)
+    for a, b, c in itertools.product((1, -1), repeat=3):
+        t = 1 + a * m_a + b * m_b + c * m_c + a * b * m_ab + b * c * m_bc + c * a * m_ca
+        if a * b * c == 1:
+            lo = max(lo, -t)
+        else:
+            hi = min(hi, t)
+    return lo, hi
+
+
+def exact_bc_interval(m_a, m_b, m_c, m_ab, m_ca) -> tuple[Fraction, Fraction]:
+    """_bc_interval over Fractions, as the shadow on the <BC> axis of the
+    polygon of (<BC>, <ABC>) where every cell of the module docstring's
+    formula is nonnegative and both moments lie in [-1, 1]: the least and
+    greatest <BC> of its vertices, each where two of its edge lines meet."""
+    m_a, m_b, m_c, m_ab, m_ca = map(Fraction, (m_a, m_b, m_c, m_ab, m_ca))
+    # Each edge is k + u <BC> + v <ABC> >= 0.
+    lines = [(1 + a * m_a + b * m_b + c * m_c + a * b * m_ab + c * a * m_ca, b * c, a * b * c)
+             for a, b, c in itertools.product((1, -1), repeat=3)]
+    lines += [(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1)]
+    xs = []
+    for (k1, u1, v1), (k2, u2, v2) in itertools.combinations(lines, 2):
+        if det := u1 * v2 - u2 * v1:
+            x, y = (k2 * v1 - k1 * v2) / det, (k1 * u2 - k2 * u1) / det
+            if all(k + u * x + v * y >= 0 for k, u, v in lines):
+                xs.append(x)
+    return min(xs), max(xs)
+
+
+def dyadic(x: float) -> float:
+    """x rounded to a multiple of 2^-44. A cell's t then needs at most 47
+    bits, so the float routes compute it exactly and must match the
+    Fraction routes bit for bit."""
+    return round(x * 2.0 ** 44) * 2.0 ** -44
+
+
+def valid_iff_exists_inputs(rng, draws: int, symmetric: int) -> list[list[float]]:
+    """Fewer of TestValidIffExists's two families of inputs around the edge
+    of existence, each moment on the dyadic grid."""
+    inputs = [*near_boundary_moments(rng, draws), *near_symmetric_moments(rng, symmetric)]
+    return [[dyadic(m) for m in moments] for moments in inputs]
+
+
+class TestExactIntervals:
+    def test_mu3_interval(self, rng):
+        slack = Fraction(VIOLATION_SLACK)
+        empty, near = set(), 0
+        for moments in valid_iff_exists_inputs(rng, 30, 2000):
+            iv = mu3_interval(*moments)
+            lo, hi = exact_mu3_interval(*moments)
+            assert (iv.lo, iv.hi) == (lo, hi), moments
+            assert iv.empty == (lo > hi + 2 * slack or max(lo, -hi) > 1 + slack), moments
+            empty.add(iv.empty)
+            near += abs(lo - hi - 2 * slack) < 1e-13
+        assert empty == {False, True} and near > 10
+
+    def test_bc_interval(self, rng):
+        # At an end of the <BC> range inside (-1, 1) the mu3 interval is one point.
+        for m_a, m_b, m_c, m_ab, _, m_ca in valid_iff_exists_inputs(rng, 10, 0)[::10]:
+            lo, hi = exact_bc_interval(m_a, m_b, m_c, m_ab, m_ca)
+            assert joint._bc_interval(m_a, m_b, m_c, m_ab, m_ca) == (lo, hi)
+            for m_bc in {lo, hi} - {-1, 1}:
+                mu3_lo, mu3_hi = exact_mu3_interval(m_a, m_b, m_c, m_ab, m_bc, m_ca)
+                assert mu3_lo == mu3_hi
 
 
 class TestExistenceCheck:
@@ -556,8 +631,9 @@ class TestQuadFeasibility:
         # Glued witness == LP == Fine's eight inequalities on inputs with
         # nonzero first moments
         verdicts = _chsh_family_verdicts(*(covariance(t) for t in tables))
-        # Within 1e-9 of the bound the two routes' tolerances (1e-12 slack,
-        # 1e-10 LP feasibility) decide differently, so the verdict is not compared there.
+        # Within 1e-9 of the bound the two routes' tolerances (the verdicts'
+        # 1e-12 slack, the LP's LP_TOL on the moments) may decide differently,
+        # so the verdict is not compared there.
         assume(abs(max(v.lhs for v in verdicts.values()) - 2.0) > 1e-9)
         fine = all(v.satisfied for v in verdicts.values())
         res = quad_feasibility(*tables)
