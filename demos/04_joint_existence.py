@@ -12,8 +12,6 @@ from the triangles (A, B, C) and (D, B, C).
 
 import math
 
-import numpy as np
-
 from eprbell import (
     Direction,
     MomentSet3,
@@ -27,7 +25,7 @@ from eprbell import (
 
 
 def pair_from_cov(c):
-    return PairDist(0.25 * np.array([[1 + c, 1 - c], [1 - c, 1 + c]]))
+    return PairDist((0.25 * (1 + c), 0.25 * (1 - c), 0.25 * (1 - c), 0.25 * (1 + c)))
 
 
 def main():

@@ -7,10 +7,22 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 import eprbell
-from eprbell import Direction, PairDist, QuadDist
+from eprbell import Direction, PairDist, QuadDist, local_pair_dist
 from eprbell.hvsim import sample_lambda
+
+# One profile for every property test, on any machine and in CI: each run
+# draws the same examples, keeps no example database and sets no deadline,
+# so a slow or loaded machine cannot fail a test by the clock. Hypothesis
+# would otherwise use its "default" profile (random, with a database, 200 ms)
+# or, where $CI is set, its "ci" profile.
+settings.register_profile(
+    "eprbell", derandomize=True, database=None, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+settings.load_profile("eprbell")
 
 # Every eprbell submodule is loaded before any test runs. Hypothesis mixes the
 # literals of each loaded local module into its draws, so without this the
@@ -51,6 +63,17 @@ def cell_dev(p, q) -> float:
 def random_pair_dist(rng: np.random.Generator) -> PairDist:
     t = rng.uniform(0.0, 1.0, size=(2, 2))
     return PairDist(t / t.sum())
+
+
+def pair_from_cov(c) -> PairDist:
+    """The pair table with uniform marginals and covariance c."""
+    return PairDist((0.25 * (1 + c), 0.25 * (1 - c), 0.25 * (1 - c), 0.25 * (1 + c)))
+
+
+def local_at(x) -> PairDist:
+    """The local (single-device) pair table of two coplanar directions with
+    cosine x between them: covariance x."""
+    return local_pair_dist(Direction.from_angle(0.0), Direction.from_angle(math.acos(x)))
 
 
 # Cells of the (A, B, C, D) tables in C order, index 0 = +1.

@@ -41,7 +41,8 @@ from eprbell.inequalities import CovarianceQuad, CovarianceTriple
 from eprbell.joint import QUAD_TOL, _chsh_family_verdicts
 
 from conftest import (
-    CHSH_AXES, CONTRA_AB, CONTRA_BC, CONTRA_CA, cell_dev, lp_witness, random_direction, random_pair_dist,
+    CHSH_AXES, CONTRA_AB, CONTRA_BC, CONTRA_CA, cell_dev, local_at, lp_witness, pair_from_cov, random_direction,
+    random_pair_dist,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -182,9 +183,6 @@ def test_criterion_09_fine_consistency():
     disagreements = 0
     worst_witness_dev = 0.0
 
-    def pair_from_cov(c):
-        return PairDist(0.25 * np.array([[1 + c, 1 - c], [1 - c, 1 + c]]))
-
     for _ in range(1000):
         cs = rng.uniform(-1, 1, 4)
         tables = {k: pair_from_cov(c) for k, c in zip(("AB", "AC", "DB", "DC"), cs)}
@@ -209,9 +207,6 @@ def test_criterion_09_fine_consistency():
 
 
 def test_criterion_10_information_endpoints():
-    def local_at(x):
-        return local_pair_dist(Direction.from_angle(0.0), Direction.from_angle(math.acos(x)))
-
     mi_ok = all(
         abs(mutual_information(local_at(x)) - want) < 1e-9
         for x, want in ((-1.0, 1.0), (0.0, 0.0), (1.0, 1.0))

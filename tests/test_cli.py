@@ -448,8 +448,8 @@ TSIRELSON_COVS = {"AB": -SQRT2 / 2, "AC": SQRT2 / 2, "DB": -SQRT2 / 2, "DC": -SQ
 UNIFORM_COVS = dict.fromkeys(("AB", "AC", "DB", "DC"), 0.0)
 
 
-def quad_file(tmp_path, covs, name="quad.json"):
-    path = tmp_path / name
+def quad_file(tmp_path, covs):
+    path = tmp_path / "quad.json"
     path.write_text(json.dumps({"pairs": {k: cov_table(c) for k, c in covs.items()}}))
     return str(path)
 
@@ -665,20 +665,6 @@ def run_probe(probe, *args):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-def test_scipy_never_loaded(tmp_path):
-    steps = [
-        ["dist", ["dist", "--theta", "30"]],
-        ["joint4 infeasible", ["joint4", "--pairs", quad_file(tmp_path, TSIRELSON_COVS, "infeasible.json")]],
-        ["joint4 feasible", ["joint4", "--pairs", quad_file(tmp_path, UNIFORM_COVS, "feasible.json")]],
-        ["simulate", ["simulate", "--theta", "60", "-n", "1000", "--seed", "1"]],
-    ]
-    proc = run_probe(MODULE_PROBE, json.dumps(steps))
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
-    assert list(seen) == ["import eprbell", "dist", "joint4 infeasible", "joint4 feasible", "simulate"]
-    assert not any("scipy" in loaded for loaded in seen.values())
-
-
 def test_numpy_never_loaded(tmp_path):
     steps = [[name, with_golden_files(tmp_path, args)] for name, args in SHORT_COMMANDS.items()]
     steps.append(["scan", ["scan", "--inequality", "bell", "--resolution-deg", "11.25"]])
@@ -715,9 +701,9 @@ def test_modules_loaded(tmp_path, argv, own_modules):
     assert seen["import eprbell"] == []
     loaded = [name for name in seen["command"] if name.startswith("eprbell.")]
     assert loaded == sorted(CORE_MODULES + [f"eprbell.{name}" for name in own_modules])
-    # np.unique loads numpy.ma unless asked for an index array; only a
-    # simulate on more than one worker starts a thread pool.
-    assert not {"numpy.ma", "concurrent.futures"} & set(seen["command"])
+    # No command loads scipy; np.unique loads numpy.ma unless asked for an
+    # index array; only a simulate on more than one worker starts a thread pool.
+    assert not {"scipy", "numpy.ma", "concurrent.futures"} & set(seen["command"])
     assert ("numpy" in seen["command"]) == (argv[0] not in NUMPY_FREE)
     # No command loads dataclasses or csv (CSV rows are joined text), and
     # only numpy loads inspect.
@@ -820,15 +806,6 @@ def test_tables_without_numpy(capsys):
     proc = run_probe("import sys\nsys.modules['numpy'] = None\n" + TABLE_CALLS)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "" and proc.stdout == expected
-
-
-def test_joint4_witness_without_scipy(tmp_path):
-    argv = ["joint4", "--pairs", quad_file(tmp_path, UNIFORM_COVS)]
-    proc = run_probe(BLOCKED_PROBE, "scipy", json.dumps([argv]))
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert doc["feasible"] is True
-    assert sum(doc["witness"].values()) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSimulate:

@@ -9,8 +9,9 @@ joint (``joint3``) and are always feasible (``joint4``).
 Each example stays cheap: scan grids are coarse (>= 5 degrees) or so fine
 that ``SCAN_MAX_POINTS`` rejects them before any work, ``-n`` and
 ``--trials`` are at most a few thousand, ``--threads`` at most 2 and
-``--step`` at least 1e-3. The examples are derandomized and no example
-database is kept.
+``--step`` at least 1e-3. Like every property test, these run under the
+profile that conftest.py loads: derandomized, with no example database and
+no deadline.
 """
 
 import contextlib
@@ -25,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 
 import eprbell
 from eprbell.cli import main
@@ -250,15 +251,11 @@ def pinned(name, values):
     return decorate
 
 
-FUZZ = settings(deadline=None, derandomize=True, database=None,
-                suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-
-
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_subcommand_exit_codes(name, tmp_path_factory):
     directory = tmp_path_factory.mktemp(f"fuzz-{name}")
 
-    @settings(FUZZ, max_examples=EXAMPLES.get(name, 150))
+    @settings(max_examples=EXAMPLES.get(name, 150))
     @given(argv=COMMANDS[name])
     def inner(argv):
         check(argv, directory)
@@ -277,7 +274,7 @@ def test_scan_every_resolution(inequality, flag, value, tmp_path):
 def test_top_level_exit_codes(tmp_path_factory):
     directory = tmp_path_factory.mktemp("fuzz-top")
 
-    @settings(FUZZ, max_examples=50)
+    @settings(max_examples=50)
     @given(argv=TOP)
     def inner(argv):
         check(argv, directory)
@@ -291,7 +288,7 @@ def test_pairs_file_exit_codes(name, tmp_path_factory):
     half of them a file whose one broken table this command reads."""
     directory = tmp_path_factory.mktemp(f"fuzz-pairs-{name}")
 
-    @settings(FUZZ, max_examples=300)
+    @settings(max_examples=300)
     @given(content=st.one_of(CONTENT, BROKEN[name].map(lambda d: PairsFile(json.dumps(d).encode()))))
     def inner(content):
         check([name, "--pairs", content], directory)
@@ -299,7 +296,7 @@ def test_pairs_file_exit_codes(name, tmp_path_factory):
     pinned("content", map(PairsFile, FOUND_CONTENT))(inner)()
 
 
-@settings(FUZZ, max_examples=300)
+@settings(max_examples=300)
 @given(pairs=JOINT3)
 @pinned("pairs", map(_pairs3, FOUND_JOINT3))
 def test_marginals_of_a_joint3_exist(pairs, tmp_path_factory):
@@ -313,7 +310,7 @@ def test_marginals_of_a_joint3_exist(pairs, tmp_path_factory):
     assert doc["exists"] and doc["valid"] and not doc["mu3_interval"]["empty"], doc
 
 
-@settings(FUZZ, max_examples=300)
+@settings(max_examples=300)
 @given(pairs=JOINT4)
 def test_marginals_of_a_joint4_are_feasible(pairs, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "joint4.json"

@@ -44,8 +44,9 @@ def test_demo_runs(name):
     check_demo(name)
 
 
-def test_demo_01_without_numpy():
-    """The tables demo reads cells only: with every numpy import failing, it
+@pytest.mark.parametrize("name", ["01_singlet_distributions.py", "04_joint_existence.py", "05_information_curve.py"])
+def test_demo_without_numpy(name):
+    """The demos that read cells only: with every numpy import failing, each
     prints the same bytes."""
     block = "import runpy, sys; sys.modules['numpy'] = None; runpy.run_path(sys.argv[1], run_name='__main__')"
-    check_demo("01_singlet_distributions.py", "-c", block)
+    check_demo(name, "-c", block)

@@ -15,11 +15,7 @@ from eprbell import (
     mutual_information,
 )
 
-from conftest import random_pair_dist
-
-
-def local_at(x):
-    return local_pair_dist(Direction.from_angle(0.0), Direction.from_angle(math.acos(x)))
+from conftest import local_at, random_pair_dist
 
 
 def cell_sum_oracle(x):

@@ -32,7 +32,9 @@ from eprbell import joint
 from eprbell.inequalities import VIOLATION_SLACK
 from eprbell.joint import _chsh_family_verdicts
 
-from conftest import CHSH_AXES, CONTRA_AB, CONTRA_BC, CONTRA_CA, cell_dev, lp_witness, random_direction
+from conftest import (
+    CHSH_AXES, CONTRA_AB, CONTRA_BC, CONTRA_CA, cell_dev, lp_witness, pair_from_cov, random_direction,
+)
 
 
 def contradictory_pairs():
@@ -505,10 +507,6 @@ class TestQmTriple:
             assert cell_dev(marginal(t, 0, 2), local_pair_dist(a, c)) < 1e-12
 
 
-def pair_from_cov(c):
-    return PairDist(0.25 * np.array([[1 + c, 1 - c], [1 - c, 1 + c]]))
-
-
 CHSH_PAIRS = ("AB", "AC", "DB", "DC")
 TSIRELSON_COVS = dict(zip(CHSH_PAIRS, math.sqrt(0.5) * np.array([-1, 1, -1, -1])))
 
@@ -553,11 +551,13 @@ def boundary_quads(draw):
     """Feasible CHSH pair tables on the edge of the feasible set: one
     deterministic assignment (three zero-probability (B, C) cells), a mixture
     of the deterministic assignments on one CHSH facet (largest lhs exactly
-    2), a joint with B = +-A (the a == +-b limit, c_ab = +-1), or symmetric
-    tables just past the facet, within the slack the verdict allows."""
+    2), a joint with B = +-A (the a == +-b limit, c_ab = +-1), or tables just
+    past the facet, within the slack the verdict allows: symmetric ones, or
+    a facet mixture (generally nonzero first moments) with one table's
+    covariance moved past the facet and its marginals kept."""
     cells = np.zeros(16)
     grid = list(itertools.product((1, -1), repeat=4))
-    kind = draw(st.sampled_from(["deterministic", "facet", "b_is_pm_a", "slack"]))
+    kind = draw(st.sampled_from(["deterministic", "facet", "b_is_pm_a", "slack", "facet_slack"]))
     if kind == "slack":
         cs = [draw(st.floats(0.0, 1.0)) for _ in range(3)]
         cs.append(sum(cs) - 2.0 - VIOLATION_SLACK)  # minus_dc lhs = 2 + slack
@@ -569,18 +569,31 @@ def boundary_quads(draw):
     if kind == "deterministic":
         cells[draw(st.integers(0, 15))] = 1.0
         return quad_from_cells(cells)
-    if kind == "facet":
+    if kind == "b_is_pm_a":
+        s = draw(st.sampled_from((1, -1)))
+        keep = [i for i, (a, b, c, d) in enumerate(grid) if b == s * a]
+    else:
         # Every deterministic assignment gives each CHSH expression +-2.
         signs = draw(st.sampled_from(_CHSH_SIGNS))
         keep = [i for i, (a, b, c, d) in enumerate(grid)
                 if np.dot(signs, (a * b, a * c, d * b, d * c)) == 2]
-    else:
-        s = draw(st.sampled_from((1, -1)))
-        keep = [i for i, (a, b, c, d) in enumerate(grid) if b == s * a]
     weights = draw(st.lists(st.floats(0.0, 1.0), min_size=len(keep), max_size=len(keep)))
     assume(sum(weights) > 1e-3)
     cells[keep] = weights
-    return quad_from_cells(cells)
+    tables = quad_from_cells(cells)
+    if kind == "facet_slack":
+        # Moving delta / 4 from the discordant to the concordant cells, or
+        # back, shifts the covariance by delta and keeps both marginals; the
+        # facet's signed sum becomes 2 + delta.
+        k = draw(st.integers(0, 3))
+        step = signs[k] * draw(st.floats(0.0, VIOLATION_SLACK)) / 4
+        pp, pm, mp, mm = tables[k].cells
+        moved = (pp + step, pm - step, mp - step, mm + step)
+        assume(min(moved) > 0.0)
+        tables[k] = PairDist(moved)
+        verdicts = _chsh_family_verdicts(*(covariance(t) for t in tables))
+        assume(all(v.satisfied for v in verdicts.values()))  # rounding can push lhs past the slack
+    return tables
 
 
 def assert_valid_witness(witness: QuadDist, tables) -> None:
@@ -625,7 +638,7 @@ class TestQuadFeasibility:
         with pytest.raises(InconsistentMarginalsError):
             quad_feasibility(biased, u, u, u)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(asymmetric_quads())
     def test_fine_consistency_asymmetric(self, tables):
         # Glued witness == LP == Fine's eight inequalities on inputs with
@@ -644,9 +657,11 @@ class TestQuadFeasibility:
             if witness is not None:
                 assert_valid_witness(witness, tables)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(boundary_quads())
     def test_boundary_witness(self, tables):
+        # A feasible verdict whose glued witness has no <BC> range raises
+        # RuntimeError ("contradicts Fine's theorem"), which fails the test.
         res = quad_feasibility(*tables)
         assert res.feasible
         assert_valid_witness(res.witness, tables)

@@ -1,10 +1,16 @@
 import importlib.metadata
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tomllib
 
+import pytest
+from hypothesis import HealthCheck, settings
 from packaging.specifiers import SpecifierSet
 
+import eprbell
 from eprbell import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -38,3 +44,52 @@ def test_console_script_is_the_entry_function():
     does: ``main``, then a frozen collector at exit."""
     target = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]["eprbell"]
     assert importlib.metadata.EntryPoint("eprbell", target, "console_scripts").load() is cli.entry
+
+
+def test_one_hypothesis_profile():
+    """Every property test runs under the profile that conftest.py loads:
+    the same examples on every run, no example database and no deadline."""
+    default = settings.default
+    assert default.derandomize is True and default.database is None and default.deadline is None
+    assert set(default.suppress_health_check) == {HealthCheck.too_slow, HealthCheck.data_too_large}
+
+
+@pytest.mark.parametrize("ci", [None, "true"])
+def test_profile_with_and_without_ci(ci):
+    """Hypothesis picks its own "ci" profile where $CI is set; conftest.py's
+    profile replaces either built-in one."""
+    env = {k: v for k, v in os.environ.items() if k != "CI"} | ({"CI": ci} if ci else {})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(pathlib.Path(eprbell.__file__).resolve().parents[1]),
+                                                      os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{__file__}::test_one_hypothesis_profile"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# A falsified property test, then a plain one.
+PLANTED = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_falsified(n):
+    assert n < 10
+
+
+def test_plain():
+    pass
+"""
+
+
+def test_falsified_example_is_reported(tmp_path):
+    """Under this project's pytest settings a falsified example fails its test
+    and the session goes on: the plugin that reports it may raise a warning
+    that filterwarnings would otherwise turn into an INTERNALERROR."""
+    (tmp_path / "test_planted.py").write_text(PLANTED)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_planted.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    output = proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in output and "INTERNALERROR" not in output, output
