@@ -320,11 +320,13 @@ def _cmd_simulate(args) -> dict:
     }
 
 
-def _cmd_info(args) -> list[str]:
+def _cmd_info(args) -> str:
+    """The curve's CSV as one text, written with one call: stdout may be
+    unbuffered, where each of thousands of rows would be a write of its own."""
     from .information import info_curve
 
     rows = ((p.x, p.mutual_information_bits, p.conditional_entropy_bits) for p in info_curve(args.step))
-    return [_csv_row(["x", "mi_bits", "cond_entropy_bits"]), *map(_csv_row, rows)]
+    return "".join([_csv_row(["x", "mi_bits", "cond_entropy_bits"]), *map(_csv_row, rows)])
 
 
 def _cmd_verify(args) -> tuple[list[str], int]:

@@ -16,6 +16,15 @@ def clamp_unit(v: float) -> float:
     return min(1.0, max(-1.0, v))
 
 
+def is_finite(v) -> bool:
+    """``math.isfinite``, except that an int past the float range is not finite
+    instead of an OverflowError."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 class Direction(Value):
     """A unit 3-vector. Inputs within 1e-6 of unit norm are renormalized."""
 
@@ -24,7 +33,10 @@ class Direction(Value):
     z: float
 
     def __init__(self, x: float, y: float, z: float):
-        norm = math.sqrt(x * x + y * y + z * z)
+        try:
+            norm = math.sqrt(x * x + y * y + z * z)
+        except OverflowError:  # an int component past the float range
+            norm = math.inf
         if not (1.0 - _NORM_SLACK <= norm <= 1.0 + _NORM_SLACK):
             raise InvalidDirectionError(f"vector ({x}, {y}, {z}) has norm {norm:.6g}, not ~1")
         vars(self).update(x=x / norm, y=y / norm, z=z / norm)
@@ -32,7 +44,7 @@ class Direction(Value):
     @classmethod
     def from_angle(cls, theta: float) -> "Direction":
         """Direction at planar angle theta (radians) in the x-y plane."""
-        if not math.isfinite(theta):  # math.cos(inf) raises a bare ValueError
+        if not is_finite(theta):  # math.cos(inf) raises a bare ValueError
             raise InvalidDirectionError(f"angle must be finite, got {theta}")
         return cls(math.cos(theta), math.sin(theta), 0.0)
 

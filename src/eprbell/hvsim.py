@@ -63,7 +63,8 @@ def block_rng(seed: int, block_index: int) -> np.random.Generator:
     """Independent generator for one sample block of a seeded run."""
     import numpy as np
 
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block_index))))
+    entropy = check_count("seed", seed, 0), check_count("block_index", block_index, 0)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def sample_lambda(rng: np.random.Generator, n: int = 1) -> np.ndarray:

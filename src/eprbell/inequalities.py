@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidGeometryError, InvalidInputError
-from .geometry import clamp_unit
+from .geometry import clamp_unit, is_finite
 from .value import Value
 
 VIOLATION_SLACK = 1e-12
@@ -24,6 +24,13 @@ def _check_unit(obj, what: str) -> None:
         v = getattr(obj, name)
         if not -1.0 <= v <= 1.0:
             raise InvalidInputError(f"{what} {name} = {v} outside [-1, 1]")
+
+
+def _check_finite(what: str, **values) -> None:
+    """Raise InvalidInputError unless each value is finite (``is_finite``)."""
+    for name, v in values.items():
+        if not is_finite(v):
+            raise InvalidInputError(f"{what} {name} = {v} is not a finite float")
 
 
 class CovarianceTriple(Value):
@@ -51,6 +58,7 @@ class InequalityVerdict(Value):
     satisfied: bool  # computed, not an argument
 
     def __init__(self, lhs: float, bound: float):
+        _check_finite("verdict", lhs=lhs, bound=bound)
         vars(self).update(lhs=lhs, bound=bound, satisfied=lhs <= bound + VIOLATION_SLACK)
 
 
@@ -86,7 +94,7 @@ def qm_bell_lhs(theta_ab: float, theta_ac: float, theta_bc: float) -> float:
     The angles must be finite and the triple realizable: t_ac must equal
     t_ab + t_bc or |t_ab - t_bc| up to reflection about pi.
     """
-    if not all(map(math.isfinite, (theta_ab, theta_ac, theta_bc))):
+    if not all(map(is_finite, (theta_ab, theta_ac, theta_bc))):
         raise InvalidInputError(f"angles must be finite, got ({theta_ab}, {theta_ac}, {theta_bc})")
     tab, tac, tbc = (_wrap_angle(t) for t in (theta_ab, theta_ac, theta_bc))
     realizable = any(

@@ -30,7 +30,7 @@ import math
 
 from .errors import InconsistentMarginalsError, InvalidInputError
 from .geometry import Direction, clamp_unit
-from .inequalities import VIOLATION_SLACK, InequalityVerdict, _bell_lhs, _check_unit
+from .inequalities import VIOLATION_SLACK, InequalityVerdict, _bell_lhs, _check_finite, _check_unit
 from .spincore import SIGNS, PairDist, SignedTable, covariance
 from .value import Value
 
@@ -96,6 +96,9 @@ def marginal(table: SignedTable, first: int, second: int) -> PairDist:
 class Mu3Interval(Value):
     lo: float
     hi: float
+
+    def __post_init__(self):
+        _check_finite("mu3 interval", lo=self.lo, hi=self.hi)
 
     @property
     def empty(self) -> bool:

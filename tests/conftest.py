@@ -1,8 +1,12 @@
 import importlib
 import itertools
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -27,9 +31,55 @@ settings.load_profile("eprbell")
 # Every eprbell submodule is loaded before any test runs. Hypothesis mixes the
 # literals of each loaded local module into its draws, so without this the
 # examples of a derandomized test would depend on which tests ran before it.
-# The loading-rule tests probe fresh subprocesses and do not see this import.
+# The loading-rule tests probe child interpreters and do not see this import.
 for _module in pkgutil.iter_modules(eprbell.__path__):
     importlib.import_module(f"eprbell.{_module.name}")
+
+# The src directory this interpreter loaded eprbell from.
+SRC = str(Path(eprbell.__file__).resolve().parents[1])
+
+
+def run_python(*args, paths=(), env=None, blocked=(), popen=False, **options):
+    """``python *args`` in a child interpreter: subprocess.run, or with
+    ``popen`` subprocess.Popen, given ``options``. Unless ``options`` say
+    otherwise, stdout and stderr are text pipes and a run times out after
+    two minutes. The child's PYTHONPATH is SRC, then ``paths``, then this
+    process's; ``env`` sets further variables, and a None value unsets one.
+    Each module in ``blocked`` is None in the child's sys.modules before the
+    target runs, so importing it raises ImportError; the target is then a
+    ``-c`` program or a script path."""
+    environ = {**os.environ, **(env or {})}
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, *map(str, paths), os.environ.get("PYTHONPATH"))))
+    environ = {name: value for name, value in environ.items() if value is not None}
+    if blocked:
+        prelude = f"import sys; sys.modules.update(dict.fromkeys({list(blocked)!r}))\n"
+        if args[0] == "-c":
+            args = ("-c", prelude + args[1], *args[2:])
+        else:  # the script sees the sys.argv it gets when run directly
+            args = ("-c", prelude + "import runpy; del sys.argv[0]; runpy.run_path(sys.argv[0], run_name='__main__')",
+                    *args)
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True} | options
+    if popen:
+        return subprocess.Popen([sys.executable, *args], env=environ, **options)
+    return subprocess.run([sys.executable, *args], env=environ, **{"timeout": 120} | options)
+
+
+# Set in the child interpreter that runs a fresh_interpreter test.
+FRESH_CHILD = "EPRBELL_FRESH_INTERPRETER"
+
+
+def pytest_pyfunc_call(pyfuncitem):
+    """A test marked fresh_interpreter runs once, as ``python -m pytest`` on
+    its node ID alone in a child interpreter, instead of in this one: a
+    tracemalloc bound that holds only after other tests warmed the
+    interpreter fails there."""
+    if pyfuncitem.get_closest_marker("fresh_interpreter") is None or FRESH_CHILD in os.environ:
+        return None
+    proc = run_python("-m", "pytest", "-q", "-p", "no:cacheprovider", pyfuncitem.nodeid,
+                      cwd=pyfuncitem.config.rootpath, env={FRESH_CHILD: "1"})
+    if proc.returncode != 0 or "1 passed" not in proc.stdout:
+        pytest.fail(f"in a fresh interpreter:\n{proc.stdout}{proc.stderr}", pytrace=False)
+    return True
 
 
 def random_direction(rng: np.random.Generator) -> Direction:

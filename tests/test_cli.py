@@ -6,7 +6,6 @@ import json
 import math
 import os
 import shlex
-import subprocess
 import sys
 import tomllib
 import tracemalloc
@@ -19,7 +18,7 @@ from eprbell import cli, verify
 from eprbell.cli import main
 from eprbell.inequalities import VIOLATION_SLACK, violation_scan
 
-from conftest import CONTRA_AB, CONTRA_BC, CONTRA_CA
+from conftest import CONTRA_AB, CONTRA_BC, CONTRA_CA, run_python
 
 SQRT2 = math.sqrt(2.0)
 
@@ -175,6 +174,7 @@ class TestScan:
         assert code == 0 and out == ""
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.fresh_interpreter
     def test_memory_bounded(self, tmp_path):
         tracemalloc.start()
         try:
@@ -209,6 +209,7 @@ class TestScan:
         writer.writerow(["max", *map(math.degrees, result.argmax_angles), result.max_lhs])
         assert "".join(cli._scan_csv(result)) == buf.getvalue()
 
+    @pytest.mark.fresh_interpreter
     def test_format_memory_bounded_by_window(self, monkeypatch):
         monkeypatch.setattr(cli, "_SCAN_CHUNK_ROWS", 512)
         monkeypatch.setattr(cli, "_SCAN_WINDOW_ROWS", 2048)
@@ -645,30 +646,21 @@ for step, argv in json.loads(sys.argv[1]):
 print(json.dumps(seen))
 """
 
-# With sys.modules[name] = None every import of that module raises
-# ImportError. Runs each argv of the JSON list in sys.argv[2].
-BLOCKED_PROBE = """
+# Runs each argv of the JSON list in sys.argv[1].
+MAIN_PROBE = """
 import json, sys
-sys.modules[sys.argv[1]] = None
 from eprbell.cli import main
-for argv in json.loads(sys.argv[2]):
+for argv in json.loads(sys.argv[1]):
     code = main(argv)
     if code:
         sys.exit(code)
 """
 
 
-def run_probe(probe, *args):
-    src = str(Path(eprbell.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-c", probe, *args],
-                          capture_output=True, text=True, env=env, timeout=120)
-
-
 def test_numpy_never_loaded(tmp_path):
     steps = [[name, with_golden_files(tmp_path, args)] for name, args in SHORT_COMMANDS.items()]
     steps.append(["scan", ["scan", "--inequality", "bell", "--resolution-deg", "11.25"]])
-    proc = run_probe(MODULE_PROBE, json.dumps(steps))
+    proc = run_python("-c", MODULE_PROBE, json.dumps(steps))
     assert proc.returncode == 0, proc.stderr
     seen = {step: [name for name in loaded if not name.startswith("eprbell.") and name not in SLOW_STDLIB]
             for step, loaded in json.loads(proc.stdout.splitlines()[-1]).items()}
@@ -695,7 +687,7 @@ NUMPY_FREE = ["dist", "ineq", "joint3", "joint4", "info", "verify"]
 ])
 def test_modules_loaded(tmp_path, argv, own_modules):
     steps = [["command", with_golden_files(tmp_path, argv)]]
-    proc = run_probe(MODULE_PROBE, json.dumps(steps))
+    proc = run_python("-c", MODULE_PROBE, json.dumps(steps))
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["import eprbell"] == []
@@ -774,7 +766,7 @@ def test_exit_path(capsys, how, argv):
     collection skips what the call loaded, and still run the atexit hooks;
     output and exit status are main's."""
     code, out, err = run(capsys, *argv)
-    proc = run_probe(EXIT_PROBE, how, *argv)
+    proc = run_python("-c", EXIT_PROBE, how, *argv)
     *lines, hook = proc.stderr.splitlines(keepends=True)
     assert "".join(lines) == err
     assert hook.startswith("freeze count ") and int(hook.split()[-1]) > 0
@@ -785,7 +777,7 @@ def test_exit_path(capsys, how, argv):
 def test_short_commands_without_numpy(capsys, tmp_path):
     argvs = [with_golden_files(tmp_path, args) for args in SHORT_COMMANDS.values()] + [["verify", "--trials", "10"]]
     expected = "".join(run(capsys, *argv)[1] for argv in argvs)
-    proc = run_probe(BLOCKED_PROBE, "numpy", json.dumps(argvs))
+    proc = run_python("-c", MAIN_PROBE, json.dumps(argvs), blocked=["numpy"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "" and proc.stdout == expected
 
@@ -803,7 +795,7 @@ for t in (PairDist([0.1, 0.2, 0.3, 0.4]), qm_triple(a, b, c), QuadDist([1 / 16] 
 def test_tables_without_numpy(capsys):
     exec(TABLE_CALLS, {})
     expected = capsys.readouterr().out
-    proc = run_probe("import sys\nsys.modules['numpy'] = None\n" + TABLE_CALLS)
+    proc = run_python("-c", TABLE_CALLS, blocked=["numpy"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "" and proc.stdout == expected
 
@@ -916,17 +908,14 @@ class TestVerify:
 ])
 def test_closed_stdout_exits_quietly(argv, lines_read):
     """Like ``eprbell ... | head``: the reader closes the pipe early."""
-    src = str(Path(eprbell.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.Popen([sys.executable, "-m", "eprbell.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = run_python("-m", "eprbell.cli", *argv, popen=True)
     for _ in range(lines_read):
         proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=120) == 65
-    assert err == b""
+    assert err == ""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -938,11 +927,8 @@ def test_closed_stdout_exits_quietly(argv, lines_read):
 ])
 def test_full_stdout_exits_quietly(argv):
     """Like ``eprbell ... > /dev/full``: each write to stdout fails with ENOSPC."""
-    src = str(Path(eprbell.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "eprbell.cli", *argv], env=env,
-                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+        proc = run_python("-m", "eprbell.cli", *argv, stdout=full)
     assert proc.returncode == 65
     assert proc.stderr.startswith("error: cannot write stdout")
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

@@ -18,8 +18,6 @@ import contextlib
 import io
 import itertools
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -28,8 +26,9 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-import eprbell
 from eprbell.cli import main
+
+from conftest import run_python
 
 
 class PairsFile(bytes):
@@ -235,6 +234,8 @@ FOUND_CONTENT = [
     b"[" * 5000,  # nested too deep for json
     b"1" * 5000,  # more than 4,300 digits
     json.dumps({"pairs": {"AB": {"pp": 10 ** 399, "pm": 0, "mp": 0, "mm": 0}}}).encode(),  # a 400-digit cell
+    # Two finite cells whose sum passes the float range; both commands read AB first.
+    json.dumps({"pairs": {"AB": {"pp": 1e308, "pm": 1e308, "mp": 0, "mm": 0}}}).encode(),
 ]
 FOUND_JOINT3 = [
     [0.2, 0.3, 0.5, 0, 0, 0, 0, 0],  # the mu3 interval is one point, which rounding put out of order
@@ -344,17 +345,14 @@ def test_examples_independent_of_earlier_imports(tmp_path):
     literals of every loaded local module into its draws, so this holds only
     because conftest.py loads every eprbell submodule before any test runs."""
     (tmp_path / "example_recorder.py").write_text(RECORDER)
-    src = str(Path(eprbell.__file__).resolve().parents[1])
     tests = Path(__file__).resolve().parent
     drawn = []
     for earlier in ([], [str(tests / "test_verify.py")]):
         out = tmp_path / f"examples{len(drawn)}.txt"
-        env = dict(os.environ, FUZZ_EXAMPLES_OUT=str(out), PYTHONPATH=os.pathsep.join(
-            filter(None, (src, str(tmp_path), os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "example_recorder",
-             *earlier, str(tests / "test_cli_fuzz.py"), "-k", "test_subcommand_exit_codes and joint4"],
-            cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300)
+        proc = run_python(
+            "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "example_recorder",
+            *earlier, str(tests / "test_cli_fuzz.py"), "-k", "test_subcommand_exit_codes and joint4",
+            paths=[tmp_path], env={"FUZZ_EXAMPLES_OUT": str(out)}, cwd=tests.parent, timeout=300)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         drawn.append(out.read_text().splitlines())
     assert len(drawn[0]) == EXAMPLES.get("joint4", 150)

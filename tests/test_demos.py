@@ -1,17 +1,14 @@
 """Each demo runs as a user runs it, ``python demos/NN_name.py`` with the
-package on PYTHONPATH: it exits 0, writes nothing to stderr, and prints the
+package importable: it exits 0, writes nothing to stderr, and prints the
 bytes pinned below, which were recorded before the library calls under the
 demos changed."""
 
 import hashlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import eprbell
+from conftest import run_python
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -30,11 +27,9 @@ def test_every_demo_is_pinned():
     assert sorted(p.name for p in DEMOS.glob("*.py")) == sorted(DIGESTS)
 
 
-def check_demo(name, *python_args):
-    """Run one demo, after ``python_args`` if given, and compare its output with the pinned digest."""
-    src = str(Path(eprbell.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, *python_args, str(DEMOS / name)], capture_output=True, env=env, timeout=120)
+def check_demo(name, blocked=()):
+    """Run one demo, with the modules in ``blocked`` unimportable, and compare its output with the pinned digest."""
+    proc = run_python(DEMOS / name, blocked=blocked, text=False)
     assert proc.returncode == 0 and proc.stderr == b"", proc.stderr.decode(errors="replace")
     assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[name]
 
@@ -48,5 +43,4 @@ def test_demo_runs(name):
 def test_demo_without_numpy(name):
     """The demos that read cells only: with every numpy import failing, each
     prints the same bytes."""
-    block = "import runpy, sys; sys.modules['numpy'] = None; runpy.run_path(sys.argv[1], run_name='__main__')"
-    check_demo(name, "-c", block)
+    check_demo(name, blocked=["numpy"])

@@ -248,6 +248,7 @@ class TestSimulate:
         report = simulate(a, a, 10, seed=True)
         assert report.seed == 1 and type(report.seed) is int
 
+    @pytest.mark.fresh_interpreter
     @pytest.mark.parametrize("threads", [1, 2])
     def test_memory_independent_of_n(self, monkeypatch, threads):
         """No per-block list: with a stub kernel, a run of 2^30 samples (16,384

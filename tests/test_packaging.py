@@ -2,16 +2,15 @@ import importlib.metadata
 import os
 import pathlib
 import re
-import subprocess
-import sys
 import tomllib
 
 import pytest
 from hypothesis import HealthCheck, settings
 from packaging.specifiers import SpecifierSet
 
-import eprbell
 from eprbell import cli
+
+from conftest import FRESH_CHILD, run_python
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -58,12 +57,8 @@ def test_one_hypothesis_profile():
 def test_profile_with_and_without_ci(ci):
     """Hypothesis picks its own "ci" profile where $CI is set; conftest.py's
     profile replaces either built-in one."""
-    env = {k: v for k, v in os.environ.items() if k != "CI"} | ({"CI": ci} if ci else {})
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(pathlib.Path(eprbell.__file__).resolve().parents[1]),
-                                                      os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{__file__}::test_one_hypothesis_profile"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python("-m", "pytest", "-q", "-p", "no:cacheprovider", f"{__file__}::test_one_hypothesis_profile",
+                      env={"CI": ci}, cwd=ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
@@ -87,9 +82,15 @@ def test_falsified_example_is_reported(tmp_path):
     and the session goes on: the plugin that reports it may raise a warning
     that filterwarnings would otherwise turn into an INTERNALERROR."""
     (tmp_path / "test_planted.py").write_text(PLANTED)
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT),
-         "--rootdir", str(tmp_path), str(tmp_path / "test_planted.py")],
-        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    proc = run_python("-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT),
+                      "--rootdir", str(tmp_path), str(tmp_path / "test_planted.py"), cwd=tmp_path)
     output = proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in output and "INTERNALERROR" not in output, output
+
+
+@pytest.mark.fresh_interpreter
+def test_fresh_interpreter_runs_alone(request):
+    """A test marked fresh_interpreter runs in a child interpreter, in a
+    pytest session that holds it alone."""
+    assert os.environ.get(FRESH_CHILD) == "1"
+    assert request.session.items == [request.node]

@@ -142,6 +142,7 @@ def test_rejects_bad_arguments(trials, seed, error):
         verify.run_all(trials, seed)
 
 
+@pytest.mark.fresh_interpreter
 def test_memory_independent_of_trials():
     def peak(trials):
         tracemalloc.start()
