@@ -25,7 +25,7 @@ import os
 import re
 import sys
 
-from .errors import EprBellError, InvalidInputError
+from .errors import EprBellError, InvalidInputError, shown
 from .geometry import Direction
 from .spincore import PairDist, cell_key, covariance, local_pair_dist, qm_pair_dist
 
@@ -73,10 +73,19 @@ def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid float value: {shown(text, repr)}")
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be finite, got {shown(text, repr)}")
     return value
+
+
+def _int(text: str) -> int:
+    """argparse type for every int option: ``int``, with argparse's own message
+    for a token it refuses, but the token as ``shown`` shows it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text, repr)}")
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -133,7 +142,7 @@ def _emit(out, args):
         with open(args.output, "w") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        raise EprBellError(f"cannot write {args.output}: {exc}")
+        raise EprBellError(f"cannot write {shown(args.output)}: {shown(exc)}")
 
 
 def _csv_row(cells) -> str:
@@ -157,25 +166,25 @@ def _load_pair_file(path: str, keys: tuple[str, ...]) -> dict[str, PairDist]:
         with open(path, "rb") as fh:
             data = fh.read(_PAIR_FILE_MAX_BYTES + 1)
         if len(data) > _PAIR_FILE_MAX_BYTES:
-            raise EprBellError(f"{path} is longer than {_PAIR_FILE_MAX_BYTES} bytes")
+            raise EprBellError(f"{shown(path)} is longer than {_PAIR_FILE_MAX_BYTES} bytes")
         doc = json.loads(data.decode("utf-8"))
     except OSError as exc:
-        raise EprBellError(f"cannot read {path}: {exc}")
+        raise EprBellError(f"cannot read {shown(path)}: {shown(exc)}")
     except UnicodeDecodeError as exc:
-        raise EprBellError(f"{path} is not UTF-8 text: {exc}")
+        raise EprBellError(f"{shown(path)} is not UTF-8 text: {exc}")
     except (ValueError, RecursionError) as exc:  # also too deep or too long a number
-        raise EprBellError(f"{path} is not valid JSON: {exc}")
+        raise EprBellError(f"{shown(path)} is not valid JSON: {exc}")
     pairs = doc.get("pairs") if isinstance(doc, dict) else None
     if not isinstance(pairs, dict):
-        raise EprBellError(f'{path}: expected an object with a "pairs" key')
+        raise EprBellError(f'{shown(path)}: expected an object with a "pairs" key')
     out = {}
     for key in keys:
         if key not in pairs:
-            raise EprBellError(f"{path}: missing pair table {key!r}")
+            raise EprBellError(f"{shown(path)}: missing pair table {key!r}")
         try:
             out[key] = PairDist.from_mapping(pairs[key])
         except EprBellError as exc:
-            raise EprBellError(f"{path}: pair table {key!r}: {exc}")
+            raise EprBellError(f"{shown(path)}: pair table {key!r}: {exc}")
     return out
 
 
@@ -399,19 +408,17 @@ def build_parser() -> _Parser:
 
     p = command("simulate", _cmd_simulate, "hidden-variable Monte Carlo run", degrees=("theta",))
     p.add_argument("--theta", type=_finite_float, required=True)
-    p.add_argument("-n", type=int, required=True,
-                   help="sample count; run time grows linearly with it, about 0.5 ms "
-                   "per 65,536-sample block on one core of a 2-vCPU Xeon")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("-n", type=_int, required=True, help="sample count; run time grows linearly with it")
+    p.add_argument("--seed", type=_int, required=True)
     p.add_argument("--mode", choices=["local", "singlet"], default="local")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_int, default=1)
 
     p = command("info", _cmd_info, "mutual-information curve as CSV")
     p.add_argument("--step", type=_finite_float, required=True)
 
     p = command("verify", _cmd_verify, "run cross-validation checks")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int, default=1000)
+    p.add_argument("--seed", type=_int, default=0)
 
     return parser
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidDirectionError
+from .errors import InvalidDirectionError, is_finite, shown
 from .value import Value
 
 # Inputs with norm this far from 1 are normalized; anything worse is rejected.
@@ -14,15 +14,6 @@ _NORM_SLACK = 1e-6
 def clamp_unit(v: float) -> float:
     """v clamped to [-1, 1], where a rounded cosine or moment can leave it by an ulp."""
     return min(1.0, max(-1.0, v))
-
-
-def is_finite(v) -> bool:
-    """``math.isfinite``, except that an int past the float range is not finite
-    instead of an OverflowError."""
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
 
 
 class Direction(Value):
@@ -38,14 +29,14 @@ class Direction(Value):
         except OverflowError:  # an int component past the float range
             norm = math.inf
         if not (1.0 - _NORM_SLACK <= norm <= 1.0 + _NORM_SLACK):
-            raise InvalidDirectionError(f"vector ({x}, {y}, {z}) has norm {norm:.6g}, not ~1")
+            raise InvalidDirectionError(f"vector ({shown(x)}, {shown(y)}, {shown(z)}) has norm {norm:.6g}, not ~1")
         vars(self).update(x=x / norm, y=y / norm, z=z / norm)
 
     @classmethod
     def from_angle(cls, theta: float) -> "Direction":
         """Direction at planar angle theta (radians) in the x-y plane."""
         if not is_finite(theta):  # math.cos(inf) raises a bare ValueError
-            raise InvalidDirectionError(f"angle must be finite, got {theta}")
+            raise InvalidDirectionError(f"angle must be finite, got {shown(theta)}")
         return cls(math.cos(theta), math.sin(theta), 0.0)
 
     def dot(self, other: "Direction") -> float:

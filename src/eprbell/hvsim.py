@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import os
 
-from .errors import InvalidInputError, check_count
+from .errors import InvalidInputError, check_count, shown
 from .geometry import Direction
 from .spincore import PairDist, cell_keys, local_pair_dist, qm_pair_dist
 from .value import Value
@@ -199,7 +199,7 @@ def simulate(
     n, seed = check_count("n", n, 1), check_count("seed", seed, 0)
     threads = check_count("threads", threads, 1)
     if mode not in ("local", "singlet"):
-        raise InvalidInputError(f"mode must be 'local' or 'singlet', got {mode!r}")
+        raise InvalidInputError(f"mode must be 'local' or 'singlet', got {shown(mode, repr)}")
     import numpy as np
 
     z_word_bound = _z_word_bound(_cos_threshold(a, b))

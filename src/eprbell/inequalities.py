@@ -11,26 +11,11 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidGeometryError, InvalidInputError
-from .geometry import clamp_unit, is_finite
+from .errors import InvalidGeometryError, InvalidInputError, check_finite, check_unit, is_finite, shown
+from .geometry import clamp_unit
 from .value import Value
 
 VIOLATION_SLACK = 1e-12
-
-
-def _check_unit(obj, what: str) -> None:
-    """Raise InvalidInputError unless each field of the value ``obj`` is in [-1, 1]."""
-    for name in obj.FIELDS:
-        v = getattr(obj, name)
-        if not -1.0 <= v <= 1.0:
-            raise InvalidInputError(f"{what} {name} = {v} outside [-1, 1]")
-
-
-def _check_finite(what: str, **values) -> None:
-    """Raise InvalidInputError unless each value is finite (``is_finite``)."""
-    for name, v in values.items():
-        if not is_finite(v):
-            raise InvalidInputError(f"{what} {name} = {v} is not a finite float")
 
 
 class CovarianceTriple(Value):
@@ -39,7 +24,7 @@ class CovarianceTriple(Value):
     c_bc: float
 
     def __post_init__(self):
-        _check_unit(self, "covariance")
+        check_unit(self, "covariance")
 
 
 class CovarianceQuad(Value):
@@ -49,7 +34,7 @@ class CovarianceQuad(Value):
     c_dc: float
 
     def __post_init__(self):
-        _check_unit(self, "covariance")
+        check_unit(self, "covariance")
 
 
 class InequalityVerdict(Value):
@@ -58,7 +43,7 @@ class InequalityVerdict(Value):
     satisfied: bool  # computed, not an argument
 
     def __init__(self, lhs: float, bound: float):
-        _check_finite("verdict", lhs=lhs, bound=bound)
+        check_finite("verdict", lhs=lhs, bound=bound)
         vars(self).update(lhs=lhs, bound=bound, satisfied=lhs <= bound + VIOLATION_SLACK)
 
 
@@ -94,15 +79,16 @@ def qm_bell_lhs(theta_ab: float, theta_ac: float, theta_bc: float) -> float:
     The angles must be finite and the triple realizable: t_ac must equal
     t_ab + t_bc or |t_ab - t_bc| up to reflection about pi.
     """
-    if not all(map(is_finite, (theta_ab, theta_ac, theta_bc))):
-        raise InvalidInputError(f"angles must be finite, got ({theta_ab}, {theta_ac}, {theta_bc})")
-    tab, tac, tbc = (_wrap_angle(t) for t in (theta_ab, theta_ac, theta_bc))
+    angles = theta_ab, theta_ac, theta_bc
+    if not all(map(is_finite, angles)):
+        raise InvalidInputError(f"angles must be finite, got ({', '.join(map(shown, angles))})")
+    tab, tac, tbc = map(_wrap_angle, angles)
     realizable = any(
         abs(_wrap_angle(tab + s * tbc) - tac) <= 1e-9 for s in (1.0, -1.0)
     )
     if not realizable:
         raise InvalidGeometryError(
-            f"angles ({theta_ab}, {theta_ac}, {theta_bc}) not realizable by coplanar unit vectors"
+            f"angles ({', '.join(map(shown, angles))}) not realizable by coplanar unit vectors"
         )
     return _bell_lhs(-math.cos(tab), -math.cos(tac), -math.cos(tbc))
 
@@ -165,18 +151,18 @@ def violation_scan(inequality: str, resolution: float) -> ScanResult:
     import numpy as np
 
     if not 0.0 < resolution <= math.pi / 8.0 + 1e-15:
-        raise InvalidInputError(f"resolution must be in (0, pi/8], got {resolution}")
+        raise InvalidInputError(f"resolution must be in (0, pi/8], got {shown(resolution)}")
     if inequality not in ("bell", "chsh"):
-        raise InvalidInputError(f"inequality must be 'bell' or 'chsh', got {inequality!r}")
+        raise InvalidInputError(f"inequality must be 'bell' or 'chsh', got {shown(inequality, repr)}")
     dims = 2 if inequality == "bell" else 3
     try:
         n = int(round(2.0 * math.pi / resolution))
     except OverflowError:  # 2 * pi / resolution is inf
-        raise InvalidInputError(f"resolution {resolution} gives a {inequality} grid of more than"
+        raise InvalidInputError(f"resolution {shown(resolution)} gives a {inequality} grid of more than"
                                 f" {SCAN_MAX_POINTS} points, the most allowed")
     if n ** dims > SCAN_MAX_POINTS:
         raise InvalidInputError(
-            f"resolution {resolution} gives a {inequality} grid of {n:.4g}^{dims} points;"
+            f"resolution {shown(resolution)} gives a {inequality} grid of {n:.4g}^{dims} points;"
             f" at most {SCAN_MAX_POINTS} are allowed"
         )
     grid = resolution * np.arange(n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, shown
 from .geometry import Direction
 from .spincore import PairDist, pair_dist_from_dot
 from .value import Value
@@ -43,7 +43,9 @@ def mutual_information(d: PairDist) -> float:
     total = 0.0
     for p, i, j in zip(d.cells, (0, 0, 1, 1), (0, 1, 0, 1)):
         if p > 0.0:
-            total += p * math.log2(p / (first[i] * second[j]))
+            # Each marginal is >= p > 0, but their product can underflow to 0.
+            q = first[i] * second[j]
+            total += p * (math.log2(p / q) if q > 0.0 else math.log2(p) - math.log2(first[i]) - math.log2(second[j]))
     # Clamp -0.0 / rounding residue: I >= 0 always.
     return max(total, 0.0)
 
@@ -51,7 +53,7 @@ def mutual_information(d: PairDist) -> float:
 def binary_entropy(p: float) -> float:
     """Entropy of a {p, 1-p} distribution in bits, with 0*log(0) = 0."""
     if not 0.0 <= p <= 1.0:
-        raise InvalidInputError(f"probability out of range: {p}")
+        raise InvalidInputError(f"probability out of range: {shown(p)}")
     return max(0.0, -_xlog2x(p) - _xlog2x(1.0 - p))
 
 
@@ -65,10 +67,10 @@ def info_curve(step: float) -> list[InfoCurvePoint]:
     """Tabulate mutual information and conditional entropy over x in [-1, 1],
     at most ``INFO_MAX_POINTS`` points; a finer step is rejected up front."""
     if not 0.0 < step <= 1.0:
-        raise InvalidInputError(f"step must be in (0, 1], got {step}")
+        raise InvalidInputError(f"step must be in (0, 1], got {shown(step)}")
     n = int(round(min(2.0 / step, INFO_MAX_POINTS)))
     if n + 1 > INFO_MAX_POINTS:
-        raise InvalidInputError(f"step {step} gives more than {INFO_MAX_POINTS} points, the most allowed")
+        raise InvalidInputError(f"step {shown(step)} gives more than {INFO_MAX_POINTS} points, the most allowed")
     # k < n = round(2 / step) keeps each x in [-1, 1 - step / 2].
     xs = [-1.0 + k * step for k in range(n)] + [1.0]
     points = []

@@ -28,9 +28,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import InconsistentMarginalsError, InvalidInputError
+from .errors import InconsistentMarginalsError, InvalidInputError, check_finite, check_unit, shown
 from .geometry import Direction, clamp_unit
-from .inequalities import VIOLATION_SLACK, InequalityVerdict, _bell_lhs, _check_finite, _check_unit
+from .inequalities import VIOLATION_SLACK, InequalityVerdict, _bell_lhs
 from .spincore import SIGNS, PairDist, SignedTable, covariance
 from .value import Value
 
@@ -59,7 +59,7 @@ class MomentSet3(Value):
     m_abc: float = 0.0
 
     def __post_init__(self):
-        _check_unit(self, "moment")
+        check_unit(self, "moment")
 
 
 # Cells of the (A, B, C) tables in C order, index 0 = +1.
@@ -89,7 +89,8 @@ def marginal(table: SignedTable, first: int, second: int) -> PairDist:
     in that order. It is defined even when entries are negative: the pair
     marginals of the moment construction are always valid tables."""
     if first == second or not {first, second} <= set(range(table.DIMS)):
-        raise InvalidInputError(f"axes must be two of 0..{table.DIMS - 1}, got {first!r}, {second!r}")
+        raise InvalidInputError(f"axes must be two of 0..{table.DIMS - 1},"
+                                f" got {shown(first, repr)}, {shown(second, repr)}")
     return PairDist(_pair_marginal(table.cells, table.DIMS, first, second))
 
 
@@ -98,7 +99,7 @@ class Mu3Interval(Value):
     hi: float
 
     def __post_init__(self):
-        _check_finite("mu3 interval", lo=self.lo, hi=self.hi)
+        check_finite("mu3 interval", lo=self.lo, hi=self.hi)
 
     @property
     def empty(self) -> bool:

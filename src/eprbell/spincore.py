@@ -20,7 +20,7 @@ import itertools
 import math
 import numbers
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, shown
 from .geometry import Direction
 from .value import Value
 
@@ -34,7 +34,7 @@ def _idx(s: int) -> int:
         return 0
     if s == -1:
         return 1
-    raise InvalidInputError(f"spin value must be +1 or -1, got {s}")
+    raise InvalidInputError(f"spin value must be +1 or -1, got {shown(s)}")
 
 
 def cell_key(signs) -> str:
@@ -70,9 +70,9 @@ def cells_of(values, dims: int, what: str) -> tuple[float, ...]:
             raise TypeError
         cells = tuple(map(float, flat))
     except (TypeError, ValueError, OverflowError):
-        raise InvalidInputError(f"{what} must be {'x'.join('2' * dims)} numbers, got {values!r}")
+        raise InvalidInputError(f"{what} must be {'x'.join('2' * dims)} numbers, got {shown(values, repr)}")
     if not all(map(math.isfinite, cells)):
-        raise InvalidInputError(f"{what} entries must be finite: {cells}")
+        raise InvalidInputError(f"{what} entries must be finite: {shown(cells)}")
     return cells
 
 
@@ -141,7 +141,7 @@ class PairDist(SignedTable):
         super().__init__(cells)
         t, lo, hi = self.cells, min(self.cells), max(self.cells)
         if lo < -self.TOL or hi > 1.0 + self.TOL:
-            raise InvalidInputError(f"pair table entries outside [0, 1]: {t}")
+            raise InvalidInputError(f"pair table entries outside [0, 1]: {shown(t)}")
         if lo < 0.0 or hi > 1.0:  # -0.0 is not below 0.0, so it is kept
             vars(self)["cells"] = tuple(0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in t)
 
@@ -180,7 +180,7 @@ def qm_marginal(d: PairDist, which: str = "first") -> dict[int, float]:
         return {1: pp + pm, -1: mp + mm}
     if which == "second":
         return {1: pp + mp, -1: pm + mm}
-    raise InvalidInputError(f"which must be 'first' or 'second', got {which!r}")
+    raise InvalidInputError(f"which must be 'first' or 'second', got {shown(which, repr)}")
 
 
 def qm_conditional(a: Direction, b: Direction, given: int) -> dict[int, float]:

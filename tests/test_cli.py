@@ -16,6 +16,7 @@ import pytest
 import eprbell
 from eprbell import cli, verify
 from eprbell.cli import main
+from eprbell.errors import SHOWN_MAX_CHARS
 from eprbell.inequalities import VIOLATION_SLACK, violation_scan
 
 from conftest import CONTRA_AB, CONTRA_BC, CONTRA_CA, run_python
@@ -974,6 +975,31 @@ def test_flag_not_taken(capsys, argv):
 ])
 def test_radians_without_angles(capsys, argv, angles):
     assert run(capsys, *argv) == (64, "", f"error: --radians requires --{angles}\n")
+
+
+# A token that cannot be read is shown as errors.shown shows it: a short one
+# in argparse's own text, a long one cut, so stderr stays one bounded line.
+@pytest.mark.parametrize("argv, token", [
+    (["simulate", "--theta", "60", "--seed", "1", "-n"], "9" * 5000),  # past int()'s digit limit
+    (["dist", "--theta"], "9" * 100_000),  # reads as inf
+    (["verify", "--trials"], "x" * 2000),
+], ids=["simulate-n", "dist-theta", "verify-trials"])
+def test_long_token_bounded_usage_error(capsys, argv, token):
+    code, out, err = run(capsys, *argv, token)
+    assert code == 64 and out == "" and err.startswith("error: argument -")
+    assert len(err.encode()) < SHOWN_MAX_CHARS + 100 and err.count("\n") == 1
+
+
+# Each int option, its value last.
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--theta", "60", "--seed", "1", "-n"],
+    ["simulate", "--theta", "60", "-n", "1", "--seed"],
+    ["simulate", "--theta", "60", "-n", "1", "--seed", "1", "--threads"],
+    ["verify", "--trials"],
+    ["verify", "--seed"],
+])
+def test_short_int_token_keeps_argparse_text(capsys, argv):
+    assert run(capsys, *argv, "1.5") == (64, "", f"error: argument {argv[-1]}: invalid int value: '1.5'\n")
 
 
 @pytest.mark.parametrize("argv, degrees", [

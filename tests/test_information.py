@@ -57,6 +57,14 @@ class TestMutualInformation:
         for _ in range(200):
             assert mutual_information(random_pair_dist(rng)) >= 0.0
 
+    @pytest.mark.parametrize("tiny", [5.8886049934920106e-164, 5e-324])
+    def test_marginal_product_underflows(self, tiny):
+        # The (-, -) cell's marginals multiply to 0: this was a ZeroDivisionError.
+        from eprbell.spincore import PairDist
+
+        mi = mutual_information(PairDist([1.0, 0.0, 0.0, tiny]))
+        assert mi == pytest.approx(-tiny * math.log2(tiny), rel=1e-12)
+
     @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.floats(0.01, 0.99))
     def test_nonnegative_hypothesis(self, u, v, w):
         from eprbell.spincore import PairDist

@@ -6,11 +6,14 @@ constructors, is called on drawn arguments and must return or raise
 ``OverflowError`` or numpy's ``ValueError``. Numeric parameters draw from
 edge values and wrong types; parameters that take a direction, a table, a
 moment set or an interval get valid ones, since a wrong object type is
-outside the contract. Sample counts stay at two blocks or fewer.
+outside the contract. Sample counts stay at two blocks or fewer. Every
+message of a typed error is bounded, whatever value it shows.
 """
 
 import math
+import time
 
+import numpy as np
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -20,15 +23,24 @@ from eprbell import (
     BLOCK_SIZE, CovarianceQuad, CovarianceTriple, Direction, EprBellError, InvalidDirectionError,
     InvalidInputError, MomentSet3, Mu3Interval, PairDist, QuadDist, TripleDist,
 )
+from eprbell import verify
+from eprbell.errors import SHOWN_MAX_CHARS, shown
 from eprbell.spincore import cell_keys
 
 # Signed zeros, infinities, NaN, the least subnormal, a float near the top of
-# the range, ints past it, bools, None, strings and tuples.
-EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 10**400, -10**400, True, False, None,
-         "", "0.5", (), (0.5, 0.5)]
+# the range, ints past it and past the 4,300 digits Python turns into text,
+# bools, None, strings (one longer than a message shows) and tuples.
+EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 10**400, -10**400, 10**5000, -10**5000,
+         True, False, None, "", "0.5", "9" * (SHOWN_MAX_CHARS + 1), (), (0.5, 0.5)]
 NUMBER = st.sampled_from(EDGES + [0.25, 0.5, -1.0, 1.0, 0, 1, 2])
-# A sample count: no int past the float range, and at most two blocks.
-COUNT = st.sampled_from([v for v in EDGES if v != 10**400] + [1, 2, BLOCK_SIZE + 1, 2 * BLOCK_SIZE])
+# A sample count: no int past the float range above zero (a huge n just runs
+# on), and at most two blocks.
+COUNT = st.sampled_from([v for v in EDGES if v not in (10**400, 10**5000)]
+                        + [1, 2, BLOCK_SIZE + 1, 2 * BLOCK_SIZE])
+# Longest message: a message shows at most three values, each through shown,
+# beside its fixed text.
+FIXED_TEXT = 200
+MESSAGE_MAX_CHARS = 3 * SHOWN_MAX_CHARS + FIXED_TEXT
 TEXT = st.sampled_from(["local", "singlet", "bell", "chsh", "first", "second", "", "x"])
 UNIT = st.floats(-1.0, 1.0)
 
@@ -123,15 +135,21 @@ def test_public_callable_ends_in_typed_error(name):
     def inner(args):
         try:
             function(*args)
-        except (EprBellError, TypeError):
+        except EprBellError as exc:
+            assert len(str(exc)) <= MESSAGE_MAX_CHARS
+        except TypeError:
             pass
 
     inner()
 
 
+A = Direction(1.0, 0.0, 0.0)
+HUGE = 10**5000
+
 # Calls that ended in an OverflowError or numpy's ValueError, or accepted a
 # NaN (default_mu3 read the interval [nan, 0.5] as non-empty and returned -1),
-# each now a typed error.
+# and calls on an int past Python's digit limit, whose message text raised
+# ValueError, each now a typed error with the type a short bad value gets.
 FOUND = {
     "Direction": (lambda: Direction(10**400, 0, 0), InvalidDirectionError),
     "from_angle": (lambda: Direction.from_angle(10**400), InvalidDirectionError),
@@ -142,10 +160,74 @@ FOUND = {
     "interval_nan": (lambda: eprbell.default_mu3(Mu3Interval(math.nan, 0.5)), InvalidInputError),
     "block_index": (lambda: eprbell.block_rng(3, -1), InvalidInputError),
     "seed": (lambda: eprbell.block_rng(-3, 0), InvalidInputError),
+    "huge_Direction": (lambda: Direction(HUGE, 0, 0), InvalidDirectionError),
+    "huge_from_angle": (lambda: Direction.from_angle(HUGE), InvalidDirectionError),
+    "huge_CovarianceTriple": (lambda: CovarianceTriple(HUGE, 0, 0), InvalidInputError),
+    "huge_CovarianceQuad": (lambda: CovarianceQuad(HUGE, 0, 0, 0), InvalidInputError),
+    "huge_MomentSet3": (lambda: MomentSet3(HUGE), InvalidInputError),
+    "huge_PairDist": (lambda: PairDist((HUGE, 0, 0, 0)), InvalidInputError),
+    "huge_from_mapping": (lambda: PairDist.from_mapping({"pp": HUGE, "pm": 0, "mp": 0, "mm": 0}),
+                          InvalidInputError),
+    "huge_TripleDist": (lambda: TripleDist([HUGE] + [0] * 7), InvalidInputError),
+    "huge_info_curve": (lambda: eprbell.info_curve(HUGE), InvalidInputError),
+    "huge_binary_entropy": (lambda: eprbell.binary_entropy(HUGE), InvalidInputError),
+    "huge_violation_scan": (lambda: eprbell.violation_scan("bell", HUGE), InvalidInputError),
+    "huge_Mu3Interval": (lambda: Mu3Interval(0.0, HUGE), InvalidInputError),
+    "huge_InequalityVerdict": (lambda: eprbell.InequalityVerdict(0.0, HUGE), InvalidInputError),
+    "huge_qm_bell_lhs": (lambda: eprbell.qm_bell_lhs(HUGE, 0, 0), InvalidInputError),
+    "huge_mu3_interval": (lambda: eprbell.mu3_interval(HUGE, 0, 0, 0, 0, 0), InvalidInputError),
+    "huge_existence_check_3": (lambda: eprbell.existence_check_3(HUGE, 0, 0, 0, 0, 0), InvalidInputError),
+    "huge_simulate_n": (lambda: eprbell.simulate(A, A, -HUGE, 0), InvalidInputError),
+    "huge_simulate_seed": (lambda: eprbell.simulate(A, A, 1, -HUGE), InvalidInputError),
+    "huge_block_rng": (lambda: eprbell.block_rng(-HUGE, 0), InvalidInputError),
+    "huge_product_rule_demo": (lambda: eprbell.product_rule_demo(A, -HUGE, 0), InvalidInputError),
+    "huge_run_all": (lambda: verify.run_all(-HUGE), InvalidInputError),
+    "huge_qm_marginal": (lambda: eprbell.qm_marginal(PairDist((0.25,) * 4), HUGE), InvalidInputError),
+    "huge_qm_conditional": (lambda: eprbell.qm_conditional(A, A, HUGE), InvalidInputError),
+    "huge_marginal": (lambda: eprbell.marginal(PairDist((0.25,) * 4), HUGE, 0), InvalidInputError),
 }
 
 
 @pytest.mark.parametrize("call, error", FOUND.values(), ids=FOUND)
 def test_found_calls_raise_typed_errors(call, error):
-    with pytest.raises(error):
+    with pytest.raises(error) as info:
         call()
+    assert len(str(info.value)) <= SHOWN_MAX_CHARS + FIXED_TEXT
+
+
+# What shown returns: a value's own text when it fits, and an int past the
+# digit limit as its sign and size.
+SHOWN = [
+    (0.1, str, "0.1"), (-0.0, str, "-0.0"), (math.nan, repr, "nan"), (10**400, str, str(10**400)),
+    (np.float64(2.0), str, "2.0"), (np.float64(2.0), repr, "np.float64(2.0)"),
+    ("a b", str, "a b"), ("a b", repr, "'a b'"),
+    (10**4300, str, "<int of about 4301 digits>"),
+    (10**5000, str, "<int of about 5001 digits>"), (-10**5000, repr, "-<int of about 5001 digits>"),
+]
+
+
+@pytest.mark.parametrize("value, form, text", SHOWN, ids=range(len(SHOWN)))
+def test_shown(value, form, text):
+    assert shown(value, form) == text
+
+
+@pytest.mark.parametrize("value, form", [(10**4299, str), ("x" * 100_000, str), ("x" * 100_000, repr)],
+                         ids=["int of 4300 digits", "text", "text repr"])
+def test_shown_cuts_long_text(value, form):
+    text, cut = form(value), shown(value, form)  # str still makes 4,300 digits
+    assert len(cut) == SHOWN_MAX_CHARS and cut.endswith(f"... ({len(text)} characters)")
+    assert text.startswith(cut[:cut.rindex("... (")])
+
+
+def test_shown_container_of_huge_int():
+    text = shown([0.5, 10**5000], repr)
+    assert text.startswith("<list that cannot be shown: ") and len(text) <= SHOWN_MAX_CHARS
+
+
+def test_shown_int_size_without_text():
+    value, seconds = 10**(10**6), []
+    for _ in range(5):
+        start = time.perf_counter()
+        text = shown(value)
+        seconds.append(time.perf_counter() - start)
+    assert text == "<int of about 1000001 digits>" and min(seconds) < 0.01
