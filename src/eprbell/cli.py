@@ -25,7 +25,7 @@ import os
 import re
 import sys
 
-from .errors import EprBellError, InvalidInputError, shown
+from .errors import SHOWN_MAX_CHARS, EprBellError, InvalidInputError, shown
 from .geometry import Direction
 from .spincore import PairDist, cell_key, covariance, local_pair_dist, qm_pair_dist
 
@@ -54,9 +54,17 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         self._stored = set()  # dests given so far in this parse
+        self._tokens = sys.argv[1:] if args is None else list(args)
         return super().parse_known_args(args, namespace)
 
     def error(self, message):  # argparse would exit(2); we want 64
+        # argparse echoes a refused choice, subcommand or extra argument whole:
+        # show each token, or an option's value after "=", that is too long as
+        # ``shown`` shows it. The type functions have already shown theirs.
+        for token in self._tokens:
+            for text in (token, token.partition("=")[2]):
+                if len(repr(text)) > SHOWN_MAX_CHARS:
+                    message = message.replace(repr(text), shown(text, repr)).replace(text, shown(text))
         raise InvalidInputError(message)
 
     def _print_message(self, message, file=None):

@@ -3,10 +3,7 @@ import itertools
 import math
 import os
 import pkgutil
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -16,6 +13,7 @@ from hypothesis import HealthCheck, settings
 import eprbell
 from eprbell import Direction, PairDist, QuadDist, local_pair_dist
 from eprbell.hvsim import sample_lambda
+from golden_check import run_python
 
 # One profile for every property test, on any machine and in CI: each run
 # draws the same examples, keeps no example database and sets no deadline,
@@ -34,35 +32,6 @@ settings.load_profile("eprbell")
 # The loading-rule tests probe child interpreters and do not see this import.
 for _module in pkgutil.iter_modules(eprbell.__path__):
     importlib.import_module(f"eprbell.{_module.name}")
-
-# The src directory this interpreter loaded eprbell from.
-SRC = str(Path(eprbell.__file__).resolve().parents[1])
-
-
-def run_python(*args, paths=(), env=None, blocked=(), popen=False, **options):
-    """``python *args`` in a child interpreter: subprocess.run, or with
-    ``popen`` subprocess.Popen, given ``options``. Unless ``options`` say
-    otherwise, stdout and stderr are text pipes and a run times out after
-    two minutes. The child's PYTHONPATH is SRC, then ``paths``, then this
-    process's; ``env`` sets further variables, and a None value unsets one.
-    Each module in ``blocked`` is None in the child's sys.modules before the
-    target runs, so importing it raises ImportError; the target is then a
-    ``-c`` program or a script path."""
-    environ = {**os.environ, **(env or {})}
-    environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, *map(str, paths), os.environ.get("PYTHONPATH"))))
-    environ = {name: value for name, value in environ.items() if value is not None}
-    if blocked:
-        prelude = f"import sys; sys.modules.update(dict.fromkeys({list(blocked)!r}))\n"
-        if args[0] == "-c":
-            args = ("-c", prelude + args[1], *args[2:])
-        else:  # the script sees the sys.argv it gets when run directly
-            args = ("-c", prelude + "import runpy; del sys.argv[0]; runpy.run_path(sys.argv[0], run_name='__main__')",
-                    *args)
-    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True} | options
-    if popen:
-        return subprocess.Popen([sys.executable, *args], env=environ, **options)
-    return subprocess.run([sys.executable, *args], env=environ, **{"timeout": 120} | options)
-
 
 # Set in the child interpreter that runs a fresh_interpreter test.
 FRESH_CHILD = "EPRBELL_FRESH_INTERPRETER"

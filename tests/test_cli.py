@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import importlib
 import io
 import json
@@ -20,6 +19,7 @@ from eprbell.errors import SHOWN_MAX_CHARS
 from eprbell.inequalities import VIOLATION_SLACK, violation_scan
 
 from conftest import CONTRA_AB, CONTRA_BC, CONTRA_CA, run_python
+from golden_check import GOLDENS, check_command, with_pair_files, write_pairs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -34,6 +34,15 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def goldens(command=None):
+    """(argv, sha256) of each command in tests/goldens.json with subcommand
+    ``command``, or by default with any subcommand but scan, simulate and
+    verify, which their own classes check; golden_check.check_command runs
+    each to stdout and with -o."""
+    return [(entry["argv"], entry["sha256"]) for entry in GOLDENS["commands"]
+            if entry["argv"][0] == command or (command is None and entry["argv"][0] not in ("scan", "simulate", "verify"))]
 
 
 class TestDist:
@@ -145,35 +154,9 @@ class TestScan:
         assert code == 64 and out == ""
         assert "chsh grid of 6.283e+300^3 points" in err and len(err.encode()) < 200
 
-    # sha256 of stdout as the dense-meshgrid kernel and csv.writer wrote it;
-    # the slabbed kernel and streamed rows must match it byte for byte.
-    # Recorded with numpy 2.4.6 on a 2-vCPU Intel Xeon (x86-64). The lhs
-    # digits come from np.cos, whose last bits may differ with another numpy
-    # version, SIMD path or CPU; a mismatch there is a platform difference,
-    # not a reason to loosen this test. test_scan_matches_dense_oracle in
-    # test_inequalities.py is the platform-independent bit-identity check.
-    GOLDEN = [
-        (("chsh", "--resolution-deg", "11.25"),
-         "d41a385c6b6eecf7e4cffec43362a37b2201351d77da0042d823e884eebc0508"),
-        (("chsh", "--resolution-deg", "5"),
-         "f23ca0908dfb18ae94adb45f45efa0f2a69246305bc5b013d2f9586fde723c25"),
-        (("bell", "--resolution-deg", "0.5"),
-         "50cde1a5cc6790eea128eedcc3d38916003a846e6583cc65c6455884a5ead06a"),
-        (("bell", "--resolution-deg", "5"),
-         "b3fb1a535c5d6dc39c96e9ece955219be14824e76d52223d0623b0c3e82d5eb4"),
-        (("bell", "--resolution-rad", repr(math.pi / 32)),
-         "b952d2778fef7e444927e7169cdd15963fa4845f478fffb1584a9ccee294222d"),
-    ]
-
-    @pytest.mark.parametrize("args, digest", GOLDEN)
-    def test_golden_bytes(self, capsys, tmp_path, args, digest):
-        code, out, _ = run(capsys, "scan", "--inequality", *args)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-        path = tmp_path / "scan.csv"
-        code, out, _ = run(capsys, "scan", "--inequality", *args, "-o", str(path))
-        assert code == 0 and out == ""
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    @pytest.mark.parametrize("args, digest", goldens("scan"))
+    def test_golden_bytes(self, tmp_path, args, digest):
+        assert check_command(args, digest, tmp_path) == []
 
     @pytest.mark.fresh_interpreter
     def test_memory_bounded(self, tmp_path):
@@ -192,7 +175,7 @@ class TestScan:
         ("chsh", 11.25, ["phi_b_deg", "phi_c_deg", "phi_d_deg"]),
     ])
     def test_matches_csv_writer(self, monkeypatch, inequality, degrees, names):
-        # The bytes csv.writer gives for the same floats: unlike GOLDEN, this
+        # The bytes csv.writer gives for the same floats: unlike the goldens, this
         # holds whatever the last bits of np.cos. Chunks of 7 rows in windows
         # of 21 split runs of equal lhs values at both kinds of boundary.
         monkeypatch.setattr(cli, "_SCAN_CHUNK_ROWS", 7)
@@ -257,7 +240,7 @@ class TestScan:
     ["dist", "--theta", "-x"],
 ])
 def test_boundary_usage_errors(capsys, tmp_path, argv):
-    code, out, err = run(capsys, *with_golden_files(tmp_path, argv))
+    code, out, err = run(capsys, *with_pair_files(tmp_path, argv))
     assert code == 64 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
 
@@ -510,103 +493,10 @@ def test_pair_table_sum_past_float_range(capsys, tmp_path, command, keys):
     assert err == f"error: {path}: pair table 'AB': PairDist sums to inf, not 1\n"
 
 
-def independent_table(p, q):
-    """Pair table of two independent signs with P(+) = p and q."""
-    return {"pp": p * q, "pm": p * (1 - q), "mp": (1 - p) * q, "mm": (1 - p) * (1 - q)}
-
-
-# Pair files of the golden-bytes test. DIRICHLET4 holds the CHSH-pattern
-# marginals of one 16-cell joint drawn from a flat Dirichlet, as literals.
-GOLDEN_PAIRS = {
-    "sym3": {"AB": cov_table(math.cos(0.7)), "BC": cov_table(math.cos(2.1)),
-             "CA": cov_table(math.cos(2.8))},
-    "asym3": {"AB": independent_table(0.6, 0.3), "BC": independent_table(0.3, 0.8),
-              "CA": independent_table(0.8, 0.6)},
-    "dirichlet4": {
-        "AB": {"pp": 0.16842711735236598, "pm": 0.36974333507656165,
-               "mp": 0.41595718455652814, "mm": 0.04587236301454417},
-        "AC": {"pp": 0.31651218996514874, "pm": 0.2216582624637789,
-               "mp": 0.3132794700220164, "mm": 0.14855007754905594},
-        "DB": {"pp": 0.046193841389017186, "pm": 0.1873413313071302,
-               "mp": 0.538190460519877, "mm": 0.2282743667839756},
-        "DC": {"pp": 0.08034738241745085, "pm": 0.1531877902786965,
-               "mp": 0.5494442775697143, "mm": 0.2170205497341383},
-    },
-    "tsirelson4": {k: cov_table(c) for k, c in TSIRELSON_COVS.items()},
-    # Marginals of a joint on four cells, with a CHSH lhs on the bound: the
-    # witness has (B, C) cells without mass and products that round to -0.0.
-    "sparse4": {
-        "AB": {"pp": 0.04013727766298369, "pm": 0.8858994317219209,
-               "mp": 0.07396329061509557, "mm": 0.0},
-        "AC": {"pp": 0.8217987312823399, "pm": 0.10423797810256465,
-               "mp": 0.07396329061509557, "mm": 0.0},
-        "DB": {"pp": 0.0, "pm": 0.10423797810256465,
-               "mp": 0.11410056827807927, "mm": 0.7816614536193562},
-        "DC": {"pp": 0.0, "pm": 0.10423797810256465,
-               "mp": 0.8957620218974355, "mm": 0.0},
-    },
-}
-
-
 class TestShortGolden:
-    # sha256 of stdout of the short subcommands, recorded before their tables
-    # moved from numpy arrays to Python floats; the port must match them byte
-    # for byte. Every value is IEEE-754 double arithmetic written out by repr.
-    GOLDEN = [
-        (("dist", "--theta", "60"),
-         "dfc783e5f5290cc6cf9accf4373ef264452c03877e5356579b254dd70edaaf7f"),
-        (("dist", "--theta", "37.5", "--local"),
-         "aea5b6c8a3fe9b6c08bc345ae13e2ea79f2491db3e05adbb4b0b0f35e544021a"),
-        (("dist", "--theta", "1.1", "--radians"),
-         "4a646c6d53074e2b4c617d189b31fb8c159b625b4e79cd1613374c24fb561a34"),
-        (("dist", "--a", "0,0.6,0.8", "--b", "0.48,0.6,-0.64"),
-         "2588e368a34fbdc4cc76ec82ecd43c64d87d27fe85060bb65090eba65c166d99"),
-        (("dist", "--theta", "123.4", "--format", "csv"),
-         "704f7adf11c766ef91ba9b2bf8d05e3b6fd0370d05cb94afb9373a7a264b547e"),
-        (("ineq", "bell", "--angles", "45,45"),
-         "6da6a8c4d496bdd8f1f42d62a875ccae740fc609ee5ba978ee40cea02afa0c94"),
-        (("ineq", "bell", "--cov", "0.5,-0.5,0.1"),
-         "4b27dba5e83a377b457f41371c80f1c4c8917ba981dc4ceb5e2a6640cb6eb7c5"),
-        (("ineq", "chsh", "--angles", "45,45,45"),
-         "d141ffaf45a874a9ade593a5086e3f2c9db17bc75049dd3db004a8d9df04be9e"),
-        (("ineq", "chsh", "--cov=-0.7,0.7,-0.7,-0.7"),
-         "28bcd78cd68b7b053ce54644e291338d133855bcedb5f2d75ee60f582cc3fa39"),
-        (("joint3", "--qm", "--angles", "22.5,22.5"),
-         "2f82abc44b6c95b09de9cc0218414d6bb23883e66bf4b5210650078b015c67e0"),
-        (("joint3", "--qm", "--angles", "71.3,40.2"),
-         "e3841ac214e243fe7e4b397493b5d2a24539433cb2ebe48a7e832aa49005dd0e"),
-        (("joint3", "--pairs", "sym3"),
-         "4185e91ddeb9f5cf9d5e5f509459d1b274f867926e6373e7cb2e36ce0a425d4b"),
-        (("joint3", "--pairs", "asym3"),
-         "c2a95376558e00d4e3777c02fe031912575798948cbd0a4514f1a3392589c65c"),
-        (("joint3", "--pairs", "asym3", "--mu3", "0.05"),
-         "54e73a761ff2e4a488759fd5c8dd7d483b3ec53d812cb9d0264c209d3da51f53"),
-        (("joint4", "--pairs", "dirichlet4"),
-         "eb2d37b4d94690e6f2081ab62a87bea032608eba6e8310e3c725aec3a24896ae"),
-        (("joint4", "--pairs", "sparse4"),
-         "db10a054825dc256d64a9cc8cb7d0adb997f0a071891a149c149978f95a52c4e"),
-        (("joint4", "--pairs", "tsirelson4"),
-         "21bacdc50666abaf1704fd6c28217c12194719ea92b731c32ea3e9342bd11822"),
-        (("info", "--step", "0.001"),
-         "b9d8ba408063cbd6e72522429f48e8664d0ddcfebc9c5228a28f8f335c5eefce"),
-    ]
-
-    @pytest.mark.parametrize("args, digest", GOLDEN)
-    def test_golden_bytes(self, capsys, tmp_path, args, digest):
-        code, out, err = run(capsys, *with_golden_files(tmp_path, args))
-        assert code == 0, err
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def with_golden_files(tmp_path, args) -> list[str]:
-    """``args`` with a ``--pairs`` name from GOLDEN_PAIRS written to a file."""
-    argv = list(args)
-    if "--pairs" in argv:
-        k = argv.index("--pairs") + 1
-        path = tmp_path / f"{argv[k]}.json"
-        path.write_text(json.dumps({"pairs": GOLDEN_PAIRS[argv[k]]}))
-        argv[k] = str(path)
-    return argv
+    @pytest.mark.parametrize("args, digest", goldens())
+    def test_golden_bytes(self, tmp_path, args, digest):
+        assert check_command(args, digest, tmp_path) == []
 
 
 # The short subcommands: every route of dist, ineq, joint3, joint4 and info.
@@ -659,7 +549,7 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_numpy_never_loaded(tmp_path):
-    steps = [[name, with_golden_files(tmp_path, args)] for name, args in SHORT_COMMANDS.items()]
+    steps = [[name, with_pair_files(tmp_path, args)] for name, args in SHORT_COMMANDS.items()]
     steps.append(["scan", ["scan", "--inequality", "bell", "--resolution-deg", "11.25"]])
     proc = run_python("-c", MODULE_PROBE, json.dumps(steps))
     assert proc.returncode == 0, proc.stderr
@@ -687,7 +577,7 @@ NUMPY_FREE = ["dist", "ineq", "joint3", "joint4", "info", "verify"]
     (["verify", "--trials", "10"], ["born", "hvsim", "verify"]),
 ])
 def test_modules_loaded(tmp_path, argv, own_modules):
-    steps = [["command", with_golden_files(tmp_path, argv)]]
+    steps = [["command", with_pair_files(tmp_path, argv)]]
     proc = run_python("-c", MODULE_PROBE, json.dumps(steps))
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
@@ -776,7 +666,7 @@ def test_exit_path(capsys, how, argv):
 
 
 def test_short_commands_without_numpy(capsys, tmp_path):
-    argvs = [with_golden_files(tmp_path, args) for args in SHORT_COMMANDS.values()] + [["verify", "--trials", "10"]]
+    argvs = [with_pair_files(tmp_path, args) for args in SHORT_COMMANDS.values()] + [["verify", "--trials", "10"]]
     expected = "".join(run(capsys, *argv)[1] for argv in argvs)
     proc = run_python("-c", MAIN_PROBE, json.dumps(argvs), blocked=["numpy"])
     assert proc.returncode == 0, proc.stderr
@@ -822,14 +712,9 @@ class TestSimulate:
             runs = [run(capsys, *args, "--threads", t) for t in ("1", "2", "8")]
             assert runs[0][0] == 0 and runs.count(runs[0]) == 3
 
-    def test_golden_bytes(self, capsys):
-        # sha256 of stdout, recorded with numpy 2.4.6 on a 2-vCPU Intel Xeon
-        # (x86-64); tests/test_hvsim.py::TestGoldenCounts pins the counts.
-        code, out, _ = run(capsys, "simulate", "--theta", "60", "-n", "300000",
-                           "--seed", "12", "--mode", "singlet")
-        assert code == 0
-        assert (hashlib.sha256(out.encode()).hexdigest()
-                == "3cb955c5d5c3eb5b0e8ae45ab8e631d658d1473d61025a2c2ed2df805077730b")
+    def test_golden_bytes(self, tmp_path):
+        for args, digest in goldens("simulate"):
+            assert check_command(args, digest, tmp_path) == []
 
     def test_usage_errors(self, capsys):
         assert run(capsys, "simulate", "--theta", "60", "-n", "0", "--seed", "1")[0] == 64
@@ -890,17 +775,9 @@ class TestVerify:
         assert code == 0 and out == ""
         assert path.read_text() == expected
 
-    # sha256 of stdout, recorded on a 2-vCPU Intel Xeon (the sphere draws go
-    # through Python's math.cos and math.sin).
-    @pytest.mark.parametrize("args, digest", [
-        ((), "397ea3dbdc58a32a49475f014eb4166784bc397133d067c8abbc827f8f1d61a9"),
-        (("--trials", "50", "--seed", "1"),
-         "39a216a92efb6b7dc7f95e377cbde1f4ba0a83b0489d539ee3efff17771b42d0"),
-    ])
-    def test_golden_bytes(self, capsys, args, digest):
-        code, out, _ = run(capsys, "verify", *args)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    @pytest.mark.parametrize("args, digest", goldens("verify"))
+    def test_golden_bytes(self, tmp_path, args, digest):
+        assert check_command(args, digest, tmp_path) == []
 
 
 @pytest.mark.parametrize("argv, lines_read", [
@@ -977,29 +854,37 @@ def test_radians_without_angles(capsys, argv, angles):
     assert run(capsys, *argv) == (64, "", f"error: --radians requires --{angles}\n")
 
 
-# A token that cannot be read is shown as errors.shown shows it: a short one
-# in argparse's own text, a long one cut, so stderr stays one bounded line.
+# A token that cannot be read, or that argparse refuses, is shown as
+# errors.shown shows it: a short one in argparse's own text, a long one cut,
+# so stderr stays one line, at most the cap longer than for a one-letter token.
 @pytest.mark.parametrize("argv, token", [
     (["simulate", "--theta", "60", "--seed", "1", "-n"], "9" * 5000),  # past int()'s digit limit
     (["dist", "--theta"], "9" * 100_000),  # reads as inf
     (["verify", "--trials"], "x" * 2000),
-], ids=["simulate-n", "dist-theta", "verify-trials"])
+    (["simulate", "--theta", "60", "-n", "1", "--seed", "1", "--mode"], "x" * 5000),
+    ([], "x" * 5000),  # an unknown subcommand
+    (["dist", "--theta", "30"], "x" * 5000),  # an extra argument
+    (["scan", "--resolution-deg", "5", "--inequality"], "x" * 5000),
+], ids=["simulate-n", "dist-theta", "verify-trials", "simulate-mode", "subcommand", "dist-extra", "scan-inequality"])
 def test_long_token_bounded_usage_error(capsys, argv, token):
     code, out, err = run(capsys, *argv, token)
-    assert code == 64 and out == "" and err.startswith("error: argument -")
-    assert len(err.encode()) < SHOWN_MAX_CHARS + 100 and err.count("\n") == 1
+    assert code == 64 and out == "" and err.startswith("error: ")
+    assert len(err.encode()) <= len(run(capsys, *argv, "y")[2]) + SHOWN_MAX_CHARS
+    assert len(err.encode()) < SHOWN_MAX_CHARS + 200 and err.count("\n") == 1
 
 
-# Each int option, its value last.
+# Each int option with a value it refuses; the last value's repr is as long
+# as the cap allows, so it is not cut.
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--theta", "60", "--seed", "1", "-n"],
-    ["simulate", "--theta", "60", "-n", "1", "--seed"],
-    ["simulate", "--theta", "60", "-n", "1", "--seed", "1", "--threads"],
-    ["verify", "--trials"],
-    ["verify", "--seed"],
+    ["simulate", "--theta", "60", "--seed", "1", "-n", "1.5"],
+    ["simulate", "--theta", "60", "-n", "1", "--seed", "1.5"],
+    ["simulate", "--theta", "60", "-n", "1", "--seed", "1", "--threads", "1.5"],
+    ["verify", "--trials", "1.5"],
+    ["verify", "--seed", "1.5"],
+    ["verify", "--trials", "1." + "5" * (SHOWN_MAX_CHARS - 4)],
 ])
 def test_short_int_token_keeps_argparse_text(capsys, argv):
-    assert run(capsys, *argv, "1.5") == (64, "", f"error: argument {argv[-1]}: invalid int value: '1.5'\n")
+    assert run(capsys, *argv) == (64, "", f"error: argument {argv[-2]}: invalid int value: {argv[-1]!r}\n")
 
 
 @pytest.mark.parametrize("argv, degrees", [
@@ -1024,14 +909,14 @@ def test_radians_give_the_same_bytes(capsys, argv, degrees):
     ["dist", "--theta", "-1e-3"],
     ["dist", "--theta", "-.5"],
 ])
-def test_negative_values(capsys, argv):
+def test_negative_values(capsys, tmp_path, argv):
     joined = (*argv[:-2], f"{argv[-2]}={argv[-1]}")
     spaced = run(capsys, *argv)
     assert spaced[0] == 0, spaced[2]
     assert spaced == run(capsys, *joined)
-    # The --cov line's joined spelling is one of TestShortGolden's.
-    golden = dict(TestShortGolden.GOLDEN).get(joined)
-    assert golden is None or hashlib.sha256(spaced[1].encode()).hexdigest() == golden
+    # The --cov line's joined spelling is one of the golden table's commands.
+    golden = {tuple(args): digest for args, digest in goldens(argv[0])}.get(joined)
+    assert golden is None or check_command(argv, golden, tmp_path) == []
 
 
 def readme_commands() -> list[list[str]]:
@@ -1045,7 +930,7 @@ def readme_commands() -> list[list[str]]:
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
 def test_readme_commands_run(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "pairs.json").write_text(json.dumps({"pairs": GOLDEN_PAIRS["sym3"]}))
+    write_pairs(tmp_path / "pairs.json", "sym3")
     quad_file(tmp_path, TSIRELSON_COVS)
     code, out, err = run(capsys, *argv)
     assert code == 0 and out, err
